@@ -66,6 +66,13 @@ class QnSpace(RieszSpace):
     def meet(self, a: QnElement, b: QnElement) -> QnElement:
         return QnElement(self, tuple(min(x, y) for x, y in zip(a.coords, b.coords)))
 
+    def in_interval(self, a: QnElement, p: Fraction, q: Fraction) -> QnElement:
+        """min(x - p, q - x) per coordinate."""
+        p, q = Fraction(p), Fraction(q)
+        if not p < q:
+            raise ValueError("in_interval needs p < q")
+        return QnElement(self, tuple(min(x - p, q - x) for x in a.coords))
+
     def leq(self, a: QnElement, b: QnElement) -> bool:
         return all(x <= y for x, y in zip(a.coords, b.coords))
 

@@ -29,7 +29,6 @@ __all__ = [
     "d_of",
     "precedes",
     "join_all",
-    "meet_all",
     "certify_cover",
     "cover_range",
     "cover_interval",
@@ -51,20 +50,6 @@ def join_all(space: RieszSpace, elems: Sequence[RieszElement]) -> RieszElement:
         nxt = []
         for i in range(0, len(layer) - 1, 2):
             nxt.append(space.join(layer[i], layer[i + 1]))
-        if len(layer) % 2:
-            nxt.append(layer[-1])
-        layer = nxt
-    return layer[0]
-
-
-def meet_all(space: RieszSpace, elems: Sequence[RieszElement]) -> RieszElement:
-    layer = list(elems)
-    if not layer:
-        raise ValueError("meet of an empty family")
-    while len(layer) > 1:
-        nxt = []
-        for i in range(0, len(layer) - 1, 2):
-            nxt.append(space.meet(layer[i], layer[i + 1]))
         if len(layer) % 2:
             nxt.append(layer[-1])
         layer = nxt

@@ -14,8 +14,6 @@ cheaper exact route.
 """
 from __future__ import annotations
 
-import itertools
-import threading
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -59,14 +57,14 @@ class LocatedCut:
     """Upper cut of a real value, queried through one sided approximations.
 
     ``approx(eps)`` returns a rational s with  s - eps < value <= s.  The
-    best bounds seen so far are cached behind a lock, so repeated queries
-    refine monotonically: a later, finer answer never contradicts an
-    earlier one by more than the earlier tolerance.
+    best bounds seen so far are cached, so repeated queries refine
+    monotonically: a later, finer answer never contradicts an earlier one
+    by more than the earlier tolerance.  A cut is for single-threaded use;
+    it takes no lock.
     """
 
     def __init__(self, fn: Callable[[Fraction], Fraction]):
         self._fn = fn
-        self._lock = threading.Lock()
         self._upper: Optional[Fraction] = None
         self._lower: Optional[Fraction] = None  # certified strict lower bound
 
@@ -79,18 +77,17 @@ class LocatedCut:
         eps = Fraction(eps)
         if eps <= 0:
             raise ValueError("tolerance must be positive")
-        with self._lock:
-            if (
-                self._upper is not None
-                and self._lower is not None
-                and self._upper - self._lower <= eps
-            ):
-                return self._upper
-            s = self._fn(eps)
-            upper = s if self._upper is None else min(s, self._upper)
-            lower = s - eps if self._lower is None else max(s - eps, self._lower)
-            self._upper, self._lower = upper, lower
-            return upper
+        if (
+            self._upper is not None
+            and self._lower is not None
+            and self._upper - self._lower <= eps
+        ):
+            return self._upper
+        s = self._fn(eps)
+        upper = s if self._upper is None else min(s, self._upper)
+        lower = s - eps if self._lower is None else max(s - eps, self._lower)
+        self._upper, self._lower = upper, lower
+        return upper
 
     def lower_witness(self, eps: Fraction) -> Fraction:
         """Certified strict lower bound at tolerance eps."""

@@ -123,3 +123,11 @@ def pl_max(points: Sequence[tuple[Fraction, Fraction]]) -> Fraction:
 
 def pl_min(points: Sequence[tuple[Fraction, Fraction]]) -> Fraction:
     return min(y for _, y in points)
+
+
+def pl_value(points: Sequence[tuple[Fraction, Fraction]], x: Fraction) -> Fraction:
+    """Value of a piecewise linear function at x by plain Fraction interpolation."""
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if x0 <= x <= x1:
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    raise ValueError("argument outside the breakpoints")

@@ -1,15 +1,17 @@
 """Piecewise linear functions on [0, 1]: canonical form and exact lattice ops."""
 from fractions import Fraction as F
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rieszspec.exact import RatInterval
 from rieszspec.instances import PLSpace
-from rieszspec.riesz import in_interval, norm_cut
+from rieszspec.riesz import RieszSpace, in_interval, norm_cut
 from rieszspec.sampling import rand_pl
 
-from oracles import pl_max, pl_min
+from oracles import pl_max, pl_min, pl_value
 
 
 PLS = PLSpace()
@@ -195,3 +197,121 @@ class TestHooks:
     def test_dense_sequence_varies(self):
         seen = {PLS.dense_element(k).points for k in range(200)}
         assert len(seen) > 20
+
+
+# ----- integer triples against plain Fraction evaluation --------------
+
+
+fracs = st.builds(F, st.integers(-24, 24), st.sampled_from([1, 2, 3, 4, 6, 7]))
+widths = st.builds(F, st.integers(1, 16), st.sampled_from([1, 3, 4]))
+
+
+@st.composite
+def pl_elements(draw):
+    den = draw(st.sampled_from([5, 12, 24, 35]))
+    inner = draw(st.sets(st.integers(1, den - 1), max_size=6))
+    xs = [F(0)] + [F(k, den) for k in sorted(inner)] + [F(1)]
+    ys = draw(st.lists(fracs, min_size=len(xs), max_size=len(xs)))
+    return PLS.element(list(zip(xs, ys)))
+
+
+def _xs(*elems):
+    return sorted({x for e in elems for x, _ in e.points})
+
+
+def _xs_and_mids(*elems):
+    """Breakpoints and the midpoints between them: a graph that agrees with
+    max(a, b) there but misses a crossing is off at that midpoint."""
+    xs = _xs(*elems)
+    return xs + [(u + v) / 2 for u, v in zip(xs, xs[1:])]
+
+
+def _assert_stored_form(e):
+    ts = e.triples
+    for x, y, d in ts:
+        assert d > 0
+        assert math.gcd(x, y, d) == 1
+    assert ts[0][0] == 0 and ts[-1][0] == ts[-1][2]
+    for (x0, _, d0), (x1, _, d1) in zip(ts, ts[1:]):
+        assert x0 * d1 < x1 * d0
+    for (x0, y0, d0), (x1, y1, d1), (x2, y2, d2) in zip(ts, ts[1:], ts[2:]):
+        det = x0 * (y1 * d2 - y2 * d1) - y0 * (x1 * d2 - x2 * d1) + d0 * (x1 * y2 - x2 * y1)
+        assert det != 0
+
+
+class TestTriples:
+    def test_points_view(self):
+        a = _f((0, F(1, 2)), (F(1, 3), F(-2, 3)), (1, 2))
+        assert a.triples == ((0, 1, 2), (1, -2, 3), (1, 2, 1))
+        assert a.points == ((F(0), F(1, 2)), (F(1, 3), F(-2, 3)), (F(1), F(2)))
+        with pytest.raises(AttributeError):
+            a.points = ()
+
+    @settings(max_examples=150, deadline=None)
+    @given(pl_elements(), pl_elements(), fracs, fracs, widths)
+    def test_stored_form(self, a, b, c, p, w):
+        for e in (
+            a, PLS.join(a, b), PLS.meet(a, b), PLS.add(a, b), PLS.scale(c, a),
+            PLS.negate(a), PLS.in_interval(a, p, p + w), PLS.constant(c),
+        ):
+            _assert_stored_form(e)
+
+
+class TestOnePassRoutes:
+    @settings(max_examples=150, deadline=None)
+    @given(pl_elements(), pl_elements())
+    def test_meet_matches_derived(self, a, b):
+        assert PLS.meet(a, b) == RieszSpace.meet(PLS, a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pl_elements(), fracs, widths)
+    def test_in_interval_matches_derived(self, a, p, w):
+        assert PLS.in_interval(a, p, p + w) == RieszSpace.in_interval(PLS, a, p, p + w)
+
+    def test_in_interval_needs_order(self):
+        with pytest.raises(ValueError):
+            PLS.in_interval(PLS.unit(), F(1), F(1))
+
+
+class TestAgainstFractionEvaluation:
+    @settings(max_examples=150, deadline=None)
+    @given(pl_elements(), pl_elements())
+    def test_join(self, a, b):
+        j = PLS.join(a, b)
+        for x in _xs_and_mids(a, b, j):
+            assert pl_value(j.points, x) == max(pl_value(a.points, x), pl_value(b.points, x))
+
+    @settings(max_examples=150, deadline=None)
+    @given(pl_elements(), pl_elements())
+    def test_add(self, a, b):
+        s = PLS.add(a, b)
+        for x in _xs(a, b, s):
+            assert pl_value(s.points, x) == pl_value(a.points, x) + pl_value(b.points, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pl_elements(), fracs)
+    def test_scale(self, a, c):
+        s = PLS.scale(c, a)
+        for x in _xs(a, s):
+            assert pl_value(s.points, x) == c * pl_value(a.points, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pl_elements(), pl_elements())
+    def test_leq(self, a, b):
+        brute = all(pl_value(a.points, x) <= pl_value(b.points, x) for x in _xs(a, b))
+        assert PLS.leq(a, b) == brute
+
+    @settings(max_examples=150, deadline=None)
+    @given(pl_elements(), pl_elements())
+    def test_dominance_ceiling(self, a, b):
+        x, y = PLS.join(a, PLS.zero()), PLS.join(b, PLS.zero())
+        ratio, expect = F(0), None
+        for t in _xs(x, y):
+            xv, yv = pl_value(x.points, t), pl_value(y.points, t)
+            if yv <= 0 < xv:
+                break
+            if yv > 0:
+                ratio = max(ratio, xv / yv)
+        else:
+            expect = max(1, math.ceil(ratio))
+        assert PLS.dominance_ceiling(x, y) == expect

@@ -1,12 +1,14 @@
 """Finite rational tuples: every operation is exact and coordinatewise."""
 from fractions import Fraction as F
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rieszspec.exact import RatInterval
 from rieszspec.instances import QnSpace
-from rieszspec.riesz import SpaceMismatchError, in_interval, norm_cut
+from rieszspec.riesz import RieszSpace, SpaceMismatchError, in_interval, norm_cut
 
 from oracles import qn_sup
 
@@ -126,3 +128,53 @@ class TestHooks:
         assert any(
             all(abs(v) < 1 for v in c) and any(v != 0 for v in c) for c in seen
         )
+
+
+# ----- one-pass routes and plain Fraction evaluation ------------------
+
+
+Q4 = QnSpace(4)
+fracs = st.builds(F, st.integers(-24, 24), st.sampled_from([1, 2, 3, 4, 6, 7]))
+qn_elements = st.lists(fracs, min_size=4, max_size=4).map(Q4.element)
+widths = st.builds(F, st.integers(1, 16), st.sampled_from([1, 3, 4]))
+
+
+class TestOnePassRoutes:
+    @settings(max_examples=150, deadline=None)
+    @given(qn_elements, qn_elements)
+    def test_meet_matches_derived(self, a, b):
+        assert Q4.meet(a, b) == RieszSpace.meet(Q4, a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(qn_elements, fracs, widths)
+    def test_in_interval_matches_derived(self, a, p, w):
+        assert Q4.in_interval(a, p, p + w) == RieszSpace.in_interval(Q4, a, p, p + w)
+
+    def test_in_interval_needs_order(self):
+        with pytest.raises(ValueError):
+            Q4.in_interval(Q4.unit(), F(1, 2), F(1, 3))
+
+
+class TestAgainstFractionEvaluation:
+    @settings(max_examples=150, deadline=None)
+    @given(qn_elements, qn_elements, fracs)
+    def test_linear_and_lattice(self, a, b, c):
+        pairs = list(zip(a.coords, b.coords))
+        assert Q4.join(a, b).coords == tuple(max(x, y) for x, y in pairs)
+        assert Q4.add(a, b).coords == tuple(x + y for x, y in pairs)
+        assert Q4.scale(c, a).coords == tuple(c * x for x in a.coords)
+        assert Q4.leq(a, b) == all(x <= y for x, y in pairs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(qn_elements, qn_elements)
+    def test_dominance_ceiling(self, a, b):
+        x, y = Q4.join(a, Q4.zero()), Q4.join(b, Q4.zero())
+        ratio, expect = F(0), None
+        for xv, yv in zip(x.coords, y.coords):
+            if yv <= 0 < xv:
+                break
+            if yv > 0:
+                ratio = max(ratio, xv / yv)
+        else:
+            expect = max(1, math.ceil(ratio))
+        assert Q4.dominance_ceiling(x, y) == expect

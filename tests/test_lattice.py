@@ -12,7 +12,6 @@ from rieszspec.lattice import (
     cover_range,
     d_of,
     join_all,
-    meet_all,
     precedes,
     prune_cover,
     shrink_cover,
@@ -105,18 +104,15 @@ class TestPrecedes:
                 assert pls.leq(a, pls.scale(F(n), b))
 
 
-class TestJoinMeetAll:
+class TestJoinAll:
     def test_fold(self):
         q2 = QnSpace(2)
         xs = [q2.element([F(k), F(-k)]) for k in range(1, 6)]
         assert join_all(q2, xs) == q2.element([F(5), F(-1)])
-        assert meet_all(q2, xs) == q2.element([F(1), F(-5)])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             join_all(QnSpace(2), [])
-        with pytest.raises(ValueError):
-            meet_all(QnSpace(2), [])
 
 
 class TestCoverRange:
