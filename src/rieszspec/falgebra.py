@@ -24,6 +24,16 @@ joint eigenvalue, and (S + tol)^2 >= A forces sqrt(A) <= S + tol).
 On top of the square root sit materialized absolute values, positive
 parts, joins and meets, a sum of squares decomposition for elements
 between 0 and 1, and a multiplicativity check for point evaluations.
+
+The absolute value has two routes.  When every character root of the
+algebra is rational it is exact: with the spectral idempotents E_j and
+the values a_j of A at the characters, S = sum_j |a_j| E_j, accepted
+only after the exact checks S*S == A*A and S >= 0, which pin S down as
+the unique positive semidefinite square root of A*A (the interpolation
+definition of a matrix function, Higham, Functions of Matrices, 2008,
+section 1.2).  Otherwise it runs the square root iteration on A*A in
+distance mode.  ``sqrt_psd`` always runs the iteration, the paper's
+construction, and so stays an independent check of the exact route.
 """
 from __future__ import annotations
 
@@ -35,6 +45,7 @@ from typing import Sequence
 
 from .exact import RationalMatrix, psd_check, round_dyadic
 from .instances.herm import CommutingAlgebra, HermElement, HermSpace
+from .polyroots import poly_eval
 from .riesz import CertificateError, Rational, ToleranceError
 
 __all__ = [
@@ -102,7 +113,6 @@ def _sqrt_core(
     amat: RationalMatrix,
     tol: Fraction,
     mode: str,
-    collect: list | None = None,
 ) -> tuple[RationalMatrix, SqrtTrace]:
     alg = space.algebra
     eye = RationalMatrix.identity(space.dim)
@@ -165,8 +175,6 @@ def _sqrt_core(
             # (integer spectra on the grid) come out exactly
             b[0] -= rho_step
         rs.append(min(Fraction(1), round_dyadic((1 + rs[-1] ** 2) / 2, grid, "up")))
-        if collect is not None:
-            collect.append((n, alg.mat_of(b), rs[-1]))
         majorant_fired = (
             mode == "residual" and len(rs) >= 2 and 2 * (rs[-1] - rs[-2]) * mu <= tol
         )
@@ -238,19 +246,48 @@ def sqrt_psd(a: HermElement, tol: Rational) -> tuple[HermElement, SqrtTrace]:
     return HermElement(space, smat, dist + _sqrt_upper(a.err)), trace
 
 
+def _spectral_abs(
+    alg: CommutingAlgebra, idem: Sequence[RationalMatrix], amat: RationalMatrix
+) -> RationalMatrix:
+    """Exact |A| = sum_j |a_j| E_j, certified by S*S == A*A and S >= 0."""
+    q = alg.value_poly_of(amat)
+    smat = RationalMatrix.zeros(alg.dim)
+    for j, e in enumerate(idem):
+        v = abs(poly_eval(q, alg.rational_root(j)))
+        if v:
+            smat = smat + e.scale(v)
+    # the psd square root of A*A is unique, so these two facts prove S = |A|
+    if smat @ smat != amat @ amat or not psd_check(smat):
+        raise CertificateError("spectral absolute value failed its certificate")
+    return smat
+
+
 def abs_element(a: HermElement, tol: Rational) -> HermElement:
-    """Materialized absolute value: within tol of |a| in operator norm."""
+    """Materialized absolute value.
+
+    When every character root is rational the result is |a| itself,
+    exactly, and err stays a.err: |.| moves no character value by more
+    than the input moved it.  Otherwise the square root iteration gives a
+    matrix within tol of |a| in operator norm, and err grows by tol.
+    """
     _require_plain(a)
     space = a.space
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
+    idem = space.algebra.idempotents()
+    if idem is not None:
+        return HermElement(space, _spectral_abs(space.algebra, idem, a.matrix), a.err)
     smat, _ = _sqrt_core(space, a.matrix @ a.matrix, tol, "distance")
     return HermElement(space, smat, a.err + tol)
 
 
 def pos_part(a: HermElement, tol: Rational) -> HermElement:
-    """Materialized positive part (a + |a|) / 2; err grows by tol / 2."""
+    """Materialized positive part (a + |a|) / 2.
+
+    err grows by tol / 2 on the iteration route of abs_element and not at
+    all on its exact route.
+    """
     space = a.space
     return space.scale(Fraction(1, 2), space.add(a, abs_element(a, tol)))
 

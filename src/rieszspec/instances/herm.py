@@ -20,18 +20,24 @@ an element sits inside an interval) then reduce to exact comparisons of
 rationals at rational characters, and elsewhere to exact sign tests and
 refinable rational enclosures of polynomial values at isolated roots.
 
-Elements carry an error radius ``err``: the element stands for anything
-within operator distance err of the stored matrix, and every certified
-answer is required to hold for the whole ball.  Lattice expressions
-(join, meet, interval depth) are kept as formulas evaluated through the
-characters, which makes them exact; :meth:`HermSpace.materialize` turns
-a formula back into a single matrix with a certified error radius via
-the square root construction.
+Elements carry an error radius ``err``: the element (A, err) stands for
+any member X of the algebra within operator distance err of A, that is,
+any member whose value at every character lies within err of the value
+of A there.  Every certified answer is required to hold for the whole
+ball, and every error bound holds per character.  The ball does not hold
+arbitrary symmetric matrices near A: the operator absolute value is not
+Lipschitz with constant one on those (Kato 1973), while on a commuting
+algebra it acts character by character, where it is.  Lattice
+expressions (join, meet, interval depth) are kept as formulas evaluated
+through the characters, which makes them exact;
+:meth:`HermSpace.materialize` turns a formula back into a single matrix
+through ``falgebra.abs_element``: exactly, by the spectral idempotents,
+when every character root is rational, and with a certified error radius
+from the square root construction otherwise.
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -76,7 +82,12 @@ def _as_matrix(m: RationalMatrix | Sequence[Sequence[object]]) -> RationalMatrix
 
 
 class CommutingAlgebra:
-    """Unital algebra generated by commuting symmetric rational matrices."""
+    """Unital algebra generated by commuting symmetric rational matrices.
+
+    Use is single-threaded: the root boxes, the rational roots, the
+    spectral idempotents and the value caches are filled in lazily
+    without locks.
+    """
 
     def __init__(
         self,
@@ -138,10 +149,11 @@ class CommutingAlgebra:
                     raise ValueError("algebra closure failed to capture a product")
                 self._table[(i, j)] = coords
 
-        self._lock = threading.Lock()
         self._vpoly: dict[RationalMatrix, Poly] = {}
         # per character, once decided: its rational root, or None
         self._exact: dict[int, Fraction | None] = {}
+        # spectral idempotents, built on first use when every root is rational
+        self._idem: tuple[RationalMatrix, ...] | None = None
         self._cmp_cache: dict[tuple[Poly, Fraction, int], int] = {}
         self._init_characters()
 
@@ -279,8 +291,7 @@ class CommutingAlgebra:
 
     def value_poly_of(self, m: RationalMatrix) -> Poly:
         """Polynomial q with q(gamma_j) = value of m at character j."""
-        with self._lock:
-            q = self._vpoly.get(m)
+        q = self._vpoly.get(m)
         if q is not None:
             return q
         coords = self.coords_of(m)
@@ -293,12 +304,11 @@ class CommutingAlgebra:
                 for i in range(self.size)
             ]
         )
-        with self._lock:
-            self._vpoly[m] = q
+        self._vpoly[m] = q
         return q
 
     def _snap(self, j: int) -> Fraction | None:
-        """Decide once whether root j is rational; call with the lock held.
+        """Decide once whether root j is rational.
 
         Two distinct rationals with denominators at most L lie at least
         1/L**2 apart, so in a box narrower than 1/(2 L**2) the root, if
@@ -324,23 +334,45 @@ class CommutingAlgebra:
 
     def rational_root(self, j: int) -> Fraction | None:
         """The root of character j if it is rational, else None."""
-        if j in self._exact:
-            return self._exact[j]
-        with self._lock:
-            return self._snap(j)
+        return self._snap(j)
+
+    def idempotents(self) -> tuple[RationalMatrix, ...] | None:
+        """Spectral idempotents E_j when every character root is rational.
+
+        E_j = prod_{k != j} (G - r_k I) / (r_j - r_k) for the separating
+        member G with roots r_k: E_j is 1 at character j and 0 at every
+        other, so any member b equals sum_j b(j) E_j.  Built once, on
+        first use; None when some root is irrational.
+        """
+        if self._idem is None:
+            roots = []
+            for j in range(self.char_count):
+                r = self._snap(j)
+                if r is None:
+                    return None
+                roots.append(r)
+            eye = RationalMatrix.identity(self.dim)
+            idem = []
+            for j, rj in enumerate(roots):
+                e = eye
+                for k, rk in enumerate(roots):
+                    if k != j:
+                        e = e @ (self._sep - eye.scale(rk)).scale(1 / (rj - rk))
+                idem.append(e)
+            self._idem = tuple(idem)
+        return self._idem
 
     def root_box(self, j: int, width: Fraction) -> tuple[Fraction, Fraction]:
         """Isolating interval of character root j, refined below width.
 
         A rational root is held exactly, as the one point box (r, r).
         """
-        with self._lock:
-            self._snap(j)
-            lo, hi = self._roots[j]
-            if hi - lo > width:
-                lo, hi = refine_root(self._minpoly, lo, hi, width)
-                self._roots[j][0] = lo
-                self._roots[j][1] = hi
+        self._snap(j)
+        lo, hi = self._roots[j]
+        if hi - lo > width:
+            lo, hi = refine_root(self._minpoly, lo, hi, width)
+            self._roots[j][0] = lo
+            self._roots[j][1] = hi
         return lo, hi
 
     def value_interval(
@@ -801,9 +833,6 @@ class HermSpace(RieszSpace):
 
     def join_with_tol(self, a: HermElement, b: HermElement, tol: Rational) -> HermElement:
         return self.materialize(self.join(a, b), tol)
-
-    def meet_with_tol(self, a: HermElement, b: HermElement, tol: Rational) -> HermElement:
-        return self.materialize(self.meet(a, b), tol)
 
     # -- enumeration -----------------------------------------------------
 

@@ -94,12 +94,13 @@ def operator_norm_exact(rows: Mat) -> Fraction:
     return max(vals)
 
 
-def frame_norm_exact(frame: Mat, rows: Mat) -> Fraction:
-    """Largest |eigenvalue| of a matrix diagonalized by an orthogonal frame.
+def frame_diagonal(frame: Mat, rows: Mat) -> list[Fraction]:
+    """Eigenvalues of a matrix diagonalized by an orthogonal frame.
 
     Conjugates with plain fractions and insists the result is exactly
     diagonal, which certifies that rows really lives in the frame's
     eigenbasis; avoids factoring huge characteristic polynomials.
+    Entry i belongs to column i of the frame.
     """
     conj = matmul(matmul(transpose(frame), rows), frame)
     n = len(conj)
@@ -107,7 +108,12 @@ def frame_norm_exact(frame: Mat, rows: Mat) -> Fraction:
         for j in range(n):
             if i != j and conj[i][j] != 0:
                 raise ValueError("matrix is not diagonal in this frame")
-    return max(abs(conj[i][i]) for i in range(n))
+    return [conj[i][i] for i in range(n)]
+
+
+def frame_norm_exact(frame: Mat, rows: Mat) -> Fraction:
+    """Largest |eigenvalue| of a matrix diagonalized by an orthogonal frame."""
+    return max(abs(v) for v in frame_diagonal(frame, rows))
 
 
 # ----- scalar helpers -------------------------------------------------

@@ -3,9 +3,11 @@ from fractions import Fraction as F
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rieszspec.exact import RationalMatrix, psd_check, round_dyadic
 from rieszspec.falgebra import (
+    _sqrt_core,
     abs_element,
     abs_pos_join,
     gelfand_check,
@@ -15,8 +17,9 @@ from rieszspec.falgebra import (
     sum_of_squares,
 )
 from rieszspec.instances import HermSpace
-from rieszspec.riesz import ToleranceError, norm_cut
-from rieszspec.sampling import rand_diagonal_family
+from rieszspec.polyroots import poly_eval
+from rieszspec.riesz import CertificateError, ToleranceError, norm_cut
+from rieszspec.sampling import CommutingFamily, rand_diagonal_family, rand_orthogonal
 
 import oracles
 
@@ -185,6 +188,198 @@ class TestAbsPosJoin:
             abs_pos_join("join", a)
         with pytest.raises(ValueError):
             abs_pos_join("frobnicate", a)
+
+
+# Rational spectra for the exact absolute value: 0 makes |.| singular,
+# repeated values tie characters, err > 0 exercises the err contract.
+PALETTE = [F(-2), F(-3, 2), F(-1, 2), F(0), F(1, 2), F(1), F(3, 2)]
+TOL = F(1, 64)
+
+
+@st.composite
+def rational_cases(draw):
+    """(frame, spectrum of a, spectrum of b, err of a) on a rational frame."""
+    dim = draw(st.integers(2, 4))
+    spec = st.lists(st.sampled_from(PALETTE), min_size=dim, max_size=dim)
+    seed = draw(st.integers(0, 10_000))
+    err = draw(st.sampled_from([F(0), F(0), F(1, 64), F(1, 8)]))
+    return seed, draw(spec), draw(spec), err
+
+
+def _family(seed, *spectra):
+    frame = rand_orthogonal(random.Random(seed), len(spectra[0]))
+    fam = CommutingFamily(frame, spectra)
+    return fam, HermSpace(fam.members)
+
+
+def _conj(fam, values):
+    return RationalMatrix.from_rows(oracles.sandwich(fam.frame.entries, values))
+
+
+def _dist(fam, x, y):
+    """Exact operator distance of two algebra members (frame diagonal)."""
+    return oracles.frame_norm_exact(fam.frame.entries, (x - y).entries)
+
+
+def _iteration_abs(hs, mat):
+    return _sqrt_core(hs, mat @ mat, TOL, "distance")[0]
+
+
+# singular, tied (a repeats a value, b meets a at one place), and err > 0
+CASES = [
+    (7, [F(0), F(3, 2), F(-1, 2)], [F(1), F(3, 2), F(0)], F(0)),
+    (8, [F(1), F(1), F(-2), F(-2)], [F(1), F(0), F(-1, 2), F(-2)], F(0)),
+    (9, [F(-3, 2), F(1, 2)], [F(0), F(0)], F(1, 8)),
+]
+
+
+def _examples(fn):
+    for case in CASES:
+        fn = example(case)(fn)
+    return fn
+
+
+class TestSpectralAbs:
+    """Exact route on rational spectra against the sqrt iteration."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(rational_cases())
+    @_examples
+    def test_abs_is_exact_and_near_iteration(self, case):
+        seed, sa, _, err = case
+        fam, hs = _family(seed, sa)
+        a = hs.element(fam.members[0], err)
+        got = abs_element(a, TOL)
+        assert got.matrix == _conj(fam, [abs(v) for v in sa])
+        assert got.err == err
+        assert _dist(fam, got.matrix, _iteration_abs(hs, a.matrix)) <= TOL
+
+    @settings(max_examples=25, deadline=None)
+    @given(rational_cases())
+    @_examples
+    def test_pos_part_is_exact_and_near_iteration(self, case):
+        seed, sa, _, err = case
+        fam, hs = _family(seed, sa)
+        a = hs.element(fam.members[0], err)
+        got = pos_part(a, TOL)
+        assert got.matrix == _conj(fam, [max(v, 0) for v in sa])
+        assert got.err == err
+        it = (a.matrix + _iteration_abs(hs, a.matrix)).scale(F(1, 2))
+        assert _dist(fam, got.matrix, it) <= TOL / 2
+
+    @settings(max_examples=25, deadline=None)
+    @given(rational_cases())
+    @_examples
+    def test_join_meet_are_exact_and_near_iteration(self, case):
+        seed, sa, sb, err = case
+        fam, hs = _family(seed, sa, sb)
+        a = hs.element(fam.members[0], err)
+        b = hs.element(fam.members[1])
+        d = _iteration_abs(hs, a.matrix - b.matrix)
+        for kind, pick, sign in (("join", max, 1), ("meet", min, -1)):
+            got = abs_pos_join(kind, a, b, TOL)
+            assert got.matrix == _conj(fam, [pick(u, v) for u, v in zip(sa, sb)])
+            assert got.err == err
+            it = (a.matrix + b.matrix + d.scale(F(sign))).scale(F(1, 2))
+            assert _dist(fam, got.matrix, it) <= TOL / 2
+
+    def test_idempotents_built_on_first_use_and_kept(self):
+        fam, hs = _family(3, [F(1), F(-2), F(1)])
+        alg = hs.algebra
+        assert alg._idem is None
+        idem = alg.idempotents()
+        assert alg.idempotents() is idem
+        assert len(idem) == alg.char_count == 2
+        eye = RationalMatrix.identity(3)
+        assert sum(idem, RationalMatrix.zeros(3)) == eye
+        for i, e in enumerate(idem):
+            for j, f in enumerate(idem):
+                assert e @ f == (e if i == j else RationalMatrix.zeros(3))
+
+
+GOLDEN = [[1, 1], [1, 0]]
+MIXED = [[1, 1, 0], [1, 0, 0], [0, 0, 2]]  # golden ratio block and 2
+
+
+class TestIterationRoute:
+    @pytest.mark.parametrize("rows", [GOLDEN, MIXED])
+    def test_irrational_and_mixed_keep_iteration(self, rows):
+        hs = _space(rows)
+        assert hs.algebra.idempotents() is None
+        assert any(hs.algebra.rational_root(j) is None for j in range(hs.algebra.char_count))
+        gen = hs.algebra.generators[0]
+        for err in (F(0), F(1, 32)):
+            a = hs.element(gen, err)
+            got = abs_element(a, TOL)
+            assert got.err == err + TOL
+            assert got.matrix == _iteration_abs(hs, gen)
+            pos = pos_part(a, TOL)
+            assert pos.err == err + TOL / 2
+
+    def test_mixed_algebra_has_a_rational_character(self):
+        alg = _space(MIXED).algebra
+        roots = [r for j in range(alg.char_count) if (r := alg.rational_root(j)) is not None]
+        assert len(roots) == 1
+        assert poly_eval(alg.value_poly_of(alg.generators[0]), roots[0]) == 2
+
+
+class TestSpectralCertificate:
+    """A wrong idempotent never yields a result: the exact checks refuse it."""
+
+    def _setup(self):
+        fam, hs = _family(5, [F(3, 2), F(-1, 2), F(-1, 2)])
+        return hs, hs.element(fam.members[0])
+
+    def test_permuted_idempotents_fail_the_square(self, monkeypatch):
+        hs, a = self._setup()
+        idem = hs.algebra.idempotents()
+        monkeypatch.setattr(hs.algebra, "idempotents", lambda: idem[::-1])
+        with pytest.raises(CertificateError):
+            abs_element(a, TOL)
+
+    def test_negated_idempotent_fails_positivity(self, monkeypatch):
+        # (-E)^2 = E, so the square still matches; only S >= 0 catches it
+        hs, a = self._setup()
+        idem = hs.algebra.idempotents()
+        bad = (idem[0].scale(F(-1)),) + idem[1:]
+        monkeypatch.setattr(hs.algebra, "idempotents", lambda: bad)
+        with pytest.raises(CertificateError):
+            abs_element(a, TOL)
+
+    def test_join_goes_through_the_certificate(self, monkeypatch):
+        hs, a = self._setup()
+        idem = hs.algebra.idempotents()
+        monkeypatch.setattr(hs.algebra, "idempotents", lambda: idem[::-1])
+        with pytest.raises(CertificateError):
+            hs.join_with_tol(a, hs.zero(), TOL)
+
+
+class TestErrContract:
+    """(A, err) stands for the algebra members X within err of A at every
+    character; |X| then lies within abs_element(A).err of the result at
+    every character, on both routes."""
+
+    @pytest.mark.parametrize("route", ["spectral", "iteration"])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        case=rational_cases(),
+        steps=st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+    )
+    def test_abs_err_covers_the_ball(self, route, case, steps):
+        seed, sa, _, err = case
+        fam, hs = _family(seed, sa)
+        # X moves each eigenvalue of A by at most err; ties stay ties so X
+        # is still a member of the algebra A generates
+        shift = {v: err * k / 4 for v, k in zip(sorted(set(sa)), steps)}
+        sx = [v + shift[v] for v in sa]
+        a = hs.element(fam.members[0], err)
+        with pytest.MonkeyPatch.context() as mp:
+            if route == "iteration":
+                mp.setattr(hs.algebra, "idempotents", lambda: None)
+            got = abs_element(a, TOL)
+        vals = oracles.frame_diagonal(fam.frame.entries, got.matrix.entries)
+        for x, v in zip(sx, vals):
+            assert abs(abs(x) - v) <= got.err
 
 
 class TestProductPositive:

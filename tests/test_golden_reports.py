@@ -1,9 +1,15 @@
-"""Golden CLI reports on fixed PL and Qn inputs.
+"""Golden CLI reports on fixed PL, Qn and matrix inputs.
 
-The expected results were recorded from the Fraction-coordinate PL
+The PL and Qn results were recorded from the Fraction-coordinate PL
 implementation.  Any change of element representation must leave every
 report byte-identical: same certificate multipliers, shrink radii, point
 constraints, margins and values.
+
+The matrix reports of ``abs``, ``join`` and ``sqrt`` on an irrational
+spectrum, and of ``sqrt`` on a rational one, were recorded from the
+square root iteration and must stay byte-identical.  On a rational
+spectrum ``abs`` and ``join`` are exact: the reports carry |A| and A v B
+themselves with error bound 0.
 """
 import json
 
@@ -87,11 +93,11 @@ GOLDEN = {
 }
 
 
-def _expected(command, path, eps, result):
+def _expected(command, path, eps, result, input2=""):
     config = {
         "command": command,
         "input": path,
-        "input2": "",
+        "input2": input2,
         "tol": "1/1024",
         "eps": eps,
         "seed": 0,
@@ -123,3 +129,115 @@ def test_recipe_replays(capsys, tmp_path, monkeypatch, name):
     code, out = _run(capsys, "check-lattice", "--input", "cert.json")
     assert code == 0
     assert out == _expected("check-lattice", "cert.json", "1/64", VERIFIED)
+
+
+def _herm(*rows):
+    return {"space": "herm", "matrix": {"dim": len(rows), "entries": [list(r) for r in rows]}}
+
+
+def _gens(*names):
+    return [HERM_INPUTS[n]["matrix"] for n in names]
+
+
+# golden ratio spectrum; "irr-sq" is its square, "rat" has spectrum {3, -1}
+# and "rat-sq" spectrum {1, 9}
+HERM_INPUTS = {
+    "irr": _herm(["1", "1"], ["1", "0"]),
+    "irr-sq": _herm(["2", "1"], ["1", "1"]),
+    "rat": _herm(["1", "2"], ["2", "1"]),
+    "rat-sq": _herm(["5", "4"], ["4", "5"]),
+    "zero": _herm(["0", "0"], ["0", "0"]),
+}
+
+SQRT_MAJORANT_IRR = [
+    "0", "1/2", "5/8", "89/128", "24305/32768", "6501855/8388608",
+    "3357019/4194304", "13762361/16777216", "14033245/16777216",
+    "7128819/8388608", "902927/1048576", "1826085/2097152",
+    "14748827/16777216", "14871445/16777216", "7489843/8388608",
+    "15075981/16777216", "15162235/16777216", "15239965/16777216",
+    "15310393/16777216", "15374515/16777216", "7716577/8388608",
+    "967937/1048576", "3884151/4194304", "7791237/8388608",
+    "15625015/16777216", "3916145/4194304",
+]
+
+SQRT_MAJORANT_RAT = [
+    "0", "1/2", "5/8", "89/128", "24305/32768", "6501855/8388608",
+    "53712303/67108864", "55049443/67108864", "56132979/67108864",
+    "57030551/67108864", "57787325/67108864", "58434715/67108864",
+    "7374413/8388608", "59485775/67108864", "14979685/16777216",
+    "3768995/4194304", "7581117/8388608", "30479927/33554432",
+    "61241563/67108864", "61498051/67108864", "61732605/67108864",
+    "30973979/33554432", "15536601/16777216", "62329883/67108864",
+    "62500045/67108864", "62658305/67108864", "62805883/67108864",
+    "15735959/16777216", "63073085/67108864", "63194437/67108864",
+    "63308601/67108864", "63416203/67108864", "31758899/33554432",
+    "63613879/67108864",
+]
+
+HERM_GOLDEN = {
+    ("abs", "irr", ""): {
+        "abs": {"dim": 2, "entries": [
+            ["180074205/134217728", "120040787/268435456"],
+            ["120040787/268435456", "240107623/268435456"],
+        ]},
+        "errBound": "1/1024",
+    },
+    ("join", "irr", "zero"): {
+        "join": {
+            "err": "1/2048",
+            "generators": _gens("irr", "zero"),
+            "matrix": {"dim": 2, "entries": [
+                ["314291933/268435456", "388476243/536870912"],
+                ["388476243/536870912", "240107623/536870912"],
+            ]},
+            "space": "herm",
+        },
+    },
+    ("sqrt", "irr-sq", ""): {
+        "S": {"dim": 2, "entries": [
+            ["2813661/2097152", "3751273/8388608"],
+            ["3751273/8388608", "7503371/8388608"],
+        ]},
+        "errBound": "1/1024",
+        "iterations": 24,
+        "majorant": SQRT_MAJORANT_IRR,
+    },
+    ("sqrt", "rat-sq", ""): {
+        "S": {"dim": 2, "entries": [
+            ["33555129/16777216", "16776523/16777216"],
+            ["16776523/16777216", "33555129/16777216"],
+        ]},
+        "errBound": "1/1024",
+        "iterations": 32,
+        "majorant": SQRT_MAJORANT_RAT,
+    },
+    # exact: |A| = 3 P + 1 Q, A v 0 = 3 P for the eigenprojections P, Q
+    ("abs", "rat", ""): {
+        "abs": {"dim": 2, "entries": [["2", "1"], ["1", "2"]]},
+        "errBound": "0",
+    },
+    ("join", "rat", "zero"): {
+        "join": {
+            "err": "0",
+            "generators": _gens("rat", "zero"),
+            "matrix": {"dim": 2, "entries": [["3/2", "3/2"], ["3/2", "3/2"]]},
+            "space": "herm",
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("command,name,name2", sorted(HERM_GOLDEN))
+def test_herm_report_bytes(capsys, tmp_path, monkeypatch, command, name, name2):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--input", f"{name}.json", "--tol", "1/1024"]
+    (tmp_path / f"{name}.json").write_text(json.dumps(HERM_INPUTS[name]))
+    input2 = ""
+    if name2:
+        input2 = f"{name2}.json"
+        (tmp_path / input2).write_text(json.dumps(HERM_INPUTS[name2]))
+        argv += ["--input2", input2]
+    code, out = _run(capsys, *argv)
+    assert code == 0
+    want = _expected(command, f"{name}.json", "1/64", HERM_GOLDEN[command, name, name2], input2)
+    assert out == want
