@@ -26,8 +26,6 @@ __all__ = [
     "interval_grid_window",
     "RationalMatrix",
     "psd_check",
-    "char_poly",
-    "kernel_basis",
     "invert",
 ]
 
@@ -324,23 +322,6 @@ def psd_check(m: RationalMatrix) -> bool:
     return True
 
 
-def char_poly(m: RationalMatrix) -> tuple[Fraction, ...]:
-    """Monic characteristic polynomial det(x*I - m), coefficients ascending.
-
-    Faddeev-LeVerrier recurrence; exact rational throughout.
-    """
-    n = m.dim
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = RationalMatrix.identity(n)
-    for k in range(1, n + 1):
-        am = m @ mk
-        c = -am.trace() / k
-        coeffs[n - k] = c
-        mk = am + RationalMatrix.identity(n).scale(c)
-    return tuple(coeffs)
-
-
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     rows = [list(r) for r in rows]
@@ -365,21 +346,6 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if r == len(rows):
             break
     return rows[:r], pivots
-
-
-def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the null space of m, exact."""
-    n = m.dim
-    rows, pivots = _rref([list(row) for row in m.entries])
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(tuple(vec))
-    return basis
 
 
 def invert(m: RationalMatrix) -> RationalMatrix:

@@ -19,6 +19,11 @@ Order facts (is b - a positive semidefinite, suprema of spectra, how far
 an element sits inside an interval) then reduce to exact comparisons of
 rationals at rational characters, and elsewhere to exact sign tests and
 refinable rational enclosures of polynomial values at isolated roots.
+An err free element, formula or not, resolves at each character to one
+value: a rational, or one polynomial chosen by a sign test at each join,
+meet and interval node.  Those values are kept on the element itself,
+not in a cache of the space, and an order query at an irrational
+character costs one enclosure of that polynomial.
 
 Elements carry an error radius ``err``: the element (A, err) stands for
 any member X of the algebra within operator distance err of A, that is,
@@ -69,10 +74,6 @@ from ..riesz import (
 )
 
 __all__ = ["CommutingAlgebra", "HermElement", "HermSpace"]
-
-
-class _ErrTainted(Exception):
-    """Internal: a formula rests on elements with nonzero err."""
 
 
 def _as_matrix(m: RationalMatrix | Sequence[Sequence[object]]) -> RationalMatrix:
@@ -391,8 +392,11 @@ class CommutingAlgebra:
 
         At a character whose root is rational, values are exact rationals:
         q may then be given as that value itself, and the sign is read off
-        by one comparison.  Elsewhere the sign comes from a gcd test
-        against the minimal polynomial and interval refinement.
+        by one comparison.  Elsewhere one interval enclosure of
+        q(gamma_j) - c over the current root box settles almost every
+        sign; only an enclosure that straddles 0 goes on to a gcd test
+        against the minimal polynomial, which finds an exact zero, and
+        then to interval refinement.
         """
         c = Fraction(c)
         if isinstance(q, Fraction):
@@ -404,25 +408,21 @@ class CommutingAlgebra:
         lo, hi = self.root_box(j, Fraction(1, 4))
         if lo == hi:
             v = poly_eval(q, lo) - c
-            res = 0 if v == 0 else (1 if v > 0 else -1)
+            res = (v > 0) - (v < 0)
         else:
             d = poly_sub(q, (c,))
-            if not d:
+            vlo, vhi = poly_eval_interval(d, lo, hi)
+            zero = not d
+            if vlo <= 0 <= vhi and not zero:
+                g = poly_gcd(self._minpoly, d)
+                zero = len(g) > 1 and count_roots(sturm_chain(g), lo, hi) >= 1
+            if zero:
                 res = 0
             else:
-                g = poly_gcd(self._minpoly, d)
-                if len(g) > 1 and count_roots(sturm_chain(g), lo, hi) >= 1:
-                    res = 0
-                else:
-                    while True:
-                        vlo, vhi = poly_eval_interval(d, lo, hi)
-                        if vlo > 0:
-                            res = 1
-                            break
-                        if vhi < 0:
-                            res = -1
-                            break
-                        lo, hi = self.root_box(j, (hi - lo) / 4)
+                while vlo <= 0 <= vhi:
+                    lo, hi = self.root_box(j, (hi - lo) / 4)
+                    vlo, vhi = poly_eval_interval(d, lo, hi)
+                res = 1 if vlo > 0 else -1
         self._cmp_cache[key] = res
         return res
 
@@ -476,7 +476,6 @@ class HermSpace(RieszSpace):
             raise ValueError("lattice_tol must be positive")
         self._key = (self.dim, self.algebra.generators)
         self._hash = hash(("herm", self._key))
-        self._vp_cache: dict[tuple[HermElement, int], Poly | Fraction] = {}
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, HermSpace) and self._key == other._key
@@ -560,21 +559,23 @@ class HermSpace(RieszSpace):
     # -- character evaluation -------------------------------------------
 
     def _char_value(self, e: HermElement, j: int) -> Poly | Fraction:
-        """Resolve e at character j; err free elements only.
+        """Resolve an err free element e at character j.
 
         At a character whose root is rational the result is the exact
         value, a Fraction; elsewhere it is one polynomial whose value at
-        the root is the value of e.
+        the root is the value of e.  Results are kept on e itself, so
+        they live exactly as long as the element.
         """
-        key = (e, j)
-        cached = self._vp_cache.get(key)
-        if cached is not None:
-            return cached
+        vals = e.__dict__.get("_vals")
+        if vals is None:
+            vals = {}
+            object.__setattr__(e, "_vals", vals)
+        v = vals.get(j)
+        if v is not None:
+            return v
         alg = self.algebra
         r = alg.rational_root(j)
         if e.formula is None:
-            if e.err:
-                raise _ErrTainted
             q = alg.value_poly_of(e.matrix)
             v = q if r is None else poly_eval(q, r)
         else:
@@ -609,17 +610,23 @@ class HermSpace(RieszSpace):
                         v = vb if s <= 0 else va
             else:  # pragma: no cover - formula tags are internal
                 raise AssertionError(f"unknown formula tag {tag!r}")
-        self._vp_cache[key] = v
+        vals[j] = v
         return v
 
     def _char_interval(
         self, e: HermElement, j: int, target: Fraction
     ) -> tuple[Fraction, Fraction]:
-        """Enclosure of the value of e at character j, err ball included."""
+        """Enclosure of the value of e at character j, err ball included.
+
+        An err free element is one value, enclosed once.  With err > 0 the
+        formula is walked, which gives tighter boxes than centre +- err.
+        """
         alg = self.algebra
-        if e.err == 0 and alg.rational_root(j) is not None:
+        if e.err == 0:
             v = self._char_value(e, j)
-            return v, v
+            if isinstance(v, Fraction):
+                return v, v
+            return alg.value_interval(v, j, target)
         if e.formula is None:
             vlo, vhi = alg.value_interval(alg.value_poly_of(e.matrix), j, target)
             return vlo - e.err, vhi + e.err
@@ -659,17 +666,15 @@ class HermSpace(RieszSpace):
 
     def leq(self, a: HermElement, b: HermElement) -> bool | None:
         self._require(a, b)
-        if a.formula is None and b.formula is None and a.err == 0 and b.err == 0:
-            return psd_check(b.matrix - a.matrix)
-        try:
+        if a.err == 0 and b.err == 0:
+            if a.formula is None and b.formula is None:
+                return psd_check(b.matrix - a.matrix)
             for j in range(self.algebra.char_count):
                 va, vb = self._char_value(a, j), self._char_value(b, j)
                 d = vb - va if isinstance(va, Fraction) else poly_sub(vb, va)
                 if self.algebra.value_sign(d, 0, j) < 0:
                     return False
             return True
-        except _ErrTainted:
-            pass
         width = Fraction(1, 4)
         floor = Fraction(1, 1 << 40)
         while True:
@@ -747,13 +752,12 @@ class HermSpace(RieszSpace):
 
     def dominance_ceiling(self, x: HermElement, y: HermElement) -> int | None:
         self._require(x, y)
-        try:
-            signs = [
-                (self._char_sign(x, j), self._char_sign(y, j))
-                for j in range(self.algebra.char_count)
-            ]
-        except _ErrTainted:
+        if x.err or y.err:
             raise ToleranceError("dominance search needs err free operands")
+        signs = [
+            (self._char_sign(x, j), self._char_sign(y, j))
+            for j in range(self.algebra.char_count)
+        ]
         pos = [j for j, (sx, _) in enumerate(signs) if sx > 0]
         if any(signs[j][1] <= 0 for j in pos):
             return None
@@ -777,7 +781,9 @@ class HermSpace(RieszSpace):
         """Collapse a lattice formula to one matrix with certified err.
 
         Each interval, meet, and join node costs one absolute value, so
-        the tolerance is split evenly across the distinct such nodes.
+        the tolerance is split evenly across the distinct such nodes.  A
+        node's err is the larger err of its materialized operands plus
+        half the approximation error of its absolute value.
         """
         self._require(a)
         if a.formula is None:
@@ -820,12 +826,14 @@ class HermSpace(RieszSpace):
                 else:
                     x = rec(e.formula[1])
                     y = rec(e.formula[2])
-                s = self.add(x, y)
-                d = abs_element(self.add(x, self.negate(y)), budget)
-                if tag == "join":
-                    out = self.scale(Fraction(1, 2), self.add(s, d))
-                else:
-                    out = self.scale(Fraction(1, 2), self.add(s, self.negate(d)))
+                diff = self.add(x, self.negate(y))
+                d = abs_element(diff, budget)
+                sign = 1 if tag == "join" else -1
+                m = (x.matrix + y.matrix + d.matrix.scale(sign)).scale(Fraction(1, 2))
+                # max and min move by at most max(x.err, y.err) at each
+                # character; (x + y +- |x - y|) / 2 adds half the error
+                # of the absolute value itself
+                out = HermElement(self, m, max(x.err, y.err) + (d.err - diff.err) / 2)
             memo[e] = out
             return out
 

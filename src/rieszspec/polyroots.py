@@ -4,13 +4,15 @@ Polynomials are tuples of ``Fraction`` coefficients in ascending order.
 Root counting uses Sturm chains, so every answer is an exact rational
 computation: isolation produces disjoint intervals holding exactly one
 root each (a degenerate pair (x, x) marks an exact rational root), and
-signs of one polynomial at a root of another are decided by a gcd test
-plus interval refinement, which terminates in every case.
+the sign of one polynomial at a root of another is decided by an interval
+enclosure over the root's isolating box first; only when that enclosure
+straddles zero do a gcd test and interval refinement follow, which
+terminate in every case.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm as int_lcm
 from typing import Sequence
 
 Poly = tuple[Fraction, ...]
@@ -54,12 +56,29 @@ def poly_eval(p: Poly, x: Fraction) -> Fraction:
 
 
 def poly_eval_interval(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Interval Horner evaluation: encloses {p(x) : lo <= x <= hi}."""
-    alo = ahi = Fraction(0)
-    for c in reversed(p):
-        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(cands) + c, max(cands) + c
-    return alo, ahi
+    """Interval Horner evaluation: encloses {p(x) : lo <= x <= hi}.
+
+    Runs on integer numerators: the coefficients over their common
+    denominator L and the endpoints over theirs, D.  After k steps the
+    accumulator is an integer interval over L * D**k, and scaling by that
+    positive number keeps the order of the candidate products, so the
+    endpoints equal those of Horner's rule in ``Fraction`` arithmetic.
+    """
+    if not p:
+        return Fraction(0), Fraction(0)
+    den = int_lcm(*(c.denominator for c in p))
+    nums = [c.numerator * (den // c.denominator) for c in reversed(p)]
+    d = int_lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    alo = ahi = nums[0]
+    pw = 1
+    for c in nums[1:]:
+        pw *= d
+        cands = (alo * a, alo * b, ahi * a, ahi * b)
+        alo, ahi = min(cands) + c * pw, max(cands) + c * pw
+    den *= pw
+    return Fraction(alo, den), Fraction(ahi, den)
 
 
 def poly_add(a: Poly, b: Poly) -> Poly:
@@ -109,11 +128,7 @@ def _primitive(p: Poly) -> Poly:
     """Scale by a positive rational so coefficients are coprime integers."""
     if not p:
         return p
-    from math import lcm
-
-    den = 1
-    for c in p:
-        den = lcm(den, c.denominator)
+    den = int_lcm(*(c.denominator for c in p))
     ints = [int(c * den) for c in p]
     g = 0
     for v in ints:

@@ -232,6 +232,25 @@ def _check_stone_yosida() -> str | None:
     return None
 
 
+def _check_herm_irrational() -> str | None:
+    # characteristic polynomial x^3 - 2x^2 - 3x + 5 is irreducible, so all
+    # three characters are irrational: about -1.651, 1.274 and 2.377
+    m = RationalMatrix.from_rows([[2, 1, 0], [1, -1, 1], [0, 1, 1]])
+    space = HermSpace([m])
+    a = space.element(m)
+    rep = stone_yosida_check(space, a, F(1, 16))
+    if not rep.ok:
+        return f"irrational spectrum: gap {rep.norm_value - rep.net_value}"
+    one = space.unit()
+    above1 = d_of(space, space.add(a, space.negate(one)))
+    above2 = d_of(space, space.add(a, space.scale(-2, one)))
+    if not above2.below(above1):
+        return "D(a - 2) not below D(a - 1)"
+    if above1.below(above2):
+        return "D(a - 1) below D(a - 2) with an eigenvalue in (1, 2)"
+    return None
+
+
 def _check_sqrt_oracle() -> str | None:
     rng = random.Random(18)
     tol = F(1, 1024)
@@ -317,6 +336,7 @@ CHECKS_FULL: list[tuple[str, CheckFn]] = CHECKS_QUICK + [
     ("herm-sup", _check_herm_sup),
     ("sup-cross-validation", _check_sup_cross),
     ("stone-yosida", _check_stone_yosida),
+    ("herm-irrational", _check_herm_irrational),
     ("sqrt-oracle", _check_sqrt_oracle),
     ("gelfand", _check_gelfand),
     ("representation-contract", _check_representation_contract),

@@ -131,6 +131,17 @@ def pl_min(points: Sequence[tuple[Fraction, Fraction]]) -> Fraction:
     return min(y for _, y in points)
 
 
+def poly_eval_interval_fraction(
+    p: Sequence[Fraction], lo: Fraction, hi: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Interval Horner evaluation in plain Fraction arithmetic."""
+    alo = ahi = Fraction(0)
+    for c in reversed(p):
+        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(cands) + c, max(cands) + c
+    return alo, ahi
+
+
 def pl_value(points: Sequence[tuple[Fraction, Fraction]], x: Fraction) -> Fraction:
     """Value of a piecewise linear function at x by plain Fraction interpolation."""
     for (x0, y0), (x1, y1) in zip(points, points[1:]):

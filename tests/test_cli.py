@@ -267,6 +267,12 @@ class TestSelftest:
         assert rep["config"]["level"] == "quick"
         assert all(c["ok"] for c in rep["result"]["checks"])
 
+    def test_full_has_irrational_herm_check(self):
+        from rieszspec import selftest
+
+        assert ("herm-irrational", selftest._check_herm_irrational) in selftest.CHECKS_FULL
+        assert selftest._check_herm_irrational() is None
+
     def test_bad_level(self, capsys):
         code, _ = run_json(capsys, "selftest", "sideways")
         assert code == 1

@@ -7,14 +7,12 @@ import pytest
 from rieszspec.exact import (
     RatInterval,
     RationalMatrix,
-    char_poly,
     format_rational,
     interval_combine,
     interval_distance,
     interval_grid,
     interval_grid_window,
     invert,
-    kernel_basis,
     parse_rational,
     psd_check,
     round_dyadic,
@@ -243,46 +241,7 @@ class TestPsdCheck:
             assert psd_check(g + (b @ b.transpose()))
 
 
-class TestCharPoly:
-    def test_matches_sympy(self):
-        import sympy
-
-        rng = random.Random(6)
-        x = sympy.Symbol("x")
-        for _ in range(40):
-            n = rng.randint(1, 4)
-            m = _rand_symmetric(rng, n)
-            ours = char_poly(m)
-            theirs = to_sympy(m.entries).charpoly(x).all_coeffs()
-            # sympy returns descending coefficients
-            for k, c in enumerate(ours):
-                ref = theirs[n - k]
-                assert c == F(int(ref.p), int(ref.q))
-
-    def test_eigen_identity(self):
-        m = RationalMatrix.diagonal([F(1), F(2), F(3)])
-        cs = char_poly(m)
-        for lam in (F(1), F(2), F(3)):
-            assert sum(c * lam**k for k, c in enumerate(cs)) == 0
-
-
 class TestKernelInvert:
-    def test_kernel_vectors_annihilate(self):
-        rng = random.Random(7)
-        for _ in range(60):
-            n = rng.randint(2, 4)
-            m = _rand_symmetric(rng, n)
-            for vec in kernel_basis(m):
-                out = [sum(m.get(i, j) * vec[j] for j in range(n)) for i in range(n)]
-                assert all(v == 0 for v in out)
-
-    def test_kernel_dim_matches_sympy(self):
-        rng = random.Random(8)
-        for _ in range(40):
-            n = rng.randint(2, 4)
-            m = _rand_symmetric(rng, n, lo=-1, hi=1, dens=(1,))
-            assert len(kernel_basis(m)) == len(to_sympy(m.entries).nullspace())
-
     def test_invert(self):
         rng = random.Random(9)
         done = 0
@@ -292,7 +251,7 @@ class TestKernelInvert:
             try:
                 inv = invert(m)
             except ValueError:
-                assert len(kernel_basis(m)) > 0
+                assert to_sympy(m.entries).det() == 0
                 continue
             assert (m @ inv) == RationalMatrix.identity(n)
             done += 1

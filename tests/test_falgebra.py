@@ -382,6 +382,54 @@ class TestErrContract:
             assert abs(abs(x) - v) <= got.err
 
 
+class TestMaterializeErr:
+    """A materialized join or meet of (A, ea) and (B, eb) holds, at every
+    character, the join or meet of any members X within ea of A and Y
+    within eb of B, within the result's err, on both routes of abs."""
+
+    @pytest.mark.parametrize("route", ["spectral", "iteration"])
+    @pytest.mark.parametrize("kind", ["join", "meet"])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        case=rational_cases(),
+        errb=st.sampled_from([F(0), F(1, 64), F(1, 8)]),
+        steps=st.lists(st.sampled_from([-4, -1, 0, 1, 4]), min_size=8, max_size=8),
+    )
+    def test_err_covers_the_balls(self, route, kind, case, errb, steps):
+        seed, sa, sb, erra = case
+        fam, hs = _family(seed, sa, sb)
+        # one shift per joint character keeps X and Y in the algebra
+        chars = sorted(set(zip(sa, sb)))
+        sx = {c: erra * k / 4 for c, k in zip(chars, steps)}
+        sy = {c: errb * k / 4 for c, k in zip(chars, steps[4:])}
+        a = hs.element(fam.members[0], erra)
+        b = hs.element(fam.members[1], errb)
+        op = max if kind == "join" else min
+        with pytest.MonkeyPatch.context() as mp:
+            if route == "iteration":
+                mp.setattr(hs.algebra, "idempotents", lambda: None)
+            got = abs_pos_join(kind, a, b, TOL)
+        slack = TOL / 2 if route == "iteration" else 0
+        assert got.err == max(erra, errb) + slack
+        vals = oracles.frame_diagonal(fam.frame.entries, got.matrix.entries)
+        for x, y, v in zip(sa, sb, vals):
+            want = op(x + sx[x, y], y + sy[x, y])
+            assert abs(want - v) <= got.err
+
+    def test_err_does_not_double(self):
+        d1, d2 = _diag(1, -2), _diag(0, 1)
+        hs = HermSpace([d1, d2])
+        a, b = hs.element(d1, F(1, 8)), hs.element(d2, F(1, 8))
+        assert hs.join_with_tol(a, b, TOL).err == F(1, 8)
+        nested = hs.join(hs.join(a, b), hs.meet(a, b))
+        assert hs.materialize(nested, TOL).err == F(1, 8)
+        # iteration route: the larger err plus half the abs tolerance
+        g = _space(GOLDEN)
+        x = g.element(g.algebra.generators[0], F(1, 8))
+        y = g.element(RationalMatrix.identity(2), F(1, 16))
+        assert g.join_with_tol(x, y, F(1, 1024)).err == F(257, 2048)
+
+
 class TestProductPositive:
     def test_diagonal_example(self):
         hs = HermSpace([_diag(1, 2), _diag(3, 4)])

@@ -10,6 +10,12 @@ spectrum, and of ``sqrt`` on a rational one, were recorded from the
 square root iteration and must stay byte-identical.  On a rational
 spectrum ``abs`` and ``join`` are exact: the reports carry |A| and A v B
 themselves with error bound 0.
+
+The order reports (``norm``, ``sup``, ``point``, ``pos`` and
+``check-lattice``) on two irrational spectra, the golden ratio matrix and
+a 3x3 matrix whose characteristic polynomial x^3 - 2x^2 - 3x + 5 is
+irreducible over the rationals, were recorded from the formula-walking
+character enclosures and must stay byte-identical.
 """
 import json
 
@@ -241,3 +247,57 @@ def test_herm_report_bytes(capsys, tmp_path, monkeypatch, command, name, name2):
     assert code == 0
     want = _expected(command, f"{name}.json", "1/64", HERM_GOLDEN[command, name, name2], input2)
     assert out == want
+
+
+HERM_INPUTS["cubic"] = _herm(["2", "1", "0"], ["1", "-1", "1"], ["0", "1", "1"])
+
+IRR_ORDER_GOLDEN = {
+    ("irr", "norm"): {"norm": "13/8"},
+    ("irr", "sup"): {"sup": "1657/1024"},
+    ("irr", "point"): {
+        "constraints": [{"hi": "3", "lo": "827/1024"}, {"hi": "13/8", "lo": "103/64"}],
+        "eval": {"input": "207/128"},
+        "margin": "4403/8192",
+    },
+    ("irr", "pos"): {"outcome": "pos", "verified": True, "witness": "827/512"},
+    ("irr", "check-lattice"): {
+        "certificate": "cover",
+        "element": HERM_INPUTS["irr"],
+        "multiplier": 203,
+        "p": "-2",
+        "q": "3",
+        "rangeMultiplier": 1,
+        "shrink": {"multiplier": 512, "r": "1/512"},
+        "width": "1/64",
+    },
+    ("cubic", "norm"): {"norm": "156145/65536"},
+    ("cubic", "sup"): {"sup": "159575185/67108864"},
+    ("cubic", "point"): {
+        "constraints": [
+            {"hi": "4", "lo": "159313041/134217728"}, {"hi": "41/32", "lo": "81/64"},
+        ],
+        "eval": {"input": "163/128"},
+        "margin": "901140761/1073741824",
+    },
+    ("cubic", "pos"): {"outcome": "pos", "verified": True, "witness": "159313041/67108864"},
+    ("cubic", "check-lattice"): {
+        "certificate": "cover",
+        "element": HERM_INPUTS["cubic"],
+        "multiplier": 373,
+        "p": "-3",
+        "q": "4",
+        "rangeMultiplier": 1,
+        "shrink": {"multiplier": 512, "r": "1/512"},
+        "width": "1/64",
+    },
+}
+
+
+@pytest.mark.parametrize("name,command", sorted(IRR_ORDER_GOLDEN))
+def test_irrational_order_report_bytes(capsys, tmp_path, monkeypatch, name, command):
+    monkeypatch.chdir(tmp_path)
+    path = f"{name}.json"
+    (tmp_path / path).write_text(json.dumps(HERM_INPUTS[name]))
+    code, out = _run(capsys, command, "--input", path, "--eps", "1/64")
+    assert code == 0
+    assert out == _expected(command, path, "1/64", IRR_ORDER_GOLDEN[name, command])

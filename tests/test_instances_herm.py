@@ -1,7 +1,9 @@
 """Commuting symmetric matrices: characters, dual order routes, formulas."""
 from fractions import Fraction as F
+import gc
 import math
 import random
+import weakref
 
 import pytest
 import sympy
@@ -9,7 +11,7 @@ import sympy
 from rieszspec.exact import RationalMatrix, psd_check
 from rieszspec.instances import CommutingAlgebra, HermSpace
 from rieszspec.instances.herm import HermElement
-from rieszspec.polyroots import isolate_real_roots
+from rieszspec.polyroots import isolate_real_roots, poly_eval_interval, poly_gcd
 from rieszspec.riesz import SpaceMismatchError, ToleranceError, norm_cut
 from rieszspec.sampling import rand_diagonal_family
 
@@ -432,3 +434,141 @@ class TestExactRouteAgainstEigenvalues:
         # the err free pair is answered exactly
         n = hs.dominance_ceiling(a, hs.unit())
         assert n == max(1, math.ceil(max(fam.eigs[0])))
+
+
+# characteristic polynomial x^3 - 2x^2 - 3x + 5, irreducible over Q
+CUBIC = [[2, 1, 0], [1, -1, 1], [0, 1, 1]]
+
+
+def _rat(v):
+    return sympy.Rational(v.numerator, v.denominator)
+
+
+def _encloses(lo, hi, value) -> bool:
+    # sympy settles these comparisons at verified precision, or raises
+    return bool(value >= _rat(lo)) and bool(value <= _rat(hi))
+
+
+class TestIrrationalCharacters:
+    """Err free formulas at irrational characters against sympy roots."""
+
+    def _cubic(self):
+        m = _mat(CUBIC)
+        hs = HermSpace([m])
+        x = sympy.Symbol("x")
+        assert oracles.to_sympy(m.entries).charpoly(x).as_expr() == x**3 - 2 * x**2 - 3 * x + 5
+        assert all(hs.algebra.rational_root(j) is None for j in range(3))
+        a = hs.element(m)
+        b = hs.element(m @ m - RationalMatrix.identity(3).scale(F(3)))
+        # character j -> its sympy root, matched through tight boxes in a
+        # second space, so the root boxes of hs stay as isolated
+        roots = sympy.Poly(x**3 - 2 * x**2 - 3 * x + 5).real_roots()
+        lam = []
+        for lo, hi in HermSpace([m]).element(m).value_range(F(1, 1 << 30)):
+            hits = [r for r in roots if oracles.contains_exact(lo, hi, r)]
+            assert len(hits) == 1
+            lam.append(hits[0])
+        return hs, a, b, lam
+
+    def test_value_range_encloses_eigenvalue_ops(self):
+        hs, a, b, lam = self._cubic()
+        p, q, c, h = F(1, 2), F(9, 4), F(-3, 2), F(1, 2)
+        P, Q, C, H = _rat(p), _rat(q), _rat(c), _rat(h)
+        ab = hs.join(a, b)
+        cases = [
+            (hs.join(a, b), lambda x, y: sympy.Max(x, y)),
+            (hs.meet(a, b), lambda x, y: sympy.Min(x, y)),
+            (hs.in_interval(a, p, q), lambda x, y: sympy.Min(x - P, Q - x)),
+            (hs.add(ab, hs.meet(a, b)), lambda x, y: x + y),
+            (hs.scale(c, hs.join(a, hs.negate(b))), lambda x, y: C * sympy.Max(x, -y)),
+            (
+                hs.in_interval(hs.join(hs.meet(a, b), hs.add(a, hs.scale(-h, hs.unit()))), p, q),
+                lambda x, y: sympy.Min(sympy.Max(sympy.Min(x, y), x - H) - P,
+                                       Q - sympy.Max(sympy.Min(x, y), x - H)),
+            ),
+        ]
+        for t in (F(1, 16), F(1, 1 << 20)):
+            for e, op in cases:
+                for j, (lo, hi) in enumerate(e.value_range(t)):
+                    assert hi - lo <= t
+                    assert _encloses(lo, hi, op(lam[j], lam[j] ** 2 - 3))
+
+    def test_err_ball_formulas_walk_the_tree(self):
+        hs, _, b, lam = self._cubic()
+        m = hs.algebra.generators[0]
+        ea = F(1, 64)
+        a = hs.element(m, ea)
+        t = F(1, 1 << 12)
+        E = _rat(ea)
+        for e, op in (
+            (hs.join(a, b), sympy.Max),
+            (hs.meet(a, b), sympy.Min),
+            (hs.add(a, hs.scale(F(-2), b)), lambda x, y: x - 2 * y),
+        ):
+            for j, (lo, hi) in enumerate(e.value_range(t)):
+                x, y = lam[j], lam[j] ** 2 - 3
+                # the whole ball: x moves by up to ea, monotonically in each op
+                assert _encloses(lo, hi, op(x - E, y)) and _encloses(lo, hi, op(x + E, y))
+                assert hi - lo <= 2 * ea + t
+        two = hs.scale(F(2), hs.unit())
+        assert hs.leq(hs.join(a, b), hs.add(a, two)) is True
+        assert hs.leq(hs.add(a, two), hs.join(a, b)) is False
+
+    def test_order_and_dominance_at_irrational_characters(self):
+        hs, a, b, lam = self._cubic()
+        ab = hs.join(a, b)
+        assert hs.leq(a, ab) is True and hs.leq(b, ab) is True
+        assert hs.leq(ab, a) is False  # b > a at the smallest root
+        signs = [hs._char_sign(hs.add(b, hs.negate(a)), j) for j in range(3)]
+        assert signs == [int(bool(r**2 - 3 - r > 0)) - int(bool(r**2 - 3 - r < 0)) for r in lam]
+        pos_a = hs.join(a, hs.zero())
+        n = hs.dominance_ceiling(pos_a, hs.unit())
+        assert n == math.ceil(max(float(r) for r in lam))
+
+    def test_exact_zero_cancels_to_sign_zero(self):
+        hs, a, _, _ = self._cubic()
+        z = hs.add(hs.meet(a, hs.add(a, hs.unit())), hs.negate(a))
+        assert [hs._char_sign(z, j) for j in range(3)] == [0, 0, 0]
+        assert hs.leq(z, hs.zero()) is True and hs.leq(hs.zero(), z) is True
+
+    def test_exact_zero_through_gcd(self, monkeypatch):
+        # golden ratio block beside the silver ratio block: x^2 - x - 1
+        # vanishes at the golden characters and at no other
+        g = _mat([[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 0]])
+        eye = RationalMatrix.identity(4)
+        hs = HermSpace([g])
+        alg = hs.algebra
+        assert alg.char_count == 4
+        assert all(alg.rational_root(j) is None for j in range(4))
+        z = hs.join(hs.element(g @ g - g - eye), hs.element(eye.scale(F(-5))))
+        calls = []
+        monkeypatch.setattr(
+            "rieszspec.instances.herm.poly_gcd", lambda *xs: calls.append(xs) or poly_gcd(*xs)
+        )
+        signs = []
+        for j in range(4):
+            v = hs._char_value(z, j)
+            lo, hi = alg.root_box(j, F(1, 4))
+            vlo, vhi = poly_eval_interval(v, lo, hi)
+            before = len(calls)
+            s = hs._char_sign(z, j)
+            signs.append(s)
+            if s == 0:
+                # the first box straddles 0, and the gcd decides
+                assert vlo <= 0 <= vhi and len(calls) == before + 1
+            elif not vlo <= 0 <= vhi:
+                # the first box settles the sign without a gcd
+                assert len(calls) == before
+        # x^2 - x - 1 = x at the roots 1 +- sqrt 2 of x^2 - 2x - 1
+        assert sorted(signs) == [-1, 0, 0, 1]
+        assert hs.leq(z, hs.zero()) is False and hs.leq(hs.zero(), z) is False
+
+    def test_dropped_formula_is_freed(self):
+        hs, a, b, _ = self._cubic()
+        e = hs.in_interval(hs.join(a, b), F(1, 2), F(9, 4))
+        e.value_range(F(1, 64))
+        assert hs.leq(hs.meet(a, b), e) is False
+        ref = weakref.ref(e)
+        del e
+        gc.collect()
+        assert ref() is None

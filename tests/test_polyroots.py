@@ -4,6 +4,7 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from rieszspec.polyroots import (
     cauchy_bound,
@@ -19,6 +20,8 @@ from rieszspec.polyroots import (
     refine_root,
     sturm_chain,
 )
+
+import oracles
 
 
 def _to_sympy(p):
@@ -90,6 +93,26 @@ class TestPolyBasics:
             for j in range(5):
                 x = lo + (hi - lo) * F(j, 4)
                 assert alo <= poly_eval(p, x) <= ahi
+
+
+_fractions = st.fractions(max_denominator=1 << 12).filter(lambda x: abs(x) < 64)
+
+
+class TestIntegerHorner:
+    """The integer interval Horner against plain Fraction Horner."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p=st.lists(_fractions, max_size=7),
+        lo=_fractions,
+        width=st.one_of(st.just(F(0)), _fractions.map(abs)),
+    )
+    def test_same_endpoints_as_fraction_horner(self, p, lo, width):
+        hi = lo + width
+        got = poly_eval_interval(tuple(p), lo, hi)
+        want = oracles.poly_eval_interval_fraction(p, lo, hi)
+        assert got == want
+        assert all(isinstance(v, F) for v in got)
 
 
 class TestCauchyBound:
