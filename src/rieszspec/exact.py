@@ -22,7 +22,6 @@ __all__ = [
     "RatInterval",
     "interval_combine",
     "interval_distance",
-    "interval_grid",
     "interval_grid_window",
     "RationalMatrix",
     "psd_check",
@@ -99,61 +98,51 @@ def interval_distance(i: RatInterval, j: RatInterval) -> Fraction:
     return max(j.lo - i.hi, i.lo - j.hi, Fraction(0))
 
 
-def interval_grid(p: Fraction, q: Fraction, width: Fraction) -> list[RatInterval]:
-    """Overlapping cover of (p, q) by width intervals stepping by width/2.
-
-    Interval k starts at p + k*width/2; the last ones are truncated at q.
-    Consecutive intervals overlap by width/2, so every value of (p, q) sits
-    at depth >= width/4 inside some interval, except within width/4 of the
-    two outer endpoints.
-    """
-    p, q, width = Fraction(p), Fraction(q), Fraction(width)
-    if not p < q:
-        raise ValueError("need p < q")
-    if width <= 0:
-        raise ValueError("need positive width")
-    out: list[RatInterval] = []
-    k = 0
-    half = width / 2
-    while p + k * half < q and (k == 0 or p + k * half + half < q):
-        lo = p + k * half
-        out.append(RatInterval(lo, min(lo + width, q)))
-        k += 1
-    return out
-
-
 def interval_grid_window(
     p: Fraction,
     q: Fraction,
     width: Fraction,
-    wlo: Fraction,
-    whi: Fraction,
+    ranges: Iterable[tuple[Fraction, Fraction]],
+    window: tuple[Fraction, Fraction] | None = None,
 ) -> list[tuple[int, RatInterval]]:
-    """The (index, cell) pairs of ``interval_grid(p, q, width)`` meeting (wlo, whi).
+    """The (index, cell) pairs of the width grid over (p, q) meeting a range.
 
-    Indices match the full grid, so callers that resolve ties by index see
-    the same winners; only cells outside the window are never built.
+    With h = width/2, cell k is (p + k*h, min(p + (k+2)*h, q)) for
+    0 <= k < K = max(1, ceil((q-p)/h) - 1): consecutive cells overlap by
+    h, so every value of (p, q) sits at depth >= width/4 inside some cell,
+    except within width/4 of the two outer endpoints.  A cell meets (lo,
+    hi) when cell.lo < hi and lo < cell.hi; the cells meeting one range
+    are the index interval [floor((lo-p)/h) - 1, ceil((hi-p)/h)), clipped
+    to [0, K).  A cell is returned when it meets some range and, if given,
+    the window, and only returned cells are built.  The range (p, q) gives
+    the full grid.  Indices do not depend on the ranges, so callers that
+    resolve ties by index see the same winners.
     """
     p, q, width = Fraction(p), Fraction(q), Fraction(width)
-    wlo, whi = Fraction(wlo), Fraction(whi)
     if not p < q:
         raise ValueError("need p < q")
     if width <= 0:
         raise ValueError("need positive width")
-    half = width / 2
-    # cell k covers (p + k*half, p + k*half + width); overlap needs lo < whi
-    # and wlo < hi, so start two steps before the window and stop at whi
-    start = int((wlo - p - width) / half) if wlo > p + width else 0
+    h = width / 2
+    count = max(1, -((p - q) // h) - 1)
+
+    def span(lo: Fraction, hi: Fraction) -> tuple[int, int]:
+        if not (lo < q and p < hi):
+            return 0, 0
+        return max(0, (lo - p) // h - 1), min(count, -((p - hi) // h))
+
+    wa, wb = span(*window) if window is not None else (0, count)
+    # cell ends over one denominator: p + k*h = (pn + k*hn) / den
+    pn, hn = p.numerator * h.denominator, h.numerator * p.denominator
+    den = p.denominator * h.denominator
     out: list[tuple[int, RatInterval]] = []
-    k = max(0, start)
-    while p + k * half < q and (k == 0 or p + k * half + half < q):
-        lo = p + k * half
-        if lo >= whi:
-            break
-        iv = RatInterval(lo, min(lo + width, q))
-        if wlo < iv.hi:
-            out.append((k, iv))
-        k += 1
+    done = 0  # cells below this index are already out (ranges overlap)
+    for start, stop in sorted(span(lo, hi) for lo, hi in ranges):
+        stop = min(stop, wb)
+        for k in range(max(start, wa, done), stop):
+            hi = q if k == count - 1 else Fraction(pn + (k + 2) * hn, den)
+            out.append((k, RatInterval(Fraction(pn + k * hn, den), hi)))
+        done = max(done, stop)
     return out
 
 

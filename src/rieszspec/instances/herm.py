@@ -714,27 +714,19 @@ class HermSpace(RieszSpace):
 
     # -- capability hooks ------------------------------------------------
 
-    def candidate_intervals(
+    def value_ranges(
         self,
         b: HermElement,
-        grid: Sequence[RatInterval],
         context: HermElement | None = None,
-    ) -> list[int]:
+        tol: Fraction = Fraction(1, 4),
+    ) -> list[tuple[Fraction, Fraction]]:
+        """Enclosure of b's value, err ball included, at each character
+        where the context may be positive."""
         self._require(b)
-        if not grid:
-            return []
-        target = min(iv.width for iv in grid) / 4
-        boxes = []
-        for j in range(self.algebra.char_count):
-            if context is not None:
-                _, chi = self._char_interval(context, j, Fraction(1, 8))
-                if chi <= 0:
-                    continue
-            boxes.append(self._char_interval(b, j, target))
         return [
-            k
-            for k, iv in enumerate(grid)
-            if any(vlo < iv.hi and iv.lo < vhi for vlo, vhi in boxes)
+            self._char_interval(b, j, tol)
+            for j in range(self.algebra.char_count)
+            if context is None or self._char_interval(context, j, Fraction(1, 8))[1] > 0
         ]
 
     def interval_sup_upper(self, b: HermElement, iv: RatInterval) -> Fraction | None:

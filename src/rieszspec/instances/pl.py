@@ -342,22 +342,18 @@ class PLSpace(RieszSpace):
 
     # ----- capability hooks -----------------------------------------
 
-    def candidate_intervals(
+    def value_ranges(
         self,
         b: PLElement,
-        grid: Sequence[RatInterval],
         context: Optional[PLElement] = None,
-    ) -> list[int]:
+        tol: Fraction = Fraction(1, 4),
+    ) -> list[tuple[Fraction, Fraction]]:
+        """Exact image of b over each positive region of the context."""
         if context is None:
             regions = [(Fraction(0), Fraction(1))]
         else:
             regions = self.positive_regions(context)
-        images = [self.range_on(b, u, v) for u, v in regions]
-        out = []
-        for k, iv in enumerate(grid):
-            if any(iv.lo < ymax and ymin < iv.hi for ymin, ymax in images):
-                out.append(k)
-        return out
+        return [self.range_on(b, u, v) for u, v in regions]
 
     def interval_sup_upper(self, b: PLElement, iv: RatInterval) -> Optional[Fraction]:
         """Half width minus the distance from the midpoint to the nearest

@@ -96,23 +96,17 @@ class QnSpace(RieszSpace):
 
     # ----- capability hooks -----------------------------------------
 
-    def candidate_intervals(
+    def value_ranges(
         self,
         b: QnElement,
-        grid: Sequence[RatInterval],
         context: Optional[QnElement] = None,
-    ) -> list[int]:
+        tol: Fraction = Fraction(1, 4),
+    ) -> list[tuple[Fraction, Fraction]]:
+        """One point range per coordinate where the context is positive."""
+        coords = b.coords
         if context is not None:
-            values = {
-                x for x, m in zip(b.coords, context.coords) if m > 0
-            }
-        else:
-            values = set(b.coords)
-        return [
-            k
-            for k, iv in enumerate(grid)
-            if any(iv.lo < v < iv.hi for v in values)
-        ]
+            coords = [x for x, m in zip(coords, context.coords) if m > 0]
+        return [(v, v) for v in set(coords)]
 
     def interval_sup_upper(self, b: QnElement, iv: RatInterval) -> Optional[Fraction]:
         best = max(min(v - iv.lo, iv.hi - v) for v in b.coords)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import RatInterval, interval_grid
+from .exact import RatInterval, interval_grid_window
 from .riesz import (
     CertificateError,
     Rational,
@@ -54,6 +54,13 @@ def join_all(space: RieszSpace, elems: Sequence[RieszElement]) -> RieszElement:
             nxt.append(layer[-1])
         layer = nxt
     return layer[0]
+
+
+def _join_pos(space: RieszSpace, parts: Sequence[RieszElement]) -> RieszElement:
+    """Join of the positive parts; 0 for an empty family."""
+    if not parts:
+        return space.zero()
+    return join_all(space, [_pos(space, p) for p in parts])
 
 
 def precedes(
@@ -127,7 +134,7 @@ class CoverCertificate:
 
     def verify(self) -> bool:
         space = self.space
-        joined = join_all(space, [_pos(space, p) for p in self.parts])
+        joined = _join_pos(space, self.parts)
         return (
             space.leq(_pos(space, self.target), space.scale(self.multiplier, joined))
             is True
@@ -140,8 +147,7 @@ def certify_cover(
     parts: Sequence[RieszElement],
     max_n: int = 1 << 20,
 ) -> CoverCertificate:
-    joined = join_all(space, [_pos(space, p) for p in parts])
-    n = precedes(space, _pos(space, target), joined, max_n=max_n)
+    n = precedes(space, _pos(space, target), _join_pos(space, parts), max_n=max_n)
     if n is None:
         raise CertificateError("no dominance multiplier found for the cover")
     return CoverCertificate(space, target, tuple(parts), n)
@@ -171,9 +177,16 @@ def cover_interval(
     q: Rational,
     width: Rational,
 ) -> tuple[list[RatInterval], list[RieszElement], CoverCertificate]:
-    """Cover the class of a in (p, q) by half overlapping width cells."""
+    """Cover the class of a in (p, q) by half overlapping width cells.
+
+    Only the cells of the integer-index grid that meet one of a's value
+    ranges are built; every other cell is <= 0 everywhere.  One order test
+    still proves the cover, so a range that misses a positive cell fails
+    closed with CertificateError.  An empty cover joins to 0.
+    """
     p, q, width = Fraction(p), Fraction(q), Fraction(width)
-    grid = interval_grid(p, q, width)
+    ranges = space.value_ranges(a, None, width / 4)
+    grid = [iv for _, iv in interval_grid_window(p, q, width, ranges)]
     cells = [space.in_interval(a, iv.lo, iv.hi) for iv in grid]
     target = space.in_interval(a, p, q)
     cert = certify_cover(space, target, cells)
@@ -205,6 +218,8 @@ def shrink_cover(
     negation at shrinking tolerance until a positive lower witness
     appears, down to eps_floor.
     """
+    if not cells:
+        raise CertificateError("an empty cover admits no shrink")
     unit = space.unit()
     joined = join_all(space, list(cells))
     n0 = precedes(space, unit, _pos(space, joined))

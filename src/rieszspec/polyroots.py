@@ -20,7 +20,6 @@ Poly = tuple[Fraction, ...]
 __all__ = [
     "Poly",
     "poly_normalize",
-    "poly_degree",
     "poly_eval",
     "poly_eval_interval",
     "poly_add",
@@ -42,10 +41,6 @@ def poly_normalize(p: Sequence[Fraction]) -> Poly:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def poly_degree(p: Poly) -> int:
-    return len(p) - 1
 
 
 def poly_eval(p: Poly, x: Fraction) -> Fraction:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .exact import RatInterval, Rational
 
@@ -189,18 +189,22 @@ class RieszSpace(ABC):
 
     # ----- capability hooks used by search routines ------------------
 
-    def candidate_intervals(
+    def value_ranges(
         self,
         b: RieszElement,
-        grid: Sequence[RatInterval],
         context: Optional[RieszElement] = None,
-    ) -> list[int]:
-        """Sound superset of the grid cells where b can take a value.
+        tol: Fraction = Fraction(1, 4),
+    ) -> list[tuple[Fraction, Fraction]]:
+        """Closed rational ranges that hold b's value wherever context > 0.
 
-        Returned indices must include every k with sup(context /\\ (b in
-        I_k)) > 0; the default keeps everything.
+        Grid cells of b that meet none of the ranges have an interval
+        element <= 0 wherever context is positive, so covers and point
+        evaluations never build them.  tol is the width an instance may
+        aim for when it encloses irrational values.  The default is the
+        whole unit bound range of b.
         """
-        return list(range(len(grid)))
+        lo = -self.unit_bound(self.negate(b))
+        return [(Fraction(lo), Fraction(self.unit_bound(b)))]
 
     def interval_sup_upper(
         self, b: RieszElement, iv: RatInterval

@@ -24,7 +24,6 @@ from .riesz import RieszElement, RieszSpace
 __all__ = [
     "canonical_json",
     "element_to_json",
-    "element_from_json",
     "space_for",
     "attach",
     "net_to_json",
@@ -112,10 +111,6 @@ def attach(space: RieszSpace, obj: dict) -> RieszElement:
             parse_rational(obj.get("err", "0")),
         )
     raise ValueError(f"unknown space tag {kind!r}")
-
-
-def element_from_json(obj: dict) -> RieszElement:
-    return attach(space_for([obj]), obj)
 
 
 def net_to_json(net, names: Sequence[str] | None = None) -> dict:

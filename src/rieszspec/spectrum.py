@@ -6,21 +6,27 @@ certified positive supremum, the margin.  Evaluating a new element b at
 such a point lays an overlapping dyadic grid over the certified range
 of b, asks for the supremum of the current meet intersected with each
 candidate cell, and keeps the cell with the largest answer (lowest index
-on ties).  The chosen interval's midpoint is the evaluation; the margin
-shrinks by at most the query precision and stays positive, which is
-what keeps the filter consistent and the future choices sound.
+on ties).  Candidates are found by arithmetic on grid indices: the cells
+that meet the window left by earlier evaluations of b and one of b's
+value ranges where the meet is positive; no other cell is built.  The
+chosen interval's midpoint is the evaluation; the margin shrinks by at
+most the query precision and stays positive, which is what keeps the
+filter consistent and the future choices sound.
 
 Nets: for a finite family and a resolution, each element's certified
-range is covered by overlapping cells, the cover is shrunk by a
+range is covered by the overlapping grid cells that meet one of its
+value ranges (the rest are <= 0 everywhere), the cover is shrunk by a
 positive r and pruned, and joint cells that keep a positive meet become
-points.  Every representation of the space then agrees with some net
-point to within the resolution on every family member.
+points.  Each point keeps the certified range of every family member, so
+evaluating a member proves no range again.  Every representation of the
+space then agrees with some net point to within the resolution on every
+family member.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .exact import RatInterval, interval_grid_window
 from .lattice import cover_interval, cover_range, prune_cover, shrink_cover
@@ -105,6 +111,7 @@ class PointState:
         constraints: Sequence[tuple[RieszElement, Fraction, Fraction]],
         margin: Fraction,
         ident: int = 0,
+        ranges: Mapping[RieszElement, tuple[int, int]] | None = None,
     ) -> None:
         if margin <= 0:
             raise MarginCollapseError(f"initial margin {margin} is not positive")
@@ -114,7 +121,8 @@ class PointState:
         self.ident = ident
         self._meet: RieszElement | None = None
         self._evals: dict[tuple[RieszElement, int], Fraction] = {}
-        self._ranges: dict[RieszElement, tuple[int, int]] = {}
+        # certified integer bounds (p, q) of evaluated elements, per point
+        self._ranges: dict[RieszElement, tuple[int, int]] = dict(ranges or {})
 
     def meet_element(self) -> RieszElement:
         """Cached meet of all interval constraints."""
@@ -157,20 +165,16 @@ class PointState:
         else:
             p, q = rng
         # earlier evals of b already pin it to a window; only cells meeting
-        # that window can win, so the rest of the grid is never built
+        # that window and one of b's value ranges on the meet can win
         wlo, whi = Fraction(p), Fraction(q)
         for e2, lo2, hi2 in self.constraints:
             if e2 == b:
                 wlo, whi = max(wlo, lo2), min(whi, hi2)
-        pairs = (
-            interval_grid_window(Fraction(p), Fraction(q), w, wlo, whi)
-            if wlo < whi
-            else []
-        )
         meet_cur = self.meet_element()
-        cells = [iv for _, iv in pairs]
-        kept = space.candidate_intervals(b, cells, meet_cur)
-        cands = [pairs[i] for i in kept]
+        cands = []
+        if wlo < whi:
+            ranges = space.value_ranges(b, meet_cur, w / 4)
+            cands = interval_grid_window(p, q, w, ranges, (wlo, whi))
         delta = min(self.margin, w / 2) / 8
         best_k: int | None = None
         best_iv: RatInterval | None = None
@@ -288,9 +292,11 @@ def epsilon_net(
 
     per_elem: list[list[tuple[RatInterval, RieszElement]]] = []
     shrink_info: list[tuple[Fraction, int]] = []
+    ranges: dict[RieszElement, tuple[int, int]] = {}
     r_joint: Fraction | None = None
     for e in elements:
         p, q, _ = cover_range(space, e)
+        ranges[e] = (p, q)
         grid, cells, _ = cover_interval(space, e, Fraction(p), Fraction(q), w)
         shrunk = shrink_cover(space, cells)
         kept = prune_cover(space, cells, shrunk.r)
@@ -310,7 +316,9 @@ def epsilon_net(
                     (elements[j], chosen[j].lo, chosen[j].hi)
                     for j in range(len(elements))
                 ]
-                points.append(PointState(space, cs, t.witness, ident=len(points)))
+                points.append(
+                    PointState(space, cs, t.witness, ident=len(points), ranges=ranges)
+                )
                 return
         for iv, cell in per_elem[i]:
             nxt = cell if meet is None else space.meet(meet, cell)

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the package's own decision procedures:
 determinants and eigenvalues come from sympy, matrix arithmetic is plain
-list-of-list Fractions, and suprema are direct maxima.  Tests that compare
+list-of-list Fractions, and suprema are direct maxima.  The full interval
+grid is a plain stepping loop, and element files load through the
+package's own ``attach``.  Tests that compare
 a package result against one of these functions are exercising two
 genuinely different routes to the same value.
 """
@@ -13,6 +15,9 @@ from itertools import combinations
 from typing import Sequence
 
 import sympy
+
+from rieszspec.exact import RatInterval
+from rieszspec.serialize import attach, space_for
 
 Mat = Sequence[Sequence[Fraction]]
 
@@ -140,6 +145,37 @@ def poly_eval_interval_fraction(
         cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
         alo, ahi = min(cands) + c, max(cands) + c
     return alo, ahi
+
+
+def element_from_json(obj: dict):
+    """Load one freestanding element file into a fresh space of its own."""
+    return attach(space_for([obj]), obj)
+
+
+def interval_grid(p: Fraction, q: Fraction, width: Fraction) -> list[RatInterval]:
+    """Every cell of the half overlapping width grid over (p, q), stepping.
+
+    Interval k starts at p + k*width/2; the last ones are truncated at q.
+    A plain loop over the positions, with no index arithmetic.
+    """
+    p, q, width = Fraction(p), Fraction(q), Fraction(width)
+    if not p < q:
+        raise ValueError("need p < q")
+    if width <= 0:
+        raise ValueError("need positive width")
+    out = []
+    k = 0
+    half = width / 2
+    while p + k * half < q and (k == 0 or p + k * half + half < q):
+        lo = p + k * half
+        out.append(RatInterval(lo, min(lo + width, q)))
+        k += 1
+    return out
+
+
+def poly_degree(p: Sequence[Fraction]) -> int:
+    """Degree of a normalized coefficient tuple; -1 for the zero polynomial."""
+    return len(p) - 1
 
 
 def pl_value(points: Sequence[tuple[Fraction, Fraction]], x: Fraction) -> Fraction:

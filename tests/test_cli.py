@@ -164,6 +164,17 @@ class TestCheckLattice:
         assert code == 2
         assert rep["result"]["shrinkVerified"] is False
 
+    def test_range_missing_the_element_fails_closed(self, capsys, tmp_path):
+        # no cell of (5, 7) can hold a value of (0, 2): the empty cover
+        # certifies the target, which is <= 0, and no shrink covers the unit
+        elem = write(tmp_path, "e.json", {"space": "qn", "coords": ["0", "2"]})
+        _, rep = run_json(capsys, "check-lattice", "--input", elem, "--eps", "1/2")
+        bad = dict(rep["result"], p="5", q="7")
+        cert_path = write(tmp_path, "bad.json", bad)
+        code, rep = run_json(capsys, "check-lattice", "--input", cert_path)
+        assert code == 2
+        assert rep["result"] == {"gridVerified": True, "shrinkVerified": False}
+
 
 class TestHermCommands:
     def test_sqrt_of_four(self, capsys, tmp_path):

@@ -10,7 +10,6 @@ from rieszspec.exact import (
     format_rational,
     interval_combine,
     interval_distance,
-    interval_grid,
     interval_grid_window,
     invert,
     parse_rational,
@@ -18,6 +17,7 @@ from rieszspec.exact import (
     round_dyadic,
 )
 
+import oracles
 from oracles import psd_by_minors, to_sympy
 
 
@@ -105,12 +105,16 @@ class TestRatInterval:
             interval_combine(a, b, "meet")
 
 
+def _full_grid(p, q, w):
+    return [iv for _, iv in interval_grid_window(p, q, w, [(p, q)])]
+
+
 class TestIntervalGrid:
     def test_covers_with_depth(self):
         # every interior value at least width/4 from both ends sits at
         # depth >= width/4 inside some cell
         p, q, w = F(-2), F(3), F(1, 4)
-        grid = interval_grid(p, q, w)
+        grid = _full_grid(p, q, w)
         assert grid[0].lo == p and grid[-1].hi == q
         rng = random.Random(2)
         for _ in range(200):
@@ -120,7 +124,7 @@ class TestIntervalGrid:
             assert any(iv.lo + w / 4 <= x <= iv.hi - w / 4 for iv in grid)
 
     def test_half_step_overlap(self):
-        grid = interval_grid(F(0), F(2), F(1, 2))
+        grid = _full_grid(F(0), F(2), F(1, 2))
         for a, b in zip(grid, grid[1:]):
             assert b.lo - a.lo == F(1, 4)
             assert a.intersects(b)
@@ -133,15 +137,41 @@ class TestIntervalGrid:
             w = F(1, 1 << rng.randint(0, 6))
             wlo = p + F(rng.randint(-30, 160), 12)
             whi = wlo + F(rng.randint(0, 60), 16)
-            full = interval_grid(p, q, w)
+            full = oracles.interval_grid(p, q, w)
             want = [(k, iv) for k, iv in enumerate(full) if iv.lo < whi and wlo < iv.hi]
-            assert interval_grid_window(p, q, w, wlo, whi) == want
+            assert interval_grid_window(p, q, w, [(p, q)], (wlo, whi)) == want
+            assert interval_grid_window(p, q, w, [(wlo, whi)]) == want
+            assert interval_grid_window(p, q, w, [(p, q)]) == list(enumerate(full))
+
+    def test_ranges_and_window_match_filtered_full(self):
+        # point and overlapping ranges, in any order, against the union of
+        # the stepping grid's cells that meet a range and the window
+        rng = random.Random(5)
+        for _ in range(150):
+            p = F(rng.randint(-20, 20), rng.choice([1, 2, 4]))
+            q = p + F(rng.randint(1, 60), rng.choice([1, 2, 4, 8]))
+            w = F(1, 1 << rng.randint(0, 5))
+            ranges = []
+            for _ in range(rng.randint(0, 4)):
+                lo = p + F(rng.randint(-30, 100), 12)
+                ranges.append((lo, lo + F(rng.randint(0, 40), 16)))
+            window = None
+            if rng.random() < 0.5:
+                wlo = p + F(rng.randint(-30, 100), 12)
+                window = (wlo, wlo + F(rng.randint(0, 40), 16))
+            want = [
+                (k, iv)
+                for k, iv in enumerate(oracles.interval_grid(p, q, w))
+                if any(iv.lo < hi and lo < iv.hi for lo, hi in ranges)
+                and (window is None or (iv.lo < window[1] and window[0] < iv.hi))
+            ]
+            assert interval_grid_window(p, q, w, ranges, window) == want
 
     def test_rejects(self):
         with pytest.raises(ValueError):
-            interval_grid(F(1), F(1), F(1, 2))
+            interval_grid_window(F(1), F(1), F(1, 2), [(F(0), F(2))])
         with pytest.raises(ValueError):
-            interval_grid(F(0), F(1), F(0))
+            interval_grid_window(F(0), F(1), F(0), [(F(0), F(1))])
 
 
 def _rand_symmetric(rng, n, lo=-2, hi=2, dens=(1, 2)):

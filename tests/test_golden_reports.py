@@ -16,14 +16,21 @@ The order reports (``norm``, ``sup``, ``point``, ``pos`` and
 a 3x3 matrix whose characteristic polynomial x^3 - 2x^2 - 3x + 5 is
 irreducible over the rationals, were recorded from the formula-walking
 character enclosures and must stay byte-identical.
+
+The ``net`` reports on a Qn, a PL, a rational and two irrational matrix
+inputs were recorded from the full-grid epsilon net, with each point's
+constraints and margin and each element's shrink radius and multiplier;
+all of them must stay byte-identical.
 """
 import json
+from fractions import Fraction
 
 import pytest
 
 from rieszspec import __version__
 from rieszspec.cli import main
-from rieszspec.serialize import canonical_json
+from rieszspec.serialize import attach, canonical_json, space_for
+from rieszspec.spectrum import epsilon_net
 
 
 INPUTS = {
@@ -301,3 +308,119 @@ def test_irrational_order_report_bytes(capsys, tmp_path, monkeypatch, name, comm
     code, out = _run(capsys, command, "--input", path, "--eps", "1/64")
     assert code == 0
     assert out == _expected(command, path, "1/64", IRR_ORDER_GOLDEN[name, command])
+
+
+# ``net`` reports recorded before the net was restricted to the cells an
+# element can occupy: the report's point values, and from the library the
+# shrink radius and multiplier per element and each point's constraints
+# (lo hi) and margin before any evaluation.
+NET_INPUTS = {**INPUTS, **HERM_INPUTS}
+
+NET_GOLDEN = {
+    ("qn", "1/16"): {
+        "evals": [
+            "-5/4", "43/128", "43/128", "149/128", "149/128", "2",
+        ],
+        "shrink_info": [("1/128", 128)],
+        "points": [
+            ("-41/32 -39/32", "15/512"),
+            ("9/32 11/32", "13/1536"),
+            ("5/16 3/8", "29/1536"),
+            ("9/8 19/16", "29/1536"),
+            ("37/32 39/32", "13/1536"),
+            ("63/32 65/32", "15/512"),
+        ],
+    },
+    ("pl-tent", "1/4"): {
+        "evals": [
+            "-3/4", "-23/32", "-19/32", "-15/32", "-11/32", "-7/32", "-3/32", "1/32",
+            "5/32", "9/32", "13/32", "17/32", "21/32", "25/32", "29/32", "33/32",
+            "37/32", "41/32", "45/32",
+        ],
+        "shrink_info": [("1/32", 32)],
+        "points": [
+            ("-7/8 -5/8", "15/128"),
+            ("-3/4 -1/2", "15/128"),
+            ("-5/8 -3/8", "15/128"),
+            ("-1/2 -1/4", "15/128"),
+            ("-3/8 -1/8", "15/128"),
+            ("-1/4 0", "15/128"),
+            ("-1/8 1/8", "15/128"),
+            ("0 1/4", "15/128"),
+            ("1/8 3/8", "15/128"),
+            ("1/4 1/2", "15/128"),
+            ("3/8 5/8", "15/128"),
+            ("1/2 3/4", "15/128"),
+            ("5/8 7/8", "15/128"),
+            ("3/4 1", "15/128"),
+            ("7/8 9/8", "15/128"),
+            ("1 5/4", "15/128"),
+            ("9/8 11/8", "15/128"),
+            ("5/4 3/2", "15/128"),
+            ("11/8 13/8", "15/128"),
+        ],
+    },
+    ("rat", "1/16"): {
+        "evals": [
+            "-1", "3",
+        ],
+        "shrink_info": [("1/64", 64)],
+        "points": [
+            ("-33/32 -31/32", "7/256"),
+            ("95/32 97/32", "7/256"),
+        ],
+    },
+    ("irr", "1/16"): {
+        "evals": [
+            "-79/128", "-79/128", "207/128", "207/128",
+        ],
+        "shrink_info": [("1/128", 128)],
+        "points": [
+            ("-21/32 -19/32", "23/1024"),
+            ("-5/8 -9/16", "21/4096"),
+            ("25/16 13/8", "21/4096"),
+            ("51/32 53/32", "23/1024"),
+        ],
+    },
+    ("cubic", "1/16"): {
+        "evals": [
+            "-211/128", "-211/128", "163/128", "163/128", "19/8",
+        ],
+        "shrink_info": [("1/128", 128)],
+        "points": [
+            ("-27/16 -13/8", "6490831/268435456"),
+            ("-53/32 -51/32", "231321/67108864"),
+            ("39/32 41/32", "5950543/1073741824"),
+            ("5/4 21/16", "94376481/4294967296"),
+            ("75/32 77/32", "7309255/268435456"),
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("name,eps", sorted(NET_GOLDEN))
+def test_net_report_bytes(capsys, tmp_path, monkeypatch, name, eps):
+    monkeypatch.chdir(tmp_path)
+    path = f"{name}.json"
+    (tmp_path / path).write_text(json.dumps(NET_INPUTS[name]))
+    code, out = _run(capsys, "net", "--input", path, "--eps", eps)
+    assert code == 0
+    points = [
+        {"evals": {"elem0": v}, "id": i}
+        for i, v in enumerate(NET_GOLDEN[name, eps]["evals"])
+    ]
+    assert out == _expected("net", path, eps, {"eps": eps, "points": points})
+
+
+@pytest.mark.parametrize("name,eps", sorted(NET_GOLDEN))
+def test_net_constraints_and_shrink(name, eps):
+    obj = NET_INPUTS[name]
+    space = space_for([obj])
+    net = epsilon_net(space, [attach(space, obj)], Fraction(eps))
+    want = NET_GOLDEN[name, eps]
+    assert [(str(r), m) for r, m in net.shrink_info] == want["shrink_info"]
+    got = [
+        (" ".join(f"{lo} {hi}" for _, lo, hi in pt.constraints), str(pt.margin))
+        for pt in net.points
+    ]
+    assert got == want["points"]

@@ -146,19 +146,21 @@ class TestRegions:
 
 
 class TestHooks:
-    def test_candidate_intervals_sound(self):
+    def test_value_ranges_sound(self):
         rng = random.Random(33)
         for _ in range(40):
             a = rand_pl(PLS, rng, rng.randint(2, 6))
-            lo = F(rng.randint(-16, 12), 2)
-            grid = [RatInterval(lo + F(k, 4), lo + F(k, 4) + F(1, 2)) for k in range(12)]
-            kept = set(PLS.candidate_intervals(a, grid))
-            # any x whose value falls strictly inside a grid cell must be kept
+            ctx = rand_pl(PLS, rng, rng.randint(2, 6))
+            whole = PLS.value_ranges(a)
+            on_ctx = PLS.value_ranges(a, ctx)
+            # every value lies in a range, and every value where the
+            # context is positive in a range for that context
             for x in _probe_xs(rng, 25):
                 v = PLS.eval_at(a, x)
-                for k, iv in enumerate(grid):
-                    if iv.lo < v < iv.hi:
-                        assert k in kept
+                assert any(lo <= v <= hi for lo, hi in whole)
+                if PLS.eval_at(ctx, x) > 0:
+                    assert any(lo <= v <= hi for lo, hi in on_ctx)
+        assert PLS.value_ranges(a, PLS.zero()) == []
 
     def test_interval_sup_upper_sound(self):
         rng = random.Random(34)

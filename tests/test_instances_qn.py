@@ -83,16 +83,14 @@ class TestOperations:
 
 
 class TestHooks:
-    def test_candidate_intervals_spot(self):
+    def test_value_ranges_spot(self):
         q3 = QnSpace(3)
         a = q3.element([F(0), F(1, 2), F(1)])
-        grid = [RatInterval(F(k, 4), F(k, 4) + F(1, 2)) for k in range(-1, 4)]
-        kept = q3.candidate_intervals(a, grid)
-        # each kept cell holds some coordinate, each coordinate is held
-        for k in kept:
-            assert any(grid[k].lo < v < grid[k].hi for v in a.coords)
-        for v in a.coords:
-            assert any(grid[k].lo < v < grid[k].hi for k in kept)
+        assert sorted(q3.value_ranges(a)) == [(v, v) for v in a.coords]
+        # only coordinates where the context is positive
+        ctx = q3.element([F(1), F(0), F(-1, 3)])
+        assert q3.value_ranges(a, ctx) == [(F(0), F(0))]
+        assert q3.value_ranges(a, q3.zero()) == []
 
     def test_interval_sup_upper_is_sound(self):
         # the cheap bound dominates the true sup of meet(a, cell) depth
@@ -153,6 +151,16 @@ class TestOnePassRoutes:
     def test_in_interval_needs_order(self):
         with pytest.raises(ValueError):
             Q4.in_interval(Q4.unit(), F(1, 2), F(1, 3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(qn_elements)
+    def test_default_value_range_is_the_unit_bound_range(self, a):
+        # the contract's default, for instances without their own hook:
+        # one range from the unit bounds, holding every coordinate
+        ((lo, hi),) = RieszSpace.value_ranges(Q4, a)
+        assert (lo, hi) == (-Q4.unit_bound(Q4.negate(a)), Q4.unit_bound(a))
+        assert all(lo <= v <= hi for v in a.coords)
+        assert all(any(r[0] <= v <= r[1] for r in Q4.value_ranges(a)) for v in a.coords)
 
 
 class TestAgainstFractionEvaluation:

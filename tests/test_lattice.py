@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from rieszspec.exact import interval_grid_window
 from rieszspec.instances import PLSpace, QnSpace
 from rieszspec.lattice import (
     CoverCertificate,
@@ -145,15 +146,19 @@ class TestCoverRange:
 
 class TestCoverInterval:
     def test_grid_shape(self):
+        full = interval_grid_window(F(0), F(1), F(1, 2), [(F(0), F(1))])
+        assert [(k, iv.lo, iv.hi) for k, iv in full] == [
+            (0, F(0), F(1, 2)),
+            (1, F(1, 4), F(3, 4)),
+            (2, F(1, 2), F(1)),
+        ]
+        # 1/2 sits on the boundary of the outer cells: only the middle one
+        # can be positive, and only it is built
         q1 = QnSpace(1)
         a = q1.element([F(1, 2)])
         grid, cells, cert = cover_interval(q1, a, F(0), F(1), F(1, 2))
-        assert [(iv.lo, iv.hi) for iv in grid] == [
-            (F(0), F(1, 2)),
-            (F(1, 4), F(3, 4)),
-            (F(1, 2), F(1)),
-        ]
-        assert len(cells) == 3
+        assert [(iv.lo, iv.hi) for iv in grid] == [(F(1, 4), F(3, 4))]
+        assert len(cells) == 1
         assert cert.verify()
 
     def test_wide_cell_single(self):
@@ -162,6 +167,17 @@ class TestCoverInterval:
         grid, cells, cert = cover_interval(q1, a, F(0), F(1), F(2))
         assert len(grid) == 1 and (grid[0].lo, grid[0].hi) == (F(0), F(1))
         assert cert.multiplier == 1 and cert.verify()
+
+    def test_no_candidate_cell(self):
+        # (2, 3) misses the value 1/2: no cell is built, the empty cover
+        # certifies the target, which is <= 0, and admits no shrink
+        q1 = QnSpace(1)
+        a = q1.element([F(1, 2)])
+        grid, cells, cert = cover_interval(q1, a, F(2), F(3), F(1, 2))
+        assert grid == [] and cells == []
+        assert cert.multiplier == 1 and cert.verify()
+        with pytest.raises(CertificateError):
+            shrink_cover(q1, cells)
 
     def test_tampered_certificate_fails(self):
         q1 = QnSpace(1)
