@@ -7,7 +7,8 @@ and are rendered canonically so identical inputs give identical bytes.
 
 Exit codes: 0 success, 1 usage or parse problems, 2 a certified
 property violation (a failed verification, a below outcome where a
-positive one was required, a failing audit).
+positive one was required, a failing audit) or a result whose exact
+rationals are too long to render.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import __version__
-from .exact import format_rational, parse_rational
+from .exact import RenderError, format_rational, parse_rational
 from .falgebra import abs_element, gelfand_check, sqrt_psd, sum_of_squares
 from .instances import HermSpace
 from .lattice import cover_interval, cover_range, shrink_cover
@@ -305,6 +306,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit2 as exc:
         print(f"rieszspec: {exc}", file=sys.stderr)
         return 1
+    except RenderError as exc:
+        # a ValueError, but not a usage problem: the request was valid
+        print(f"rieszspec: {exc}", file=sys.stderr)
+        return 2
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         print(f"rieszspec: {exc}", file=sys.stderr)
         return 1

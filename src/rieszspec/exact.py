@@ -5,11 +5,19 @@ values (arbitrary precision, canonical lowest terms, positive denominator),
 matrices are immutable tuples of tuples, and every decision procedure is an
 exact computation.  The positive semidefinite test is the single trusted
 primitive that the rest of the package reduces order questions to.
+
+The two matrix hot paths run on integers: a matrix is put over the lcm of
+its entry denominators, products are integer dot products with one reduced
+``Fraction`` built per output entry, and the psd test is fraction-free
+(Bareiss) elimination on that integer matrix.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -18,6 +26,7 @@ __all__ = [
     "Rational",
     "parse_rational",
     "format_rational",
+    "RenderError",
     "round_dyadic",
     "RatInterval",
     "interval_combine",
@@ -40,8 +49,17 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"bad rational {text!r}") from exc
 
 
+class RenderError(ValueError):
+    """A rational too long for the interpreter's int to str digit limit."""
+
+
 def format_rational(q: Fraction) -> str:
-    return str(Fraction(q))
+    """``"p/q"`` or ``"p"``; RenderError when a part exceeds the digit limit."""
+    try:
+        return str(Fraction(q))
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise RenderError(f"a rational has more than {limit} digits; not rendered") from exc
 
 
 def round_dyadic(q: Fraction, k: int, mode: str = "down") -> Fraction:
@@ -146,6 +164,16 @@ def interval_grid_window(
     return out
 
 
+def _integer_rows(
+    entries: tuple[tuple[Fraction, ...], ...]
+) -> tuple[list[list[int]], int]:
+    """(rows, den) with entries[i][j] == rows[i][j] / den, den the lcm of the denominators."""
+    den = lcm(*(v.denominator for row in entries for v in row))
+    if den == 1:
+        return [[v.numerator for v in row] for row in entries], 1
+    return [[v.numerator * (den // v.denominator) for v in row] for row in entries], den
+
+
 def _as_fraction_rows(rows: Iterable[Iterable[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
@@ -225,13 +253,16 @@ class RationalMatrix:
         return RationalMatrix(tuple(tuple(c * a for a in row) for row in self.entries))
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
+        # integer dot products over da * db, one reduction per output entry
         self._check_dim(other)
-        n = self.dim
-        cols = tuple(tuple(other.entries[k][j] for k in range(n)) for j in range(n))
+        a, da = _integer_rows(self.entries)
+        b, db = (a, da) if other is self else _integer_rows(other.entries)
+        den = da * db
+        cols = tuple(zip(*b))
         return RationalMatrix(
             tuple(
-                tuple(sum(row[k] * col[k] for k in range(n)) for col in cols)
-                for row in self.entries
+                tuple(Fraction(sum(map(mul, row, col)), den) for col in cols)
+                for row in a
             )
         )
 
@@ -281,33 +312,44 @@ class RationalMatrix:
 def psd_check(m: RationalMatrix) -> bool:
     """Exact positive semidefiniteness for a symmetric rational matrix.
 
-    Symmetric Gaussian elimination: pick a strictly positive pivot on the
+    Symmetric elimination: pick the first strictly positive pivot on the
     diagonal and eliminate its row and column; a matrix with no positive
     diagonal left is positive semidefinite iff it is zero.  Any negative
     diagonal entry, or a zero diagonal entry with a nonzero residual row,
     witnesses a direction of negativity.  Non symmetric input is rejected.
+
+    The elimination is fraction-free (Bareiss 1968) on the integer matrix
+    A = den * m, den > 0, which is psd exactly when m is.  With pivots
+    p_1 .. p_k taken so far, P = {p_1 .. p_k} and d_k = det A[P, P]
+    (d_0 = 1), the step a_ij <- (d_k * a_ij - a_ip_k * a_p_kj) / d_(k-1)
+    leaves a_ij = det A[P + i, P + j]: by Sylvester's identity the division
+    is exact.  That minor is d_k times entry (i, j) of the Schur complement
+    that rational elimination of A holds after the same k pivots, and d_k
+    is the product of that elimination's k pivot values, each positive.
+    So every diagonal sign, every zero residual row, and hence every pivot
+    choice and the answer are those of the rational elimination.
     """
-    if not m.is_symmetric():
+    a, _ = _integer_rows(m.entries)
+    n = len(a)
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
         raise ValueError("psd_check requires a symmetric matrix")
-    a = [list(row) for row in m.entries]
-    active = list(range(m.dim))
+    active = list(range(n))
+    prev = 1
     while active:
         if any(a[i][i] < 0 for i in active):
             return False
-        pivots = [i for i in active if a[i][i] > 0]
-        if not pivots:
+        p = next((i for i in active if a[i][i] > 0), None)
+        if p is None:
             # all remaining diagonal entries are zero
             return all(a[i][j] == 0 for i in active for j in active)
-        p = pivots[0]
-        d = a[p][p]
-        rest = [i for i in active if i != p]
-        for i in rest:
-            f = a[i][p] / d
-            if f:
-                row_i, row_p = a[i], a[p]
-                for j in rest:
-                    row_i[j] -= f * row_p[j]
-        active = rest
+        d, row_p = a[p][p], a[p]
+        active.remove(p)
+        for i in active:
+            row_i = a[i]
+            f = row_i[p]
+            for j in active:
+                row_i[j] = (d * row_i[j] - f * row_p[j]) // prev
+        prev = d
     return True
 
 

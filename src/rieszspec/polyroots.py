@@ -8,6 +8,13 @@ the sign of one polynomial at a root of another is decided by an interval
 enclosure over the root's isolating box first; only when that enclosure
 straddles zero do a gcd test and interval refinement follow, which
 terminate in every case.
+
+Root isolation and refinement decide signs with one integer kernel: the
+sign of p at a/b, b > 0, is the sign of b**n * p(a/b), which homogeneous
+Horner computes from the primitive integer coefficients of p with no
+division.  Sturm variation counts and bisection steps therefore build no
+``Fraction`` per evaluation, and give the boxes and exact-root hits of
+``Fraction`` evaluation.
 """
 from __future__ import annotations
 
@@ -157,18 +164,43 @@ def sturm_chain(p: Poly) -> list[Poly]:
     return chain
 
 
-def _variations(chain: list[Poly], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = poly_eval(q, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+def _int_coeffs(p: Poly) -> list[int]:
+    """Primitive integer coefficients: p times a positive rational."""
+    if not p:
+        return []
+    den = int_lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = int_gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _sign_at(ints: list[int], a: int, b: int) -> int:
+    """Sign of p(a/b) for b > 0, from p's integer coefficients (ascending).
+
+    Homogeneous Horner: after consuming c_n .. c_k the accumulator is
+    sum_{i >= k} c_i a**(i-k) b**(n-i), so at the end it is
+    b**n * p(a/b), which has the sign of p(a/b).
+    """
+    if not ints:
+        return 0
+    acc = ints[-1]
+    pw = 1
+    for c in reversed(ints[:-1]):
+        pw *= b
+        acc = acc * a + c * pw
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    a, b = x.numerator, x.denominator
+    signs = [s for s in (_sign_at(q, a, b) for q in chain) if s]
     return sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
 
 
 def count_roots(chain: list[Poly], a: Fraction, b: Fraction) -> int:
     """Distinct real roots in (a, b); both endpoints must be non roots."""
-    return _variations(chain, a) - _variations(chain, b)
+    ichain = [_int_coeffs(q) for q in chain]
+    return _variations(ichain, Fraction(a)) - _variations(ichain, Fraction(b))
 
 
 def cauchy_bound(p: Poly) -> Fraction:
@@ -189,26 +221,29 @@ def isolate_real_roots(p: Poly) -> list[tuple[Fraction, Fraction]]:
     p = poly_normalize(p)
     if len(p) <= 1:
         return []
-    chain = sturm_chain(p)
+    chain = [_int_coeffs(q) for q in sturm_chain(p)]
+    ip = chain[0]
     bound = cauchy_bound(p)
     out: list[tuple[Fraction, Fraction]] = []
 
+    def count(a: Fraction, b: Fraction) -> int:
+        return _variations(chain, a) - _variations(chain, b)
+
+    def is_root(x: Fraction) -> bool:
+        return _sign_at(ip, x.numerator, x.denominator) == 0
+
     def go(a: Fraction, b: Fraction) -> None:
-        c = count_roots(chain, a, b)
+        c = count(a, b)
         if c == 0:
             return
         if c == 1:
             out.append((a, b))
             return
         m = (a + b) / 2
-        if poly_eval(p, m) == 0:
+        if is_root(m):
             out.append((m, m))
             d = (b - a) / 4
-            while not (
-                poly_eval(p, m - d) != 0
-                and poly_eval(p, m + d) != 0
-                and count_roots(chain, m - d, m + d) == 1
-            ):
+            while is_root(m - d) or is_root(m + d) or count(m - d, m + d) != 1:
                 d = d / 2
             go(a, m - d)
             go(m + d, b)
@@ -223,17 +258,29 @@ def isolate_real_roots(p: Poly) -> list[tuple[Fraction, Fraction]]:
 def refine_root(
     p: Poly, lo: Fraction, hi: Fraction, width: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval below width by sign bisection."""
+    """Shrink an isolating interval below width by sign bisection.
+
+    The box is held as integers (a, b) over one denominator d, which
+    doubles at each halving so the midpoint a + b stays integral; every
+    sign comes from the integer kernel.
+    """
     if lo == hi:
         return lo, hi
-    slo = poly_eval(p, lo)
-    while hi - lo > width:
-        m = (lo + hi) / 2
-        vm = poly_eval(p, m)
-        if vm == 0:
-            return m, m
-        if (vm > 0) == (slo > 0):
-            lo, slo = m, vm
+    ints = _int_coeffs(p)
+    width = Fraction(width)
+    wn, wd = width.numerator, width.denominator
+    d = int_lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    slo = _sign_at(ints, a, d)
+    while (b - a) * wd > wn * d:
+        m = a + b
+        a, b, d = 2 * a, 2 * b, 2 * d
+        sm = _sign_at(ints, m, d)
+        if sm == 0:
+            return Fraction(m, d), Fraction(m, d)
+        if (sm > 0) == (slo > 0):
+            a, slo = m, sm
         else:
-            hi = m
-    return lo, hi
+            b = m
+    return Fraction(a, d), Fraction(b, d)

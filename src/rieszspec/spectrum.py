@@ -179,22 +179,23 @@ class PointState:
         best_k: int | None = None
         best_iv: RatInterval | None = None
         best_mu: Fraction | None = None
+        best_meet: RieszElement | None = None
         for k, iv in cands:
             if best_mu is not None:
                 cheap = space.interval_sup_upper(b, iv)
                 if cheap is None or (cheap, -k) <= (best_mu, -best_k):
                     continue
-            cell = space.in_interval(b, iv.lo, iv.hi)
-            mu = space.sup_cut(space.meet(meet_cur, cell)).approx(delta)
+            met = space.meet(meet_cur, space.in_interval(b, iv.lo, iv.hi))
+            mu = space.sup_cut(met).approx(delta)
             if best_mu is None or (mu, -k) > (best_mu, -best_k):
-                best_mu, best_k, best_iv = mu, k, iv
+                best_mu, best_k, best_iv, best_meet = mu, k, iv, met
         if best_iv is None or best_mu - delta <= 0:
             raise MarginCollapseError(
                 f"no cell kept a positive margin while evaluating at level {level}"
             )
         iv = best_iv
         self.constraints.append((b, iv.lo, iv.hi))
-        self._meet = space.meet(meet_cur, space.in_interval(b, iv.lo, iv.hi))
+        self._meet = best_meet
         self.margin = best_mu - delta
         val = iv.midpoint
         self._evals[key] = val

@@ -4,7 +4,9 @@ Everything here deliberately avoids the package's own decision procedures:
 determinants and eigenvalues come from sympy, matrix arithmetic is plain
 list-of-list Fractions, and suprema are direct maxima.  The full interval
 grid is a plain stepping loop, and element files load through the
-package's own ``attach``.  Tests that compare
+package's own ``attach``.  The rational elimination psd test and the
+Sturm isolation and bisection in ``Fraction`` arithmetic are the routines
+the package ran before its integer kernels.  Tests that compare
 a package result against one of these functions are exercising two
 genuinely different routes to the same value.
 """
@@ -17,6 +19,7 @@ from typing import Sequence
 import sympy
 
 from rieszspec.exact import RatInterval
+from rieszspec.polyroots import cauchy_bound, poly_eval, poly_normalize, sturm_chain
 from rieszspec.serialize import attach, space_for
 
 Mat = Sequence[Sequence[Fraction]]
@@ -49,6 +52,26 @@ def psd_by_minors(rows: Mat) -> bool:
             sub = m[list(idx), list(idx)]
             if sub.det() < 0:
                 return False
+    return True
+
+
+def psd_check_fraction(rows: Mat) -> bool:
+    """Symmetric rational elimination on the first positive diagonal pivot."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    active = list(range(len(a)))
+    while active:
+        if any(a[i][i] < 0 for i in active):
+            return False
+        pivots = [i for i in active if a[i][i] > 0]
+        if not pivots:
+            return all(a[i][j] == 0 for i in active for j in active)
+        p = pivots[0]
+        rest = [i for i in active if i != p]
+        for i in rest:
+            f = a[i][p] / a[p][p]
+            for j in rest:
+                a[i][j] -= f * a[p][j]
+        active = rest
     return True
 
 
@@ -184,3 +207,67 @@ def pl_value(points: Sequence[tuple[Fraction, Fraction]], x: Fraction) -> Fracti
         if x0 <= x <= x1:
             return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
     raise ValueError("argument outside the breakpoints")
+
+
+# ----- Sturm isolation and bisection in Fraction arithmetic -----------
+
+
+def count_roots_fraction(chain, a: Fraction, b: Fraction) -> int:
+    def variations(x):
+        signs = [v > 0 for v in (poly_eval(q, x) for q in chain) if v]
+        return sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
+
+    return variations(a) - variations(b)
+
+
+def isolate_real_roots_fraction(p) -> list[tuple[Fraction, Fraction]]:
+    """Isolating boxes of a squarefree p by Sturm bisection with Fraction Horner."""
+    p = poly_normalize(p)
+    if len(p) <= 1:
+        return []
+    chain = sturm_chain(p)
+    bound = cauchy_bound(p)
+    out = []
+
+    def go(a, b):
+        c = count_roots_fraction(chain, a, b)
+        if c == 0:
+            return
+        if c == 1:
+            out.append((a, b))
+            return
+        m = (a + b) / 2
+        if poly_eval(p, m) == 0:
+            out.append((m, m))
+            d = (b - a) / 4
+            while not (
+                poly_eval(p, m - d) != 0
+                and poly_eval(p, m + d) != 0
+                and count_roots_fraction(chain, m - d, m + d) == 1
+            ):
+                d = d / 2
+            go(a, m - d)
+            go(m + d, b)
+        else:
+            go(a, m)
+            go(m, b)
+
+    go(-bound, bound)
+    return sorted(out)
+
+
+def refine_root_fraction(p, lo: Fraction, hi: Fraction, width: Fraction):
+    """Bisection of an isolating box with Fraction Horner signs."""
+    if lo == hi:
+        return lo, hi
+    slo = poly_eval(p, lo)
+    while hi - lo > width:
+        m = (lo + hi) / 2
+        vm = poly_eval(p, m)
+        if vm == 0:
+            return m, m
+        if (vm > 0) == (slo > 0):
+            lo, slo = m, vm
+        else:
+            hi = m
+    return lo, hi

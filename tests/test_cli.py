@@ -247,6 +247,16 @@ class TestHermCommands:
         )
         assert code == 2
 
+    def test_sos_unrenderable_report_maps_to_two(self, capsys, tmp_path):
+        # the remainder's entries outgrow the interpreter's int to str
+        # digit limit; the CLI refuses the report instead of raising it
+        path = herm_file(tmp_path, "m.json", [["1/3", "1/5"], ["1/5", "1/2"]])
+        code = main(["sos", "--input", path, "--tol", "1/16"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "digits; not rendered" in err
+
 
 class TestGelfand:
     def test_diagonal_algebra(self, capsys, tmp_path):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rieszspec.exact import (
     RatInterval,
@@ -269,6 +270,90 @@ class TestPsdCheck:
             assert psd_check(g)
             b = _rand_symmetric(rng, n)
             assert psd_check(g + (b @ b.transpose()))
+
+
+# entries with small and with large denominators
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_entry = st.one_of(_small, st.fractions(min_value=-3, max_value=3, max_denominator=1 << 40))
+
+
+def _square(draw, n):
+    return [[draw(_entry) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def _symmetric(draw):
+    """Free, Gram (rank deficient), shifted Gram, zeroed diagonal, hyperbolic,
+    or two interleaved blocks of very different scales."""
+    n = draw(st.integers(1, 5))
+    kinds = ["free", "gram", "shifted", "zero-diag", "hyperbolic", "blocks"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "blocks":
+        # zeros in a pivot's column: those rows must still be rescaled
+        group = [draw(st.booleans()) for _ in range(n)]
+        rows = [[draw(_small) for _ in range(n)] for _ in range(n)]
+        rows = oracles.matmul(rows, oracles.transpose(rows))
+        big = F(1 << draw(st.integers(0, 40)))
+        for i in range(n):
+            for j in range(n):
+                if group[i] != group[j]:
+                    rows[i][j] = F(0)
+                elif group[i]:
+                    rows[i][j] *= big
+        if draw(st.booleans()):
+            i = draw(st.integers(0, n - 1))
+            rows[i][i] -= abs(draw(_entry)) / (1 << draw(st.integers(0, 40)))
+        return rows
+    if kind == "free":
+        rows = _square(draw, n)
+        return [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    if kind == "hyperbolic":
+        # L (D + [[0, x], [x, 0]]) L^T: a zero diagonal whose row stays
+        # nonzero once the positive pivots are gone
+        low = [[F(1) if i == j else (draw(_entry) if j < i else F(0)) for j in range(n)]
+               for i in range(n)]
+        mid = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            mid[i][i] = abs(draw(_entry))
+        if n >= 2:
+            mid[n - 2][n - 2] = mid[n - 1][n - 1] = F(0)
+            mid[n - 2][n - 1] = mid[n - 1][n - 2] = draw(_entry)
+        return oracles.matmul(oracles.matmul(low, mid), oracles.transpose(low))
+    rank = draw(st.integers(0, n))
+    b = [[draw(_entry) if k < rank else F(0) for k in range(n)] for _ in range(n)]
+    rows = oracles.matmul(b, oracles.transpose(b))
+    i = draw(st.integers(0, n - 1))
+    if kind == "shifted":
+        rows[i][i] -= abs(draw(_entry)) / (1 << draw(st.integers(0, 40)))
+    elif kind == "zero-diag":
+        rows[i][i] = F(0)
+    return rows
+
+
+class TestIntegerKernels:
+    """Products and the fraction-free psd test against independent oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_symmetric())
+    @example(rows=[  # a big pivot first, then a small definite block
+        [F(1 << 40), F(0), F(0), F(0)],
+        [F(0), F(2), F(-1), F(0)],
+        [F(0), F(-1), F(2), F(-1)],
+        [F(0), F(0), F(-1), F(2)],
+    ])
+    def test_psd_against_minors(self, rows):
+        got = psd_check(RationalMatrix.from_rows(rows))
+        assert got == psd_by_minors(rows)
+        assert got == oracles.psd_check_fraction(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5))
+    def test_matmul_against_fraction_rows(self, data, n):
+        a = _square(data.draw, n)
+        b = _square(data.draw, n)
+        ma, mb = RationalMatrix.from_rows(a), RationalMatrix.from_rows(b)
+        assert (ma @ mb).entries == tuple(map(tuple, oracles.matmul(a, b)))
+        assert (ma @ ma).entries == tuple(map(tuple, oracles.matmul(a, a)))
 
 
 class TestKernelInvert:

@@ -424,3 +424,66 @@ def test_net_constraints_and_shrink(name, eps):
         for pt in net.points
     ]
     assert got == want["points"]
+
+
+# ``sos`` on a 3x3 input with a rational spectrum, recorded from the
+# one-Fraction-at-a-time matrix product and psd check: the squares and
+# the residual of the paper's iteration must stay byte-identical.
+HERM_INPUTS["sos3"] = _herm(["1/2", "1/4", "0"], ["1/4", "1/3", "1/6"], ["0", "1/6", "1/5"])
+
+
+def _mat(*rows):
+    return {"dim": len(rows), "entries": [list(r) for r in rows]}
+
+
+SOS_GOLDEN = {
+    "bound": "1/8",
+    "iterations": 4,
+    "residual": _mat(
+        [
+            "541009337634903707206811/5015306502144000000000000",
+            "66177177736654154093623/3134566563840000000000000",
+            "-3967865774036543222762029/188073993830400000000000000",
+        ],
+        [
+            "66177177736654154093623/3134566563840000000000000",
+            "89973115214910164248014839/1128443962982400000000000000",
+            "18521315095775045077648387/470184984576000000000000000",
+        ],
+        [
+            "-3967865774036543222762029/188073993830400000000000000",
+            "18521315095775045077648387/470184984576000000000000000",
+            "563268638733443541898676231/7052774768640000000000000000",
+        ],
+    ),
+    "squares": [
+        HERM_INPUTS["sos3"]["matrix"],
+        _mat(["3/16", "1/24", "-1/24"], ["1/24", "19/144", "7/90"], ["-1/24", "7/90", "119/900"]),
+        _mat(
+            ["343/2304", "91/2880", "-2729/86400"],
+            ["91/2880", "55339/518400", "12737/216000"],
+            ["-2729/86400", "12737/216000", "346531/3240000"],
+        ),
+        _mat(
+            ["3723903011/29859840000", "236852299/9331200000", "-28406163829/1119744000000"],
+            ["236852299/9331200000", "610564418639/6718464000000", "132588951287/2799360000000"],
+            ["-28406163829/1119744000000", "132588951287/2799360000000", "3822806916431/41990400000000"],
+        ),
+    ],
+}
+
+
+def test_sos_report_bytes(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sos3.json").write_text(json.dumps(HERM_INPUTS["sos3"]))
+    code, out = _run(capsys, "sos", "--input", "sos3.json", "--tol", "1/8")
+    assert code == 0
+    want = canonical_json({
+        "version": __version__,
+        "config": {
+            "command": "sos", "input": "sos3.json", "input2": "", "tol": "1/8",
+            "eps": "1/64", "seed": 0, "format": "json", "maxIter": 64,
+        },
+        "result": SOS_GOLDEN,
+    })
+    assert out == want

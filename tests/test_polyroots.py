@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from rieszspec import polyroots
 from rieszspec.polyroots import (
     cauchy_bound,
     count_roots,
@@ -193,3 +194,65 @@ class TestRefineRoot:
         lo, hi = refine_root(p, lo, hi, F(1, 1 << 40))
         # 2^(1/2) to 40 bits
         assert lo < F(1414213562373095049, 10**18) < hi
+
+
+def _poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+@st.composite
+def _squarefree(draw):
+    """lead * prod (x - r) * prod ((x - s)**2 - k): distinct rational roots,
+    dyadic ones included so bisection can land on them, and pairs s +- sqrt(k)."""
+    roots = draw(st.lists(
+        st.one_of(
+            st.fractions(min_value=-6, max_value=6, max_denominator=12),
+            st.integers(-48, 48).map(lambda v: F(v, 8)),
+        ),
+        unique=True, max_size=4,
+    ))
+    p = (draw(st.fractions(min_value=1, max_value=9, max_denominator=7)),)
+    for r in roots:
+        p = _poly_mul(p, (-r, F(1)))
+    shifts = set()
+    for k in draw(st.lists(st.sampled_from([2, 3, 5, 6, 7, 10]), unique=True, max_size=2)):
+        s = draw(st.integers(-3, 3).map(lambda v: F(v, 2)).filter(lambda v: v not in shifts))
+        shifts.add(s)
+        p = _poly_mul(p, (s * s - k, -2 * s, F(1)))
+    return p
+
+
+class TestIntegerSignKernel:
+    """The homogeneous Horner sign and the bisections built on it against
+    the Fraction routines they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.lists(_fractions, max_size=8), x=_fractions, k=st.integers(1, 5))
+    def test_sign_matches_fraction_eval(self, p, x, k):
+        v = poly_eval(tuple(p), x)
+        ints = polyroots._int_coeffs(tuple(p))
+        # unreduced numerator and denominator give the same sign
+        got = polyroots._sign_at(ints, k * x.numerator, k * x.denominator)
+        assert got == (v > 0) - (v < 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=_squarefree(), a=_fractions, w=_fractions.map(abs))
+    def test_sturm_count_matches_fraction(self, p, a, w):
+        chain = sturm_chain(p)
+        b = a + w + F(1, 3)
+        if poly_eval(p, a) == 0 or poly_eval(p, b) == 0:
+            return
+        assert count_roots(chain, a, b) == oracles.count_roots_fraction(chain, a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=_squarefree(), bits=st.integers(0, 60))
+    def test_boxes_match_fraction_routines(self, p, bits):
+        boxes = isolate_real_roots(p)
+        assert boxes == oracles.isolate_real_roots_fraction(p)
+        width = F(1, 1 << bits)
+        for lo, hi in boxes:
+            assert refine_root(p, lo, hi, width) == oracles.refine_root_fraction(p, lo, hi, width)
