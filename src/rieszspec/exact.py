@@ -95,9 +95,6 @@ class RatInterval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def intersects(self, other: "RatInterval") -> bool:
-        return self.lo < other.hi and other.lo < self.hi
-
     def __repr__(self) -> str:
         return f"({self.lo}, {self.hi})"
 
@@ -282,9 +279,6 @@ class RationalMatrix:
 
     def commutator(self, other: "RationalMatrix") -> "RationalMatrix":
         return self @ other - other @ self
-
-    def commutes_with(self, other: "RationalMatrix") -> bool:
-        return self.commutator(other).is_zero()
 
     def row_sum_bound(self) -> Fraction:
         """Max absolute row sum; an upper bound for the operator norm."""

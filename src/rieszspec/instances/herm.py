@@ -19,11 +19,6 @@ Order facts (is b - a positive semidefinite, suprema of spectra, how far
 an element sits inside an interval) then reduce to exact comparisons of
 rationals at rational characters, and elsewhere to exact sign tests and
 refinable rational enclosures of polynomial values at isolated roots.
-An err free element, formula or not, resolves at each character to one
-value: a rational, or one polynomial chosen by a sign test at each join,
-meet and interval node.  Those values are kept on the element itself,
-not in a cache of the space, and an order query at an irrational
-character costs one enclosure of that polynomial.
 
 Elements carry an error radius ``err``: the element (A, err) stands for
 any member X of the algebra within operator distance err of A, that is,
@@ -32,13 +27,23 @@ of A there.  Every certified answer is required to hold for the whole
 ball, and every error bound holds per character.  The ball does not hold
 arbitrary symmetric matrices near A: the operator absolute value is not
 Lipschitz with constant one on those (Kato 1973), while on a commuting
-algebra it acts character by character, where it is.  Lattice
-expressions (join, meet, interval depth) are kept as formulas evaluated
-through the characters, which makes them exact;
-:meth:`HermSpace.materialize` turns a formula back into a single matrix
-through ``falgebra.abs_element``: exactly, by the spectral idempotents,
-when every character root is rational, and with a certified error radius
-from the square root construction otherwise.
+algebra it acts character by character, where it is.
+
+Lattice expressions (join, meet, interval depth) are kept as formulas.
+One walk resolves an element at each character to the exact lower and
+upper value of its err ball: rationals at a rational character,
+elsewhere polynomials to be read at the root.  An err free element has
+one value, its lower and upper bound at once; at each join, meet and
+interval node one exact sign test per bound picks the operand.  The
+bounds are kept on the element itself, so they live exactly as long as
+it does.  Beyond its per character root data, the algebra caches only
+one value polynomial per distinct matrix.  ``leq`` compares bounds by
+exact sign tests, so it answers None only where the balls overlap at
+some character, and an enclosure of an element's values encloses its
+two bounds.  :meth:`HermSpace.materialize` turns a formula back into a
+single matrix through ``falgebra.abs_element``: exactly, by the spectral
+idempotents, when every character root is rational, and with a
+certified error radius from the square root construction otherwise.
 """
 from __future__ import annotations
 
@@ -82,11 +87,41 @@ def _as_matrix(m: RationalMatrix | Sequence[Sequence[object]]) -> RationalMatrix
     return RationalMatrix.from_rows(m)
 
 
+# A value at one character: a Fraction where the character's root is
+# rational, elsewhere a polynomial to be read at the root.  The operands
+# of one call are values at one character, of one kind.
+Value = Poly | Fraction
+
+
+def _plus(x: Value, y: Value) -> Value:
+    return x + y if isinstance(x, Fraction) else poly_add(x, y)
+
+
+def _shift(x: Value, c: Fraction) -> Value:
+    return x + c if isinstance(x, Fraction) else poly_add(x, (c,))
+
+
+def _times(c: Rational, x: Value) -> Value:
+    return c * x if isinstance(x, Fraction) else poly_scale(c, x)
+
+
+def _cmp(alg: "CommutingAlgebra", x: Value, y: Value | Rational, j: int) -> int:
+    """Exact sign of x - y at character j, for a value or a rational y.
+
+    Rationals are compared directly; polynomials go to one ``value_sign``.
+    """
+    if isinstance(x, Fraction):
+        return (x > y) - (x < y)
+    if isinstance(y, tuple):
+        x, y = poly_sub(x, y), 0
+    return alg.value_sign(x, y, j)
+
+
 class CommutingAlgebra:
     """Unital algebra generated by commuting symmetric rational matrices.
 
     Use is single-threaded: the root boxes, the rational roots, the
-    spectral idempotents and the value caches are filled in lazily
+    spectral idempotents and the value polynomials are filled in lazily
     without locks.
     """
 
@@ -155,7 +190,6 @@ class CommutingAlgebra:
         self._exact: dict[int, Fraction | None] = {}
         # spectral idempotents, built on first use when every root is rational
         self._idem: tuple[RationalMatrix, ...] | None = None
-        self._cmp_cache: dict[tuple[Poly, Fraction, int], int] = {}
         self._init_characters()
 
     # -- linear structure ------------------------------------------------
@@ -308,14 +342,14 @@ class CommutingAlgebra:
         self._vpoly[m] = q
         return q
 
-    def _snap(self, j: int) -> Fraction | None:
-        """Decide once whether root j is rational.
+    def rational_root(self, j: int) -> Fraction | None:
+        """The root of character j if it is rational, else None.
 
-        Two distinct rationals with denominators at most L lie at least
-        1/L**2 apart, so in a box narrower than 1/(2 L**2) the root, if
-        rational, is the best approximation of the midpoint with
-        denominator at most L.  The candidate is accepted only when it is
-        an exact root; otherwise the box is left as it was.
+        Decided once.  Two distinct rationals with denominators at most L
+        lie at least 1/L**2 apart, so in a box narrower than 1/(2 L**2)
+        the root, if rational, is the best approximation of the midpoint
+        with denominator at most L.  The candidate is accepted only when
+        it is an exact root; otherwise the box is left as it was.
         """
         if j in self._exact:
             return self._exact[j]
@@ -333,10 +367,6 @@ class CommutingAlgebra:
         self._exact[j] = r
         return r
 
-    def rational_root(self, j: int) -> Fraction | None:
-        """The root of character j if it is rational, else None."""
-        return self._snap(j)
-
     def idempotents(self) -> tuple[RationalMatrix, ...] | None:
         """Spectral idempotents E_j when every character root is rational.
 
@@ -348,7 +378,7 @@ class CommutingAlgebra:
         if self._idem is None:
             roots = []
             for j in range(self.char_count):
-                r = self._snap(j)
+                r = self.rational_root(j)
                 if r is None:
                     return None
                 roots.append(r)
@@ -368,7 +398,7 @@ class CommutingAlgebra:
 
         A rational root is held exactly, as the one point box (r, r).
         """
-        self._snap(j)
+        self.rational_root(j)
         lo, hi = self._roots[j]
         if hi - lo > width:
             lo, hi = refine_root(self._minpoly, lo, hi, width)
@@ -387,44 +417,33 @@ class CommutingAlgebra:
                 return vlo, vhi
             lo, hi = self.root_box(j, (hi - lo) / 4)
 
-    def value_sign(self, q: Poly | Fraction, c: Rational, j: int) -> int:
+    def value_sign(self, q: Poly, c: Rational, j: int) -> int:
         """Exact sign of q(gamma_j) - c.
 
-        At a character whose root is rational, values are exact rationals:
-        q may then be given as that value itself, and the sign is read off
-        by one comparison.  Elsewhere one interval enclosure of
-        q(gamma_j) - c over the current root box settles almost every
-        sign; only an enclosure that straddles 0 goes on to a gcd test
-        against the minimal polynomial, which finds an exact zero, and
-        then to interval refinement.
+        At a character whose root is rational, q is evaluated there
+        exactly.  Elsewhere one interval enclosure of q(gamma_j) - c over
+        the current root box settles almost every sign; only an enclosure
+        that straddles 0 goes on to a gcd test against the minimal
+        polynomial, which finds an exact zero, and then to interval
+        refinement.
         """
         c = Fraction(c)
-        if isinstance(q, Fraction):
-            return (q > c) - (q < c)
-        key = (q, c, j)
-        cached = self._cmp_cache.get(key)
-        if cached is not None:
-            return cached
         lo, hi = self.root_box(j, Fraction(1, 4))
         if lo == hi:
             v = poly_eval(q, lo) - c
-            res = (v > 0) - (v < 0)
-        else:
-            d = poly_sub(q, (c,))
-            vlo, vhi = poly_eval_interval(d, lo, hi)
-            zero = not d
-            if vlo <= 0 <= vhi and not zero:
-                g = poly_gcd(self._minpoly, d)
-                zero = len(g) > 1 and count_roots(sturm_chain(g), lo, hi) >= 1
-            if zero:
-                res = 0
-            else:
-                while vlo <= 0 <= vhi:
-                    lo, hi = self.root_box(j, (hi - lo) / 4)
-                    vlo, vhi = poly_eval_interval(d, lo, hi)
-                res = 1 if vlo > 0 else -1
-        self._cmp_cache[key] = res
-        return res
+            return (v > 0) - (v < 0)
+        d = poly_sub(q, (c,))
+        vlo, vhi = poly_eval_interval(d, lo, hi)
+        if vlo <= 0 <= vhi:
+            if not d:
+                return 0
+            g = poly_gcd(self._minpoly, d)
+            if len(g) > 1 and count_roots(sturm_chain(g), lo, hi) >= 1:
+                return 0
+            while vlo <= 0 <= vhi:
+                lo, hi = self.root_box(j, (hi - lo) / 4)
+                vlo, vhi = poly_eval_interval(d, lo, hi)
+        return 1 if vlo > 0 else -1
 
 
 @dataclass(frozen=True)
@@ -443,18 +462,6 @@ class HermElement(RieszElement):
             h = hash((self.space, self.matrix, self.err, self.formula))
             object.__setattr__(self, "_hash", h)
         return h
-
-    def value_range(
-        self, target: Rational = Fraction(1, 1024)
-    ) -> list[tuple[Fraction, Fraction]]:
-        """Per character enclosures of the element's joint eigenvalues."""
-        sp = self.space
-        t = Fraction(target)
-        out = []
-        for j in range(sp.algebra.char_count):
-            lo, hi = sp._char_interval(self, j, t)
-            out.append((lo, hi))
-        return out
 
 
 class HermSpace(RieszSpace):
@@ -558,139 +565,118 @@ class HermSpace(RieszSpace):
 
     # -- character evaluation -------------------------------------------
 
-    def _char_value(self, e: HermElement, j: int) -> Poly | Fraction:
-        """Resolve an err free element e at character j.
+    def _bounds(self, e: HermElement, j: int) -> tuple[Value, Value]:
+        """Exact lower and upper value of e's err ball at character j.
 
-        At a character whose root is rational the result is the exact
-        value, a Fraction; elsewhere it is one polynomial whose value at
-        the root is the value of e.  Results are kept on e itself, so
-        they live exactly as long as the element.
+        At a character whose root is rational each bound is a Fraction,
+        elsewhere one polynomial whose value at the root is that bound.
+        An err free element gives the same object twice.  Each max, min
+        and interval tent picks its operand by one exact sign test.
+        Results are kept on e itself, so they live exactly as long as the
+        element.
         """
         vals = e.__dict__.get("_vals")
         if vals is None:
             vals = {}
             object.__setattr__(e, "_vals", vals)
-        v = vals.get(j)
-        if v is not None:
-            return v
+        got = vals.get(j)
+        if got is not None:
+            return got
         alg = self.algebra
-        r = alg.rational_root(j)
-        if e.formula is None:
-            q = alg.value_poly_of(e.matrix)
-            v = q if r is None else poly_eval(q, r)
+        f = e.formula
+        if f is None:
+            v = alg.value_poly_of(e.matrix)
+            r = alg.rational_root(j)
+            if r is not None:
+                v = poly_eval(v, r)
+            got = (v, v) if not e.err else (_shift(v, -e.err), _shift(v, e.err))
+        elif f[0] == "add":
+            alo, ahi = self._bounds(f[1], j)
+            blo, bhi = self._bounds(f[2], j)
+            lo = _plus(alo, blo)
+            got = (lo, lo if alo is ahi and blo is bhi else _plus(ahi, bhi))
+        elif f[0] == "scale":
+            c = f[1]
+            blo, bhi = self._bounds(f[2], j)
+            lo = _times(c, blo)
+            hi = lo if blo is bhi else _times(c, bhi)
+            got = (lo, hi) if c > 0 else (hi, lo)
+        elif f[0] == "ii":
+            _, b, p, q = f
+            blo, bhi = self._bounds(b, j)
+            # depth(x) = min(x - p, q - x) is a tent peaking at m = (p + q)/2:
+            # over [blo, bhi] its least value is at the end farther from m,
+            # its greatest at the end nearer m, or m itself when inside
+            left = _cmp(alg, _plus(blo, bhi), p + q, j) <= 0
+            lo = _shift(blo, -p) if left else _shift(_times(-1, bhi), q)
+            if blo is bhi:
+                hi = lo
+            elif left and _cmp(alg, _times(2, bhi), p + q, j) <= 0:
+                hi = _shift(bhi, -p)
+            elif not left and _cmp(alg, _times(2, blo), p + q, j) >= 0:
+                hi = _shift(_times(-1, blo), q)
+            else:
+                hi = (q - p) / 2 if isinstance(blo, Fraction) else ((q - p) / 2,)
+            got = (lo, hi)
         else:
-            tag = e.formula[0]
-            if tag == "add":
-                va = self._char_value(e.formula[1], j)
-                vb = self._char_value(e.formula[2], j)
-                v = poly_add(va, vb) if r is None else va + vb
-            elif tag == "scale":
-                c, vb = e.formula[1], self._char_value(e.formula[2], j)
-                v = poly_scale(c, vb) if r is None else c * vb
-            elif tag == "ii":
-                _, b, p, qq = e.formula
-                vb = self._char_value(b, j)
-                # depth = min(b - p, qq - b); branch on the sign of 2b - (p + qq)
-                if r is not None:
-                    v = min(vb - p, qq - vb)
-                elif alg.value_sign(poly_scale(Fraction(2), vb), p + qq, j) <= 0:
-                    v = poly_sub(vb, (p,))
-                else:
-                    v = poly_sub((qq,), vb)
-            elif tag in ("meet", "join"):
-                va = self._char_value(e.formula[1], j)
-                vb = self._char_value(e.formula[2], j)
-                if r is not None:
-                    v = min(va, vb) if tag == "meet" else max(va, vb)
-                else:
-                    s = alg.value_sign(poly_sub(va, vb), 0, j)
-                    if tag == "meet":
-                        v = va if s <= 0 else vb
-                    else:
-                        v = vb if s <= 0 else va
-            else:  # pragma: no cover - formula tags are internal
-                raise AssertionError(f"unknown formula tag {tag!r}")
-        vals[j] = v
-        return v
+            alo, ahi = self._bounds(f[1], j)
+            blo, bhi = self._bounds(f[2], j)
+            meet = f[0] == "meet"
+
+            def pick(x: Value, y: Value) -> Value:
+                return x if (_cmp(alg, x, y, j) <= 0) == meet else y
+
+            lo = pick(alo, blo)
+            got = (lo, lo if alo is ahi and blo is bhi else pick(ahi, bhi))
+        vals[j] = got
+        return got
 
     def _char_interval(
         self, e: HermElement, j: int, target: Fraction
     ) -> tuple[Fraction, Fraction]:
         """Enclosure of the value of e at character j, err ball included.
 
-        An err free element is one value, enclosed once.  With err > 0 the
-        formula is walked, which gives tighter boxes than centre +- err.
+        The two exact bounds are enclosed, each to target/2 when they
+        differ, so the width exceeds hi - lo by at most target.
         """
+        lo, hi = self._bounds(e, j)
+        if isinstance(lo, Fraction):
+            return lo, hi
         alg = self.algebra
-        if e.err == 0:
-            v = self._char_value(e, j)
-            if isinstance(v, Fraction):
-                return v, v
-            return alg.value_interval(v, j, target)
-        if e.formula is None:
-            vlo, vhi = alg.value_interval(alg.value_poly_of(e.matrix), j, target)
-            return vlo - e.err, vhi + e.err
-        tag = e.formula[0]
-        if tag == "add":
-            alo, ahi = self._char_interval(e.formula[1], j, target / 2)
-            blo, bhi = self._char_interval(e.formula[2], j, target / 2)
-            return alo + blo, ahi + bhi
-        if tag == "scale":
-            c = e.formula[1]
-            lo, hi = self._char_interval(e.formula[2], j, target / abs(c))
-            return (c * lo, c * hi) if c > 0 else (c * hi, c * lo)
-        if tag == "ii":
-            _, b, p, q = e.formula
-            blo, bhi = self._char_interval(b, j, target)
-            # depth(x) = min(x - p, q - x) is a concave tent peaking mid interval
-            dlo = min(min(blo - p, q - blo), min(bhi - p, q - bhi))
-            mid = (p + q) / 2
-            if blo <= mid <= bhi:
-                dhi = (q - p) / 2
-            else:
-                dhi = max(min(blo - p, q - blo), min(bhi - p, q - bhi))
-            return dlo, dhi
-        if tag in ("meet", "join"):
-            alo, ahi = self._char_interval(e.formula[1], j, target)
-            blo, bhi = self._char_interval(e.formula[2], j, target)
-            if tag == "meet":
-                return min(alo, blo), min(ahi, bhi)
-            return max(alo, blo), max(ahi, bhi)
-        raise AssertionError(f"unknown formula tag {tag!r}")  # pragma: no cover
+        if lo is hi:
+            return alg.value_interval(lo, j, target)
+        return (
+            alg.value_interval(lo, j, target / 2)[0],
+            alg.value_interval(hi, j, target / 2)[1],
+        )
 
     def _char_sign(self, e: HermElement, j: int) -> int:
         """Exact sign of an err free element at character j."""
-        return self.algebra.value_sign(self._char_value(e, j), 0, j)
+        return _cmp(self.algebra, self._bounds(e, j)[0], 0, j)
 
     # -- order -----------------------------------------------------------
 
     def leq(self, a: HermElement, b: HermElement) -> bool | None:
+        """Whether a <= b holds for the whole of both err balls.
+
+        False when b's upper bound falls below a's lower bound at some
+        character, True when b's lower bound reaches a's upper bound at
+        every character, and None otherwise.
+        """
         self._require(a, b)
-        if a.err == 0 and b.err == 0:
-            if a.formula is None and b.formula is None:
-                return psd_check(b.matrix - a.matrix)
-            for j in range(self.algebra.char_count):
-                va, vb = self._char_value(a, j), self._char_value(b, j)
-                d = vb - va if isinstance(va, Fraction) else poly_sub(vb, va)
-                if self.algebra.value_sign(d, 0, j) < 0:
-                    return False
-            return True
-        width = Fraction(1, 4)
-        floor = Fraction(1, 1 << 40)
-        while True:
-            pending = False
-            for j in range(self.algebra.char_count):
-                alo, ahi = self._char_interval(a, j, width)
-                blo, bhi = self._char_interval(b, j, width)
-                if bhi - alo < 0:
-                    return False
-                if blo - ahi < 0:
-                    pending = True
-            if not pending:
-                return True
-            if width < floor:
-                return None
-            width = width / 16
+        if a.formula is None and b.formula is None and not (a.err or b.err):
+            return psd_check(b.matrix - a.matrix)
+        alg = self.algebra
+        pending = False
+        for j in range(alg.char_count):
+            alo, ahi = self._bounds(a, j)
+            blo, bhi = self._bounds(b, j)
+            if _cmp(alg, bhi, alo, j) < 0:
+                return False
+            # with both err free at j, the test above has decided it
+            if (alo is not ahi or blo is not bhi) and _cmp(alg, blo, ahi, j) < 0:
+                pending = True
+        return None if pending else True
 
     def sup_cut(self, a: HermElement) -> LocatedCut:
         self._require(a)

@@ -89,10 +89,6 @@ class LocatedCut:
         self._upper, self._lower = upper, lower
         return upper
 
-    def lower_witness(self, eps: Fraction) -> Fraction:
-        """Certified strict lower bound at tolerance eps."""
-        return self.approx(eps) - Fraction(eps)
-
 
 class RieszElement:
     """Base for concrete element types; arithmetic delegates to the space."""

@@ -261,10 +261,6 @@ class SpectrumNet:
     points: tuple[PointState, ...]
     shrink_info: tuple[tuple[Fraction, int], ...]
 
-    def eval_table(self, delta: Rational | None = None) -> list[list[Fraction]]:
-        d = Fraction(delta) if delta is not None else self.eps / 4
-        return [[pt.eval(e, d) for e in self.elements] for pt in self.points]
-
 
 def epsilon_net(
     space: RieszSpace,

@@ -1,0 +1,87 @@
+"""Every definition in the package is used somewhere in the package.
+
+A module-level function or class, or a method that is not a dunder, must
+be named in ``src/`` outside its own definition: called, read as an
+attribute, imported, given as a string (an ``__all__`` entry, an
+attribute looked up by name), or defined again under the same name, as
+an instance implements a method of its interface.  A name that only
+tests use is an export nothing needs, and is removed rather than kept.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "rieszspec"
+
+
+def _mentions(node: ast.AST) -> list[str]:
+    """Every name a subtree mentions, the names it defines included."""
+    out: list[str] = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+        elif isinstance(n, ast.alias):
+            out.append(n.name.rsplit(".", 1)[-1])
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append(n.name)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.append(n.value)
+    return out
+
+
+def _definitions(tree: ast.Module):
+    """Module-level functions and classes, and the non-dunder methods."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs[:2]) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def unused_definitions(root: Path = SRC) -> list[str]:
+    trees = {
+        p.relative_to(root).as_posix(): ast.parse(p.read_text(), str(p))
+        for p in sorted(root.rglob("*.py"))
+    }
+    counts: dict[str, int] = {}
+    for tree in trees.values():
+        for name in _mentions(tree):
+            counts[name] = counts.get(name, 0) + 1
+    unused = []
+    for path, tree in trees.items():
+        for label, node in _definitions(tree):
+            own = _mentions(node).count(node.name)
+            if counts.get(node.name, 0) - own <= 0:
+                unused.append(f"{path}:{label}")
+    return unused
+
+
+def test_every_definition_is_used_in_src():
+    assert unused_definitions() == []
+
+
+def test_a_definition_named_only_by_itself_is_flagged(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "__all__ = ['listed']\n"
+        "def listed():\n    return helper()\n"
+        "def helper():\n    return 1\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+        "class Base:\n"
+        "    def __init__(self):\n        self.used()\n"
+        "    def used(self):\n        return getattr(self, 'looked_up')\n"
+        "    def hook(self):\n        return 0\n"
+        "    def idle(self):\n        return self.idle\n"
+        "class Impl(Base):\n"
+        "    def hook(self):\n        return 1\n"
+        "    def looked_up(self):\n        return 2\n"
+    )
+    assert unused_definitions(tmp_path) == ["m.py:recursive", "m.py:Base.idle", "m.py:Impl"]

@@ -298,7 +298,7 @@ class TestFormulasAndMaterialize:
         hs = HermSpace([d1, d2])
         j = hs.join(hs.element(d1), hs.element(d2))
         assert j.formula is not None and j.matrix is None
-        vals = sorted(lo for lo, hi in j.value_range(F(1, 1 << 20)))
+        vals = sorted(lo for lo, hi in hs.value_ranges(j, tol=F(1, 1 << 20)))
         # pointwise maxima on the two characters: 3 and 4
         assert vals[0] <= F(3) <= vals[0] + F(1, 1 << 19)
         assert vals[1] <= F(4) <= vals[1] + F(1, 1 << 19)
@@ -328,7 +328,7 @@ class TestFormulasAndMaterialize:
         d2 = RationalMatrix.diagonal([F(3), F(2)])
         hs = HermSpace([d1, d2])
         m = hs.meet(hs.element(d1), hs.element(d2))
-        vals = sorted(lo for lo, hi in m.value_range(F(1, 1 << 20)))
+        vals = sorted(lo for lo, hi in hs.value_ranges(m, tol=F(1, 1 << 20)))
         assert vals[0] <= F(1) <= vals[0] + F(1, 1 << 19)
         assert vals[1] <= F(2) <= vals[1] + F(1, 1 << 19)
 
@@ -345,10 +345,7 @@ class TestFormulasAndMaterialize:
         d = RationalMatrix.diagonal([F(0), F(1, 2), F(1)])
         hs = HermSpace([d])
         cell = hs.in_interval(hs.element(d), F(1, 4), F(3, 4))
-        signs = sorted(
-            hs.algebra.value_sign(hs._char_value(cell, j), 0, j)
-            for j in range(hs.algebra.char_count)
-        )
+        signs = sorted(hs._char_sign(cell, j) for j in range(hs.algebra.char_count))
         # positive only on the middle character
         assert signs == [-1, -1, 1]
 
@@ -402,10 +399,10 @@ class TestExactRouteAgainstEigenvalues:
             ]
             got = set()
             for j in range(hs.algebra.char_count):
-                row = tuple(hs._char_value(e, j) for e in elems)
+                row = tuple(hs._bounds(e, j)[0] for e in elems)
                 assert all(isinstance(v, F) for v in row)
                 for e, v in zip(elems, row):
-                    assert e.value_range(F(1, 4))[j] == (v, v)
+                    assert hs.value_ranges(e, tol=F(1, 4))[j] == (v, v)
                 got.add(row)
             want = {
                 (x, y, max(x, y), min(x, y), min(x - p, q - x), x + y, c * max(x, -y))
@@ -464,7 +461,8 @@ class TestIrrationalCharacters:
         # second space, so the root boxes of hs stay as isolated
         roots = sympy.Poly(x**3 - 2 * x**2 - 3 * x + 5).real_roots()
         lam = []
-        for lo, hi in HermSpace([m]).element(m).value_range(F(1, 1 << 30)):
+        fresh = HermSpace([m])
+        for lo, hi in fresh.value_ranges(fresh.element(m), tol=F(1, 1 << 30)):
             hits = [r for r in roots if oracles.contains_exact(lo, hi, r)]
             assert len(hits) == 1
             lam.append(hits[0])
@@ -489,30 +487,74 @@ class TestIrrationalCharacters:
         ]
         for t in (F(1, 16), F(1, 1 << 20)):
             for e, op in cases:
-                for j, (lo, hi) in enumerate(e.value_range(t)):
+                for j, (lo, hi) in enumerate(hs.value_ranges(e, tol=t)):
                     assert hi - lo <= t
                     assert _encloses(lo, hi, op(lam[j], lam[j] ** 2 - 3))
 
-    def test_err_ball_formulas_walk_the_tree(self):
+    def test_err_ball_bounds_enclose_the_ball(self):
         hs, _, b, lam = self._cubic()
         m = hs.algebra.generators[0]
         ea = F(1, 64)
         a = hs.element(m, ea)
         t = F(1, 1 << 12)
         E = _rat(ea)
+        # (p, q) peaks at 51/40, within ea of the middle root 1.27389...
+        p, q = F(1, 2), F(41, 20)
+        P, Q = _rat(p), _rat(q)
         for e, op in (
             (hs.join(a, b), sympy.Max),
             (hs.meet(a, b), sympy.Min),
             (hs.add(a, hs.scale(F(-2), b)), lambda x, y: x - 2 * y),
+            (hs.in_interval(a, p, q), lambda x, y: sympy.Min(x - P, Q - x)),
+            (hs.scale(F(-3, 2), hs.join(a, b)), lambda x, y: -sympy.Max(x, y) * 3 / 2),
         ):
-            for j, (lo, hi) in enumerate(e.value_range(t)):
+            for j, (lo, hi) in enumerate(hs.value_ranges(e, tol=t)):
                 x, y = lam[j], lam[j] ** 2 - 3
-                # the whole ball: x moves by up to ea, monotonically in each op
-                assert _encloses(lo, hi, op(x - E, y)) and _encloses(lo, hi, op(x + E, y))
-                assert hi - lo <= 2 * ea + t
+                # each op takes its extremes over x in [x - ea, x + ea] at
+                # the ends or at the peak (P + Q)/2: the bounds enclose the
+                # whole ball, and each is exact to within t
+                peak = sympy.Max(x - E, sympy.Min((P + Q) / 2, x + E))
+                vals = [op(z, y) for z in (x - E, peak, x + E)]
+                for v in vals:
+                    assert _encloses(lo, hi, v)
+                assert bool(sympy.Min(*vals) - _rat(t) <= _rat(lo))
+                assert bool(_rat(hi) <= sympy.Max(*vals) + _rat(t))
+                assert hi - lo <= 2 * e.err + t
         two = hs.scale(F(2), hs.unit())
         assert hs.leq(hs.join(a, b), hs.add(a, two)) is True
         assert hs.leq(hs.add(a, two), hs.join(a, b)) is False
+
+    def test_err_ball_order_is_exact_where_bounds_touch(self):
+        # golden ratio algebra: a's upper bound G + 1/8 is b's lower bound
+        g = _mat([[1, 1], [1, 0]])
+        hs = HermSpace([g])
+        assert [hs.algebra.rational_root(j) for j in range(2)] == [None, None]
+        a = hs.element(g, F(1, 8))
+        b = hs.element(g + RationalMatrix.identity(2).scale(F(1, 4)), F(1, 8))
+        assert hs.leq(a, b) is True
+        assert hs.leq(b, a) is None
+        # deciding it refined no root box to a needless width
+        for lo, hi in hs.value_ranges(hs.in_interval(a, 0, 2), tol=F(1, 1024)):
+            assert max(lo.denominator, hi.denominator) <= 1 << 16
+
+    def test_repeated_queries_grow_no_algebra_state(self):
+        hs, a, _, lam = self._cubic()
+        alg = hs.algebra
+
+        def sizes():
+            return {k: len(v) for k, v in vars(alg).items() if isinstance(v, (dict, list))}
+
+        answers = []
+        for k in range(2010):
+            p = 2 - F(k + 1, 1009)
+            answers.append(hs.leq(hs.in_interval(a, p, 2), hs.zero()))
+            if k == 9:
+                after_ten = sizes()
+        assert sizes() == after_ten
+        # nonpositive exactly when no root lies in (p, 2); no p is near one
+        assert answers == [
+            not any(2 - F(k + 1, 1009) < r < 2 for r in map(float, lam)) for k in range(2010)
+        ]
 
     def test_order_and_dominance_at_irrational_characters(self):
         hs, a, b, lam = self._cubic()
@@ -547,7 +589,7 @@ class TestIrrationalCharacters:
         )
         signs = []
         for j in range(4):
-            v = hs._char_value(z, j)
+            v = hs._bounds(z, j)[0]
             lo, hi = alg.root_box(j, F(1, 4))
             vlo, vhi = poly_eval_interval(v, lo, hi)
             before = len(calls)
@@ -566,7 +608,7 @@ class TestIrrationalCharacters:
     def test_dropped_formula_is_freed(self):
         hs, a, b, _ = self._cubic()
         e = hs.in_interval(hs.join(a, b), F(1, 2), F(9, 4))
-        e.value_range(F(1, 64))
+        hs.value_ranges(e, tol=F(1, 64))
         assert hs.leq(hs.meet(a, b), e) is False
         ref = weakref.ref(e)
         del e

@@ -205,8 +205,11 @@ def test_unit_is_strong():
 class TestLocatedCut:
     def test_exact_cut(self):
         c = LocatedCut.exact(F(1, 3))
-        assert c.approx(F(1, 100)) == F(1, 3)
-        assert c.lower_witness(F(1, 100)) == F(1, 3) - F(1, 100)
+        eps = F(1, 100)
+        s = c.approx(eps)
+        assert s == F(1, 3)
+        # s - eps is a certified strict lower bound
+        assert s - eps < F(1, 3) <= s
 
     def test_refinement_never_contradicts(self):
         # a deliberately sloppy backend: returns value + eps/2

@@ -336,7 +336,7 @@ class TestEpsilonNet:
         q2 = QnSpace(2)
         e1, e2 = q2.element([0, 1]), q2.element([1, 0])
         net = epsilon_net(q2, [e1, e2], F(1, 8))
-        table = net.eval_table()
+        table = [[pt.eval(e, net.eps / 4) for e in net.elements] for pt in net.points]
         tol = 2 * net.resolution + net.eps
         targets = [(F(0), F(1)), (F(1), F(0))]
         for row in table:
