@@ -74,8 +74,6 @@ from ..riesz import (
     RieszSpace,
     SpaceMismatchError,
     ToleranceError,
-    pair_index,
-    rational_at,
 )
 
 __all__ = ["CommutingAlgebra", "HermElement", "HermSpace"]
@@ -819,17 +817,6 @@ class HermSpace(RieszSpace):
 
     def join_with_tol(self, a: HermElement, b: HermElement, tol: Rational) -> HermElement:
         return self.materialize(self.join(a, b), tol)
-
-    # -- enumeration -----------------------------------------------------
-
-    def dense_element(self, index: int) -> HermElement:
-        coords = []
-        rest = index
-        for _ in range(self.algebra.size - 1):
-            rest, k = pair_index(rest)
-            coords.append(rational_at(k))
-        coords.append(rational_at(rest))
-        return HermElement(self, self.algebra.mat_of(coords), Fraction(0))
 
     # -- helpers ---------------------------------------------------------
 

@@ -29,13 +29,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from ..exact import RatInterval
-from ..riesz import (
-    LocatedCut,
-    RieszElement,
-    RieszSpace,
-    pair_index,
-    rational_at,
-)
+from ..riesz import LocatedCut, RieszElement, RieszSpace
 
 __all__ = ["PLSpace", "PLElement"]
 
@@ -281,17 +275,6 @@ class PLSpace(RieszSpace):
         if y <= 0:
             return 0
         return -((-y) // d)
-
-    def dense_element(self, k: int) -> PLElement:
-        res, rest = pair_index(k)
-        pieces = res + 1
-        ys = []
-        for _ in range(pieces):
-            i, rest = pair_index(rest)
-            ys.append(rational_at(i))
-        ys.append(rational_at(rest))
-        xs = [Fraction(i, pieces) for i in range(pieces + 1)]
-        return self.element(list(zip(xs, ys)))
 
     # ----- exact structure helpers ----------------------------------
 

@@ -6,13 +6,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..exact import RatInterval
-from ..riesz import (
-    LocatedCut,
-    RieszElement,
-    RieszSpace,
-    pair_index,
-    rational_at,
-)
+from ..riesz import LocatedCut, RieszElement, RieszSpace
 
 __all__ = ["QnSpace", "QnElement"]
 
@@ -84,15 +78,6 @@ class QnSpace(RieszSpace):
         if m <= 0:
             return 0
         return -((-m.numerator) // m.denominator)  # ceil
-
-    def dense_element(self, k: int) -> QnElement:
-        vals = []
-        rest = k
-        for _ in range(self.n - 1):
-            i, rest = pair_index(rest)
-            vals.append(rational_at(i))
-        vals.append(rational_at(rest))
-        return self.element(vals)
 
     # ----- capability hooks -----------------------------------------
 

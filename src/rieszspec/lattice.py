@@ -14,13 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import RatInterval, interval_grid_window
-from .riesz import (
-    CertificateError,
-    Rational,
-    RieszElement,
-    RieszSpace,
-    ToleranceError,
-)
+from .riesz import CertificateError, Rational, RieszElement, RieszSpace
 
 __all__ = [
     "LatticeElement",
@@ -63,32 +57,19 @@ def _join_pos(space: RieszSpace, parts: Sequence[RieszElement]) -> RieszElement:
     return join_all(space, [_pos(space, p) for p in parts])
 
 
-def precedes(
-    space: RieszSpace,
-    x: RieszElement,
-    y: RieszElement,
-    max_n: int = 1 << 20,
-) -> int | None:
+def precedes(space: RieszSpace, x: RieszElement, y: RieszElement) -> int | None:
     """A multiplier n with x <= n * y, or None if none was established.
 
-    Instances that can bound value ratios supply a candidate ceiling,
-    which is always re-verified by an order test; without one the search
-    doubles n.  None covers both a certified failure (the instance ruled
-    support inclusion out) and plain exhaustion, matching the one sided
-    nature of dominance.
+    The instance's dominance ceiling proposes n and one order test
+    verifies it.  None then means no multiple works: n is at least x/y
+    wherever x > 0, so a failed test puts y < 0 at a point where x <= 0,
+    and a larger n only makes that worse.  Instances that track an error
+    radius raise ToleranceError from the ceiling instead of guessing.
     """
-    try:
-        hint = space.dominance_ceiling(x, y)
-        if hint is None:
-            return None
-        n = hint
-    except NotImplementedError:
-        n = 1
-    while n <= max_n:
-        if space.leq(x, space.scale(n, y)) is True:
-            return n
-        n *= 2
-    return None
+    n = space.dominance_ceiling(x, y)
+    if n is None or space.leq(x, space.scale(n, y)) is not True:
+        return None
+    return n
 
 
 @dataclass(frozen=True)
@@ -145,9 +126,13 @@ def certify_cover(
     space: RieszSpace,
     target: RieszElement,
     parts: Sequence[RieszElement],
-    max_n: int = 1 << 20,
 ) -> CoverCertificate:
-    n = precedes(space, _pos(space, target), _join_pos(space, parts), max_n=max_n)
+    """Certificate that target's class is below the join of the parts' classes.
+
+    The multiplier is the one precedes verifies; CertificateError when
+    none is established.
+    """
+    n = precedes(space, _pos(space, target), _join_pos(space, parts))
     if n is None:
         raise CertificateError("no dominance multiplier found for the cover")
     return CoverCertificate(space, target, tuple(parts), n)
@@ -203,61 +188,30 @@ class ShrinkResult:
     cert: CoverCertificate
 
 
-def shrink_cover(
-    space: RieszSpace,
-    cells: Sequence[RieszElement],
-    eps_floor: Rational = Fraction(1, 1 << 48),
-) -> ShrinkResult:
-    """Find r > 0 with the unit class still covered after lowering by r.
+def shrink_cover(space: RieszSpace, cells: Sequence[RieszElement]) -> ShrinkResult:
+    """Lower every cell by r > 0 with the unit class still covered.
 
-    From a multiplier N with 1 <= N * join(cells), the join is at least
-    1/N, so lowering by r = 1/(2N) keeps it at least 1/(2N) and the
-    doubled multiplier certifies the shrunken cover.  N is rounded up to
-    a power of two.  If order tests stay undecided (err carrying cells),
-    the infimum of the join is located through supremum queries on its
-    negation at shrinking tolerance until a positive lower witness
-    appears, down to eps_floor.
+    From the multiplier N that precedes verifies for 1 <= N * join(cells),
+    rounded up to a power of two n, the join is at least 1/n; lowering by
+    r = 1/(2n) keeps it at least 1/(2n), which multiplier 2n certifies.
+    CertificateError when the cells do not cover the unit class or the
+    shrunken certificate fails to verify.
     """
     if not cells:
         raise CertificateError("an empty cover admits no shrink")
     unit = space.unit()
-    joined = join_all(space, list(cells))
-    n0 = precedes(space, unit, _pos(space, joined))
-
-    def attempt(r: Fraction, mult: int) -> ShrinkResult | None:
-        shrunk = [space.add(b, space.scale(-r, unit)) for b in cells]
-        cert = CoverCertificate(space, unit, tuple(shrunk), mult)
-        if cert.verify():
-            return ShrinkResult(r, mult, tuple(shrunk), cert)
-        return None
-
-    if n0 is not None:
-        n = 1
-        while n < n0:
-            n *= 2
-        got = attempt(Fraction(1, 2 * n), 2 * n)
-        if got is not None:
-            return got
-
-    # Undecided order tests: locate inf join(cells) = -sup(-join) directly.
-    neg_cut = space.sup_cut(space.negate(joined))
-    eps = Fraction(1, 4)
-    floor = Fraction(eps_floor)
-    while eps >= floor:
-        try:
-            lower = -neg_cut.approx(eps)
-        except ToleranceError:
-            break
-        if lower > 0:
-            r = lower / 2
-            n = 1
-            while Fraction(1, n) > r:
-                n *= 2
-            got = attempt(r, 2 * n)
-            if got is not None:
-                return got
-        eps = eps / 4
-    raise CertificateError("cover admits no certified positive shrink")
+    n0 = precedes(space, unit, _pos(space, join_all(space, list(cells))))
+    if n0 is None:
+        raise CertificateError("cells do not cover the unit class")
+    n = 1
+    while n < n0:
+        n *= 2
+    r = Fraction(1, 2 * n)
+    shrunk = tuple(space.add(b, space.scale(-r, unit)) for b in cells)
+    cert = CoverCertificate(space, unit, shrunk, 2 * n)
+    if not cert.verify():
+        raise CertificateError("shrunken cover failed to verify")
+    return ShrinkResult(r, 2 * n, shrunk, cert)
 
 
 def prune_cover(

@@ -56,17 +56,11 @@ class CertificateError(RuntimeError):
 class LocatedCut:
     """Upper cut of a real value, queried through one sided approximations.
 
-    ``approx(eps)`` returns a rational s with  s - eps < value <= s.  The
-    best bounds seen so far are cached, so repeated queries refine
-    monotonically: a later, finer answer never contradicts an earlier one
-    by more than the earlier tolerance.  A cut is for single-threaded use;
-    it takes no lock.
+    ``approx(eps)`` returns a rational s with  s - eps < value <= s.
     """
 
     def __init__(self, fn: Callable[[Fraction], Fraction]):
         self._fn = fn
-        self._upper: Optional[Fraction] = None
-        self._lower: Optional[Fraction] = None  # certified strict lower bound
 
     @classmethod
     def exact(cls, value: Fraction) -> "LocatedCut":
@@ -77,17 +71,7 @@ class LocatedCut:
         eps = Fraction(eps)
         if eps <= 0:
             raise ValueError("tolerance must be positive")
-        if (
-            self._upper is not None
-            and self._lower is not None
-            and self._upper - self._lower <= eps
-        ):
-            return self._upper
-        s = self._fn(eps)
-        upper = s if self._upper is None else min(s, self._upper)
-        lower = s - eps if self._lower is None else max(s - eps, self._lower)
-        self._upper, self._lower = upper, lower
-        return upper
+        return self._fn(eps)
 
 
 class RieszElement:
@@ -179,10 +163,6 @@ class RieszSpace(ABC):
         qu = self.scale(q, self.unit())
         return self.meet(self.add(a, self.negate(pu)), self.add(qu, self.negate(a)))
 
-    def dense_element(self, k: int) -> RieszElement:
-        """k-th element of a fixed sequence dense in the unit ball."""
-        raise NotImplementedError(f"{type(self).__name__} does not enumerate a dense sequence")
-
     # ----- capability hooks used by search routines ------------------
 
     def value_ranges(
@@ -212,14 +192,14 @@ class RieszSpace(ABC):
         """
         return iv.width / 2
 
+    @abstractmethod
     def dominance_ceiling(self, x: RieszElement, y: RieszElement) -> Optional[int]:
-        """For positive x, y: an integer N with x <= N*y when some multiple
-        works, or None when provably no multiple works.
+        """For positive x, y: an integer N >= 1 at least x/y wherever x > 0,
+        or None when provably no multiple of y is above x.
 
-        Instances with exact order implement this; error tracked instances
-        may raise ToleranceError.
+        precedes verifies N with one order test.  Instances that track an
+        error radius may raise ToleranceError.
         """
-        raise NotImplementedError
 
 
 # ----- free functions over the contract ------------------------------
@@ -252,32 +232,3 @@ def norm_cut(a: RieszElement) -> LocatedCut:
 
 def unit_bound(a: RieszElement) -> int:
     return a.space.unit_bound(a)
-
-
-# ----- shared helpers ------------------------------------------------
-
-
-def pair_index(k: int) -> tuple[int, int]:
-    """Cantor style unpairing of a nonnegative integer, deterministic."""
-    if k < 0:
-        raise ValueError("index must be nonnegative")
-    # diagonal d with d(d+1)/2 <= k
-    d = 0
-    while (d + 1) * (d + 2) // 2 <= k:
-        d += 1
-    off = k - d * (d + 1) // 2
-    return off, d - off
-
-
-def integer_at(k: int) -> int:
-    """0, 1, -1, 2, -2, ... enumeration of the integers."""
-    if k == 0:
-        return 0
-    half, odd = divmod(k + 1, 2)
-    return half if odd else -half
-
-
-def rational_at(k: int) -> Fraction:
-    """Fixed enumeration of the rationals, dense, no repetition guarantees."""
-    i, j = pair_index(k)
-    return Fraction(integer_at(i), j + 1)

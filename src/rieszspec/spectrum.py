@@ -102,6 +102,27 @@ def sup_approx(space: RieszSpace, a: RieszElement, eps: Rational) -> Fraction:
     return hi
 
 
+def _dyadic_level(eps: Fraction) -> int:
+    """The least level >= 0 with 2^-level <= eps."""
+    level = 0
+    while Fraction(1, 1 << level) > eps:
+        level += 1
+    return level
+
+
+def _constraint_meet(
+    space: RieszSpace, constraints: Sequence[tuple[RieszElement, Fraction, Fraction]]
+) -> RieszElement:
+    """Meet of the interval elements of the constraints, folded left."""
+    m = None
+    for e, lo, hi in constraints:
+        cell = space.in_interval(e, lo, hi)
+        m = cell if m is None else space.meet(m, cell)
+    if m is None:
+        raise ValueError("a point needs at least one constraint")
+    return m
+
+
 class PointState:
     """A spectrum point under refinement; not safe for concurrent use."""
 
@@ -127,14 +148,7 @@ class PointState:
     def meet_element(self) -> RieszElement:
         """Cached meet of all interval constraints."""
         if self._meet is None:
-            space = self.space
-            m = None
-            for e, lo, hi in self.constraints:
-                cell = space.in_interval(e, lo, hi)
-                m = cell if m is None else space.meet(m, cell)
-            if m is None:
-                raise ValueError("a point needs at least one constraint")
-            self._meet = m
+            self._meet = _constraint_meet(self.space, self.constraints)
         return self._meet
 
     def eval(self, b: RieszElement, eps: Rational) -> Fraction:
@@ -149,9 +163,7 @@ class PointState:
         eps = Fraction(eps)
         if eps <= 0:
             raise ValueError("eps must be positive")
-        level = 0
-        while Fraction(1, 1 << level) > eps:
-            level += 1
+        level = _dyadic_level(eps)
         key = (b, level)
         cached = self._evals.get(key)
         if cached is not None:
@@ -209,12 +221,7 @@ def point_new(
 ) -> PointState:
     """Start a point from interval constraints, certifying its margin."""
     cs = [(e, Fraction(lo), Fraction(hi)) for e, lo, hi in constraints]
-    if not cs:
-        raise ValueError("a point needs at least one constraint")
-    m = None
-    for e, lo, hi in cs:
-        cell = space.in_interval(e, lo, hi)
-        m = cell if m is None else space.meet(m, cell)
+    m = _constraint_meet(space, cs)
     delta = min(hi - lo for _, lo, hi in cs) / 8
     s = space.sup_cut(m).approx(delta)
     margin = s - delta
@@ -282,10 +289,7 @@ def epsilon_net(
         raise ValueError("eps must be positive")
     if not elements:
         raise ValueError("net needs at least one element")
-    level = 0
-    while Fraction(1, 1 << level) > eps:
-        level += 1
-    w = Fraction(1, 1 << level)
+    w = Fraction(1, 1 << _dyadic_level(eps))
 
     per_elem: list[list[tuple[RatInterval, RieszElement]]] = []
     shrink_info: list[tuple[Fraction, int]] = []

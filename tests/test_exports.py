@@ -2,10 +2,11 @@
 
 A module-level function or class, or a method that is not a dunder, must
 be named in ``src/`` outside its own definition: called, read as an
-attribute, imported, given as a string (an ``__all__`` entry, an
-attribute looked up by name), or defined again under the same name, as
-an instance implements a method of its interface.  A name that only
-tests use is an export nothing needs, and is removed rather than kept.
+attribute, imported, or given as a string (an ``__all__`` entry, an
+attribute looked up by name).  Defining the same name again does not
+count: an interface method that only instances implement and nothing
+calls is unused too.  A name that only tests use is an export nothing
+needs, and is removed rather than kept.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "rieszspec"
 
 
 def _mentions(node: ast.AST) -> list[str]:
-    """Every name a subtree mentions, the names it defines included."""
+    """Every name a subtree mentions; the names it defines do not count."""
     out: list[str] = []
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
@@ -25,8 +26,6 @@ def _mentions(node: ast.AST) -> list[str]:
             out.append(n.attr)
         elif isinstance(n, ast.alias):
             out.append(n.name.rsplit(".", 1)[-1])
-        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            out.append(n.name)
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
             out.append(n.value)
     return out
@@ -84,4 +83,6 @@ def test_a_definition_named_only_by_itself_is_flagged(tmp_path):
         "    def hook(self):\n        return 1\n"
         "    def looked_up(self):\n        return 2\n"
     )
-    assert unused_definitions(tmp_path) == ["m.py:recursive", "m.py:Base.idle", "m.py:Impl"]
+    assert unused_definitions(tmp_path) == [
+        "m.py:recursive", "m.py:Base.hook", "m.py:Base.idle", "m.py:Impl", "m.py:Impl.hook"
+    ]

@@ -118,15 +118,6 @@ class TestHooks:
         z = q3.element([F(0), F(0), F(1)])
         assert q3.dominance_ceiling(z, y) is None
 
-    def test_dense_sequence_varies(self):
-        q3 = QnSpace(3)
-        seen = {q3.dense_element(k).coords for k in range(400)}
-        assert len(seen) > 30
-        # reaches strictly inside the unit ball, not only lattice points
-        assert any(
-            all(abs(v) < 1 for v in c) and any(v != 0 for v in c) for c in seen
-        )
-
 
 # ----- one-pass routes and plain Fraction evaluation ------------------
 

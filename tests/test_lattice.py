@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from rieszspec.exact import interval_grid_window
-from rieszspec.instances import PLSpace, QnSpace
+from rieszspec.exact import RationalMatrix, interval_grid_window
+from rieszspec.instances import HermSpace, PLSpace, QnSpace
 from rieszspec.lattice import (
     CoverCertificate,
     certify_cover,
@@ -17,7 +17,7 @@ from rieszspec.lattice import (
     prune_cover,
     shrink_cover,
 )
-from rieszspec.riesz import CertificateError
+from rieszspec.riesz import CertificateError, ToleranceError
 from rieszspec.sampling import rand_pl, rand_qn
 
 
@@ -93,6 +93,13 @@ class TestPrecedes:
         assert precedes(q3, q3.element([F(1), F(0), F(0)]), q3.element([F(0), F(1), F(0)])) is None
         # reflexive with multiplier one
         assert precedes(q3, x, x) == 1
+
+    def test_large_multiplier_is_found(self):
+        # the ceiling 2^21 is verified as is; no search caps it
+        q1 = QnSpace(1)
+        x, y = q1.element([F(1)]), q1.element([F(1, 1 << 21)])
+        assert precedes(q1, x, y) == 1 << 21
+        assert d_of(q1, x).below(d_of(q1, y))
 
     def test_found_multiplier_always_verifies(self):
         pls = PLSpace()
@@ -219,6 +226,24 @@ class TestShrinkCover:
         q2 = QnSpace(2)
         with pytest.raises(CertificateError):
             shrink_cover(q2, [q2.element([F(1), F(0)])])  # second coord uncovered
+
+    def test_uncoverable_fails_without_cut_queries(self):
+        class CountingQn(QnSpace):
+            cuts = 0
+
+            def sup_cut(self, a):
+                self.cuts += 1
+                return super().sup_cut(a)
+
+        q2 = CountingQn(2)
+        with pytest.raises(CertificateError):
+            shrink_cover(q2, [q2.element([F(1), F(0)])])
+        assert q2.cuts == 0
+        # err carrying Herm cells fail closed in the dominance ceiling
+        hs = HermSpace([RationalMatrix.diagonal([F(1), F(2)])])
+        cells = [hs.element(RationalMatrix.diagonal([F(2), F(3)]), err=F(1, 8))]
+        with pytest.raises(ToleranceError):
+            shrink_cover(hs, cells)
 
     def test_random_recertify(self):
         pls = PLSpace()
