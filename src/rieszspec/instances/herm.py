@@ -15,6 +15,16 @@ polynomial).  A rational root is held exactly, and the values of err
 free elements at its character are exact rationals; an irrational root
 stays isolated by Sturm sequences.
 
+The algebra is built without ``Fraction`` elimination.  Matrices are
+flattened over one common denominator, and each echelon row is a
+primitive integer vector whose pivot entry is its denominator, so a
+reduction step is p*v - a*r followed by one gcd.  The product closure,
+the multiplication table and the separating candidates run on these
+integer vectors.  For the separating member G one pass eliminates the
+rows [coords(G**k) | e_k]: the first dependent row gives the minimal
+polynomial, and the rows before it rewrite any member's coordinates in
+the power basis of G.
+
 Order facts (is b - a positive semidefinite, suprema of spectra, how far
 an element sits inside an interval) then reduce to exact comparisons of
 rationals at rational characters, and elsewhere to exact sign tests and
@@ -37,7 +47,8 @@ one value, its lower and upper bound at once; at each join, meet and
 interval node one exact sign test per bound picks the operand.  The
 bounds are kept on the element itself, so they live exactly as long as
 it does.  Beyond its per character root data, the algebra caches only
-one value polynomial per distinct matrix.  ``leq`` compares bounds by
+one value polynomial per distinct matrix, at most ``_VPOLY_CAP`` of
+them, dropping the oldest first.  ``leq`` compares bounds by
 exact sign tests, so it answers None only where the balls overlap at
 some character, and an enclosure of an element's values encloses its
 two bounds.  :meth:`HermSpace.materialize` turns a formula back into a
@@ -50,9 +61,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
-from ..exact import RationalMatrix, RatInterval, invert, psd_check
+from ..exact import RationalMatrix, RatInterval, psd_check
 from ..polyroots import (
     Poly,
     count_roots,
@@ -115,6 +127,81 @@ def _cmp(alg: "CommutingAlgebra", x: Value, y: Value | Rational, j: int) -> int:
     return alg.value_sign(x, y, j)
 
 
+# Value polynomials an algebra keeps, the oldest dropped first.  A herm
+# bench round reads at most about 40 distinct matrices per algebra.
+_VPOLY_CAP = 1024
+
+
+def _integers(vals: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(v, den) with vals == v / den, den the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in vals))
+    return [c.numerator * (den // c.denominator) for c in vals], den
+
+
+def _flat(m: RationalMatrix) -> tuple[list[int], int]:
+    """m flattened row by row, as (v, den) from _integers."""
+    return _integers([c for row in m.entries for c in row])
+
+
+def _matmul(a: list[int], b: list[int], d: int) -> list[int]:
+    """Product of two flattened integer d x d matrices."""
+    cols = [b[j::d] for j in range(d)]
+    return [sum(map(mul, a[i : i + d], col)) for i in range(0, d * d, d) for col in cols]
+
+
+def _eye(d: int) -> list[int]:
+    return [int(i == j) for i in range(d) for j in range(d)]
+
+
+def _matrix(v: list[int], den: int, d: int) -> RationalMatrix:
+    """The matrix whose flattened entries are v / den."""
+    return RationalMatrix(
+        tuple(tuple(Fraction(x, den) for x in v[i : i + d]) for i in range(0, d * d, d))
+    )
+
+
+def _row(v: list[int], piv: int) -> list[int]:
+    """v divided by its content, the sign chosen so that v[piv] > 0."""
+    g = math.gcd(*v)
+    if v[piv] < 0:
+        g = -g
+    return v if g == 1 else [x // g for x in v]
+
+
+def _reduce(
+    rows: list[tuple[list[int], int]],
+    v: list[int],
+    den: int,
+    coeffs: list[Fraction] | None = None,
+) -> tuple[list[int], int, int]:
+    """Eliminate the vector v / den against echelon rows.
+
+    A row (r, piv) is a primitive integer vector whose pivot entry
+    p = r[piv] > 0 is its denominator: it stands for r / p, which is 1 at
+    piv.  With a = v[piv], the step v <- (p*v - a*r) / g, g the content
+    of the new v, clears v at piv in integers and keeps v primitive, so
+    its bit size stays bounded.  The vector v / den is tracked as
+    (sn / sd) * v.  Returns (v, sn, sd), and appends to coeffs, if given,
+    the multiple of each row taken away, a Fraction.
+    """
+    sn, sd = 1, den
+    for r, piv in rows:
+        a = v[piv]
+        if not a:
+            if coeffs is not None:
+                coeffs.append(Fraction(0))
+            continue
+        if coeffs is not None:
+            coeffs.append(Fraction(a * sn, sd))
+        p = r[piv]
+        v = [p * x - a * y for x, y in zip(v, r)]
+        g = math.gcd(*v)
+        if g > 1:
+            v = [x // g for x in v]
+        sn, sd = sn * g, sd * p
+    return v, sn, sd
+
+
 class CommutingAlgebra:
     """Unital algebra generated by commuting symmetric rational matrices.
 
@@ -157,32 +244,42 @@ class CommutingAlgebra:
 
         # Echelon basis of the span, closed under products.  Rows are the
         # flattened basis matrices reduced in insertion order, so later
-        # rows vanish at the pivots of earlier ones.
-        self._rows: list[tuple[list[Fraction], int]] = []
+        # rows vanish at the pivots of earlier ones; each is held as an
+        # integer row (see _reduce) and basis matrix k is row k over its
+        # pivot entry.
+        self._rows: list[tuple[list[int], int]] = []
         self._basis: list[RationalMatrix] = []
-        self._insert(RationalMatrix.identity(dim))
-        for g in gens:
+        ints = [_flat(g)[0] for g in gens]
+        self._insert(_eye(dim))
+        for g in ints:
             self._insert(g)
-        queue = list(self._basis[1:])
+        queue = [r for r, _ in self._rows[1:]]
         while queue:
             m = queue.pop(0)
-            for g in gens:
-                if self._insert(m @ g):
-                    queue.append(self._basis[-1])
+            for g in ints:
+                if self._insert(_matmul(m, g, dim)):
+                    queue.append(self._rows[-1][0])
         self.size = len(self._basis)
+        # max absolute row sum of each basis matrix, summed
         self.basis_norm_sum: Fraction = sum(
-            (e.row_sum_bound() for e in self._basis), Fraction(0)
+            (
+                Fraction(max(sum(map(abs, r[i : i + dim])) for i in range(0, dim**2, dim)), r[piv])
+                for r, piv in self._rows
+            ),
+            Fraction(0),
         )
 
         # Multiplication table in basis coordinates.
         self._table: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-        for i in range(self.size):
+        for i, (ri, pi) in enumerate(self._rows):
             for j in range(i, self.size):
-                coords = self.coords_of(self._basis[i] @ self._basis[j])
+                rj, pj = self._rows[j]
+                coords = self._coords(_matmul(ri, rj, dim), ri[pi] * rj[pj])
                 if coords is None:
                     raise ValueError("algebra closure failed to capture a product")
                 self._table[(i, j)] = coords
 
+        # value polynomial per matrix, the oldest dropped past _VPOLY_CAP
         self._vpoly: dict[RationalMatrix, Poly] = {}
         # per character, once decided: its rational root, or None
         self._exact: dict[int, Fraction | None] = {}
@@ -192,38 +289,27 @@ class CommutingAlgebra:
 
     # -- linear structure ------------------------------------------------
 
-    def _insert(self, m: RationalMatrix) -> bool:
-        vec = [c for row in m.entries for c in row]
-        for rvec, piv in self._rows:
-            f = vec[piv]
-            if f:
-                for k in range(len(vec)):
-                    vec[k] -= f * rvec[k]
-        piv = next((k for k, v in enumerate(vec) if v), None)
+    def _insert(self, v: list[int]) -> bool:
+        """Add the flattened integer matrix v to the basis unless in the span."""
+        v = _reduce(self._rows, v, 1)[0]
+        piv = next((k for k, x in enumerate(v) if x), None)
         if piv is None:
             return False
-        inv = 1 / vec[piv]
-        vec = [v * inv for v in vec]
-        self._rows.append((vec, piv))
-        d = self.dim
-        self._basis.append(
-            RationalMatrix.from_rows([vec[r * d : (r + 1) * d] for r in range(d)])
-        )
+        v = _row(v, piv)
+        self._rows.append((v, piv))
+        self._basis.append(_matrix(v, v[piv], self.dim))
         return True
+
+    def _coords(self, v: list[int], den: int) -> tuple[Fraction, ...] | None:
+        """Coordinates of the matrix v / den, flattened, or None if outside the span."""
+        coords: list[Fraction] = []
+        if any(_reduce(self._rows, v, den, coords)[0]):
+            return None
+        return tuple(coords)
 
     def coords_of(self, m: RationalMatrix) -> tuple[Fraction, ...] | None:
         """Coordinates of m in the reduced basis, or None if outside the span."""
-        vec = [c for row in m.entries for c in row]
-        coords: list[Fraction] = []
-        for rvec, piv in self._rows:
-            f = vec[piv]
-            coords.append(f)
-            if f:
-                for k in range(len(vec)):
-                    vec[k] -= f * rvec[k]
-        if any(vec):
-            return None
-        return tuple(coords)
+        return self._coords(*_flat(m))
 
     def mat_of(self, coords: Sequence[Rational]) -> RationalMatrix:
         out = RationalMatrix.zeros(self.dim)
@@ -254,21 +340,20 @@ class CommutingAlgebra:
 
     def _init_characters(self) -> None:
         s = self.size
-        sep = None
+        # basis matrix k is scaled[k] / bden
+        bden = math.lcm(*(r[piv] for r, piv in self._rows))
+        scaled = [[x * (bden // r[piv]) for x in r] for r, piv in self._rows]
         for t in range(64):
-            w = Fraction(1)
-            cand = RationalMatrix.zeros(self.dim)
-            for e in self._basis:
-                cand = cand + e.scale(w)
-                w *= t + 1
-            mp = self._minpoly_of(cand)
+            weights = [(t + 1) ** k for k in range(s)]
+            cand = [sum(map(mul, weights, col)) for col in zip(*scaled)]
+            mp, krylov = self._krylov_of(cand, bden)
             if len(mp) - 1 == s:
-                sep = cand
-                self._minpoly = mp
                 break
-        if sep is None:  # pragma: no cover - generic weights always separate
+        else:  # pragma: no cover - generic weights always separate
             raise ValueError("no separating combination found in the algebra")
-        self._sep = sep
+        self._minpoly = mp
+        self._krylov = krylov
+        self._sep = _matrix(cand, bden, self.dim)
         roots = isolate_real_roots(self._minpoly)
         if len(roots) != s:  # pragma: no cover - spectra here are always real
             raise ValueError("separating member has unexpected complex spectrum")
@@ -278,65 +363,56 @@ class CommutingAlgebra:
         den = math.lcm(*(c.denominator for c in self._minpoly))
         self._lead = den // math.gcd(*(int(c * den) for c in self._minpoly))
 
-        # Power basis change: coordinates -> polynomial in the separating member.
-        power = RationalMatrix.identity(self.dim)
-        cols = []
-        for _ in range(s):
-            c = self.coords_of(power)
-            assert c is not None
-            cols.append(c)
-            power = power @ sep
-        pm = RationalMatrix.from_rows([[cols[i][r] for i in range(s)] for r in range(s)])
-        self._power_inv = invert(pm)
+    def _krylov_of(
+        self, g: list[int], den: int
+    ) -> tuple[Poly, list[tuple[list[int], int]]]:
+        """Minimal polynomial of the member G = g / den, and its power rows.
 
-    def _minpoly_of(self, m: RationalMatrix) -> Poly:
-        rows: list[tuple[list[Fraction], int, dict[int, Fraction]]] = []
-        power = RationalMatrix.identity(self.dim)
-        k = 0
+        Row k starts as [coords(G**k) | e_k] over one denominator, and the
+        rows are reduced in order.  Each row's right part records which
+        combination of powers its left part is, so when the coordinates of
+        some G**k reduce to zero the right part holds the minimal
+        polynomial, up to a factor.  The rows of G**0 .. G**(k-1) come back
+        with it.  Right parts have room for e_s: G**s is always dependent.
+        """
+        s, d = self.size, self.dim
+        rows: list[tuple[list[int], int]] = []
+        power, pden, k = _eye(d), 1, 0
         while True:
-            coords = self.coords_of(power)
+            coords = self._coords(power, pden)
             assert coords is not None
-            vec = list(coords)
-            combo = {k: Fraction(1)}
-            for rvec, piv, cmb in rows:
-                f = vec[piv]
-                if f:
-                    for t in range(len(vec)):
-                        vec[t] -= f * rvec[t]
-                    for i, c in cmb.items():
-                        combo[i] = combo.get(i, Fraction(0)) - f * c
-            piv = next((t for t, v in enumerate(vec) if v), None)
+            v, cden = _integers(coords)
+            v += [cden if i == k else 0 for i in range(s + 1)]
+            v = _reduce(rows, v, 1)[0]
+            piv = next((i for i, x in enumerate(v[:s]) if x), None)
             if piv is None:
-                out = [Fraction(0)] * (k + 1)
-                for i, c in combo.items():
-                    out[i] = c
-                return poly_normalize(out)
-            inv = 1 / vec[piv]
-            rows.append(
-                ([v * inv for v in vec], piv, {i: c * inv for i, c in combo.items()})
-            )
-            power = power @ m
-            k += 1
+                return tuple(Fraction(x, v[s + k]) for x in v[s : s + k + 1]), rows
+            rows.append((_row(v, piv), piv))
+            power, pden, k = _matmul(power, g, d), pden * den, k + 1
 
     @property
     def char_count(self) -> int:
         return len(self._roots)
 
     def value_poly_of(self, m: RationalMatrix) -> Poly:
-        """Polynomial q with q(gamma_j) = value of m at character j."""
+        """Polynomial q with q(gamma_j) = value of m at character j.
+
+        m's coordinates [c | 0] reduce against the power rows to [0 | -q],
+        since each row's left part is the combination of the coordinates
+        of powers of the separating member that its right part names.
+        """
         q = self._vpoly.get(m)
         if q is not None:
             return q
         coords = self.coords_of(m)
         if coords is None:
             raise SpaceMismatchError("matrix lies outside the algebra span")
-        inv = self._power_inv.entries
-        q = poly_normalize(
-            [
-                sum(inv[i][t] * coords[t] for t in range(self.size))
-                for i in range(self.size)
-            ]
-        )
+        s = self.size
+        v, cden = _integers(coords)
+        v, sn, sd = _reduce(self._krylov, v + [0] * (s + 1), cden)
+        q = poly_normalize([Fraction(-sn * x, sd) for x in v[s : 2 * s]])
+        if len(self._vpoly) >= _VPOLY_CAP:
+            del self._vpoly[next(iter(self._vpoly))]
         self._vpoly[m] = q
         return q
 

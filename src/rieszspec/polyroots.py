@@ -14,7 +14,9 @@ sign of p at a/b, b > 0, is the sign of b**n * p(a/b), which homogeneous
 Horner computes from the primitive integer coefficients of p with no
 division.  Sturm variation counts and bisection steps therefore build no
 ``Fraction`` per evaluation, and give the boxes and exact-root hits of
-``Fraction`` evaluation.
+``Fraction`` evaluation.  Sturm chains themselves come from integer
+pseudo-remainders, each scaled by a positive number and made primitive,
+so they are the primitive forms of the rational chain's members.
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ __all__ = [
     "poly_add",
     "poly_sub",
     "poly_scale",
-    "poly_deriv",
     "poly_divmod",
     "poly_gcd",
     "sturm_chain",
@@ -102,10 +103,6 @@ def poly_scale(c: Fraction, p: Poly) -> Poly:
     return poly_normalize([c * v for v in p])
 
 
-def poly_deriv(p: Poly) -> Poly:
-    return poly_normalize([i * c for i, c in enumerate(p)][1:])
-
-
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -126,52 +123,74 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return poly_normalize(quo), poly_normalize(rem)
 
 
-def _primitive(p: Poly) -> Poly:
-    """Scale by a positive rational so coefficients are coprime integers."""
-    if not p:
-        return p
-    den = int_lcm(*(c.denominator for c in p))
-    ints = [int(c * den) for c in p]
-    g = 0
-    for v in ints:
-        g = int_gcd(g, abs(v))
-    if g == 0:
-        return p
-    return tuple(Fraction(v, g) for v in ints)
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     a, b = poly_normalize(a), poly_normalize(b)
     while b:
         _, r = poly_divmod(a, b)
-        a, b = b, _primitive(r)
+        a, b = b, tuple(map(Fraction, _int_coeffs(r)))
     if a:
         a = poly_scale(1 / a[-1], a)  # monic
     return a
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    chain = [_primitive(poly_normalize(p))]
-    d = poly_deriv(chain[0])
-    if d:
-        chain.append(_primitive(d))
-    while len(chain[-1]) > 1:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        r = poly_scale(Fraction(-1), r)
-        if not r:
-            break
-        chain.append(_primitive(r))
-    return chain
+def _content_free(v: list[int]) -> list[int]:
+    """v divided by the gcd of its entries, a positive number."""
+    g = int_gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
 
-def _int_coeffs(p: Poly) -> list[int]:
+def _int_coeffs(p: Sequence[Fraction]) -> list[int]:
     """Primitive integer coefficients: p times a positive rational."""
     if not p:
         return []
     den = int_lcm(*(c.denominator for c in p))
-    ints = [c.numerator * (den // c.denominator) for c in p]
-    g = int_gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
+    return _content_free([c.numerator * (den // c.denominator) for c in p])
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a by b, in integers.
+
+    Pseudo-division: each step scales the running remainder by |lc(b)|
+    and cancels its leading term with a multiple of b, so the result is
+    |lc(b)|**k times the rational remainder for some k >= 0.
+    """
+    r = list(a)
+    n = len(b) - 1
+    lead = b[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    while len(r) > n:
+        c = r.pop()
+        if c:
+            c *= sign
+            shift = len(r) - n
+            r = [scale * x for x in r]
+            for i, y in enumerate(b[:-1]):
+                r[shift + i] -= c * y
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _sturm_ints(p: Poly) -> list[list[int]]:
+    """The Sturm chain of p as primitive integer coefficient lists.
+
+    Each member is the previous remainder negated and scaled by a
+    positive rational, so every sign, and with it every variation count,
+    is that of the rational chain.
+    """
+    chain = [_int_coeffs(poly_normalize(p))]
+    if len(chain[0]) > 1:
+        chain.append(_content_free([i * c for i, c in enumerate(chain[0])][1:]))
+    while len(chain[-1]) > 1:
+        r = _prem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(_content_free([-x for x in r]))
+    return chain
+
+
+def sturm_chain(p: Poly) -> list[Poly]:
+    return [tuple(Fraction(c) for c in q) for q in _sturm_ints(p)]
 
 
 def _sign_at(ints: list[int], a: int, b: int) -> int:
@@ -221,7 +240,7 @@ def isolate_real_roots(p: Poly) -> list[tuple[Fraction, Fraction]]:
     p = poly_normalize(p)
     if len(p) <= 1:
         return []
-    chain = [_int_coeffs(q) for q in sturm_chain(p)]
+    chain = _sturm_ints(p)
     ip = chain[0]
     bound = cauchy_bound(p)
     out: list[tuple[Fraction, Fraction]] = []

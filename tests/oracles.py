@@ -4,9 +4,10 @@ Everything here deliberately avoids the package's own decision procedures:
 determinants and eigenvalues come from sympy, matrix arithmetic is plain
 list-of-list Fractions, and suprema are direct maxima.  The full interval
 grid is a plain stepping loop, and element files load through the
-package's own ``attach``.  The rational elimination psd test and the
-Sturm isolation and bisection in ``Fraction`` arithmetic are the routines
-the package ran before its integer kernels.  Tests that compare
+package's own ``attach``.  The rational elimination psd test, the Sturm
+chain, isolation and bisection in ``Fraction`` arithmetic, and the
+``Fraction`` elimination that builds a commuting algebra are the
+routines the package ran before its integer kernels.  Tests that compare
 a package result against one of these functions are exercising two
 genuinely different routes to the same value.
 """
@@ -14,12 +15,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Sequence
 
 import sympy
 
 from rieszspec.exact import RatInterval
-from rieszspec.polyroots import cauchy_bound, poly_eval, poly_normalize, sturm_chain
+from rieszspec.polyroots import (
+    cauchy_bound,
+    poly_divmod,
+    poly_eval,
+    poly_normalize,
+    poly_scale,
+)
 from rieszspec.serialize import attach, space_for
 
 Mat = Sequence[Sequence[Fraction]]
@@ -212,6 +220,33 @@ def pl_value(points: Sequence[tuple[Fraction, Fraction]], x: Fraction) -> Fracti
 # ----- Sturm isolation and bisection in Fraction arithmetic -----------
 
 
+def _primitive_fraction(p):
+    """p scaled by a positive rational to coprime integer coefficients."""
+    den = 1
+    for c in p:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in p]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    return tuple(Fraction(v, g) for v in ints) if g else tuple(p)
+
+
+def sturm_chain_fraction(p):
+    """Sturm chain by Fraction remainders, each made primitive."""
+    chain = [_primitive_fraction(poly_normalize(p))]
+    d = poly_normalize([i * c for i, c in enumerate(chain[0])][1:])
+    if d:
+        chain.append(_primitive_fraction(d))
+    while len(chain[-1]) > 1:
+        _, r = poly_divmod(chain[-2], chain[-1])
+        r = poly_scale(Fraction(-1), r)
+        if not r:
+            break
+        chain.append(_primitive_fraction(r))
+    return chain
+
+
 def count_roots_fraction(chain, a: Fraction, b: Fraction) -> int:
     def variations(x):
         signs = [v > 0 for v in (poly_eval(q, x) for q in chain) if v]
@@ -225,7 +260,7 @@ def isolate_real_roots_fraction(p) -> list[tuple[Fraction, Fraction]]:
     p = poly_normalize(p)
     if len(p) <= 1:
         return []
-    chain = sturm_chain(p)
+    chain = sturm_chain_fraction(p)
     bound = cauchy_bound(p)
     out = []
 
@@ -271,3 +306,125 @@ def refine_root_fraction(p, lo: Fraction, hi: Fraction, width: Fraction):
         else:
             hi = m
     return lo, hi
+
+
+# ----- a commuting algebra by Fraction elimination ---------------------
+
+
+def invert_fraction(rows: Mat) -> list[list[Fraction]]:
+    """Gauss-Jordan inverse of an invertible matrix, plain Fractions."""
+    n = len(rows)
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if aug[i][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[c])]
+    return [r[n:] for r in aug]
+
+
+class FractionAlgebra:
+    """Basis, table, separating member and value polynomials of the algebra
+    generated by commuting symmetric matrices, by Fraction elimination.
+
+    Rows are flattened basis matrices normalized to 1 at their pivot and
+    reduced in insertion order; the minimal polynomial tracks each Krylov
+    row's combination of powers in a dict; the power basis change is a
+    Gauss-Jordan inverse.
+    """
+
+    def __init__(self, gens: Sequence[Mat], dim: int):
+        gens = [[[Fraction(v) for v in r] for r in g] for g in gens]
+        self.dim = dim
+        self.rows: list[tuple[list[Fraction], int]] = []
+        self.basis: list[list[list[Fraction]]] = []
+        eye = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+        self._insert(eye)
+        for g in gens:
+            self._insert(g)
+        queue = list(self.basis[1:])
+        while queue:
+            m = queue.pop(0)
+            for g in gens:
+                if self._insert(matmul(m, g)):
+                    queue.append(self.basis[-1])
+        self.size = s = len(self.basis)
+        self.basis_norm_sum = sum(
+            (max(sum(abs(v) for v in r) for r in e) for e in self.basis), Fraction(0)
+        )
+        self.table = {
+            (i, j): self.coords_of(matmul(self.basis[i], self.basis[j]))
+            for i in range(s)
+            for j in range(i, s)
+        }
+        for t in range(64):
+            sep = [[Fraction(0)] * dim for _ in range(dim)]
+            for k, e in enumerate(self.basis):
+                w = Fraction((t + 1) ** k)
+                sep = [[a + w * b for a, b in zip(ra, rb)] for ra, rb in zip(sep, e)]
+            mp = self._minpoly_of(sep)
+            if len(mp) - 1 == s:
+                break
+        self.sep, self.minpoly = sep, mp
+        cols, power = [], eye
+        for _ in range(s):
+            cols.append(self.coords_of(power))
+            power = matmul(power, sep)
+        self.power_inv = invert_fraction([[cols[i][r] for i in range(s)] for r in range(s)])
+
+    def _insert(self, m: Mat) -> bool:
+        vec = [c for row in m for c in row]
+        for rvec, piv in self.rows:
+            f = vec[piv]
+            if f:
+                vec = [v - f * w for v, w in zip(vec, rvec)]
+        piv = next((k for k, v in enumerate(vec) if v), None)
+        if piv is None:
+            return False
+        vec = [v / vec[piv] for v in vec]
+        self.rows.append((vec, piv))
+        d = self.dim
+        self.basis.append([vec[r * d : (r + 1) * d] for r in range(d)])
+        return True
+
+    def coords_of(self, m: Mat):
+        vec = [Fraction(c) for row in m for c in row]
+        coords = []
+        for rvec, piv in self.rows:
+            f = vec[piv]
+            coords.append(f)
+            if f:
+                vec = [v - f * w for v, w in zip(vec, rvec)]
+        return None if any(vec) else tuple(coords)
+
+    def _minpoly_of(self, m: Mat):
+        rows = []
+        power = [[Fraction(int(i == j)) for j in range(self.dim)] for i in range(self.dim)]
+        k = 0
+        while True:
+            vec = list(self.coords_of(power))
+            combo = {k: Fraction(1)}
+            for rvec, piv, cmb in rows:
+                f = vec[piv]
+                if f:
+                    vec = [v - f * w for v, w in zip(vec, rvec)]
+                    for i, c in cmb.items():
+                        combo[i] = combo.get(i, Fraction(0)) - f * c
+            piv = next((t for t, v in enumerate(vec) if v), None)
+            if piv is None:
+                return poly_normalize([combo.get(i, Fraction(0)) for i in range(k + 1)])
+            inv = 1 / vec[piv]
+            rows.append(([v * inv for v in vec], piv, {i: c * inv for i, c in combo.items()}))
+            power = matmul(power, m)
+            k += 1
+
+    def value_poly_of(self, m: Mat):
+        coords = self.coords_of(m)
+        if coords is None:
+            return None
+        return poly_normalize(
+            [sum(r[t] * coords[t] for t in range(self.size)) for r in self.power_inv]
+        )

@@ -7,13 +7,14 @@ import weakref
 
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from rieszspec.exact import RationalMatrix, psd_check
-from rieszspec.instances import CommutingAlgebra, HermSpace
+from rieszspec.instances import CommutingAlgebra, HermSpace, herm
 from rieszspec.instances.herm import HermElement
-from rieszspec.polyroots import isolate_real_roots, poly_eval_interval, poly_gcd
+from rieszspec.polyroots import isolate_real_roots, poly_eval_interval, poly_gcd, sturm_chain
 from rieszspec.riesz import SpaceMismatchError, ToleranceError, norm_cut
-from rieszspec.sampling import rand_diagonal_family
+from rieszspec.sampling import rand_diagonal_family, rand_orthogonal
 
 import oracles
 
@@ -52,6 +53,107 @@ class TestAlgebraConstruction:
         alg = CommutingAlgebra([RationalMatrix.diagonal([F(2), F(2), F(5)])])
         assert alg.size == 2
         assert alg.char_count == 2
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+_large = st.fractions(max_denominator=10**6).filter(lambda x: abs(x) < 10**4)
+
+
+def _sym(draw, n, entry):
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    return [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
+def _block_sum(a, b):
+    k, n = len(a), len(a) + len(b)
+    out = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i < k and j < k:
+                out[i][j] = a[i][j]
+            elif i >= k and j >= k:
+                out[i][j] = b[i - k][j - k]
+    return out
+
+
+@st.composite
+def _commuting_family(draw):
+    """(generators, dim) for dims 1-4: a rational frame conjugating
+    diagonals drawn from a short palette (repeated eigenvalues), a free
+    symmetric matrix with polynomials in it (irrational spectra), or a
+    block sum of two such; entries small or with denominators up to 10**6."""
+    n = draw(st.integers(1, 4))
+    entry = draw(st.sampled_from([_small, _large]))
+    kind = draw(st.sampled_from(["frame", "poly", "blocks"] if n > 1 else ["frame", "poly"]))
+    if kind == "frame":
+        rng = random.Random(draw(st.integers(0, 1 << 32)))
+        frame = rand_orthogonal(rng, n, draw(st.integers(1, 5))).entries
+        palette = draw(st.lists(entry, min_size=1, max_size=n))
+        count = draw(st.integers(0, 3))
+        diags = [[draw(st.sampled_from(palette)) for _ in range(n)] for _ in range(count)]
+        return [oracles.sandwich(frame, d) for d in diags], n
+    if kind == "poly":
+        a = _sym(draw, n, entry)
+        a2 = oracles.matmul(a, a)
+        c0, c1, c2 = (draw(entry) for _ in range(3))
+        p = [[c1 * x + c2 * y + (c0 if i == j else 0) for j, (x, y) in enumerate(zip(ra, rb))]
+             for i, (ra, rb) in enumerate(zip(a, a2))]
+        return [a, p][: draw(st.integers(1, 2))], n
+    k = draw(st.integers(1, n - 1))
+    a, b = _sym(draw, k, entry), _sym(draw, n - k, entry)
+    za, zb = [[F(0)] * k for _ in range(k)], [[F(0)] * (n - k) for _ in range(n - k)]
+    gens = [_block_sum(a, zb), _block_sum(za, b), _block_sum(oracles.matmul(a, a), b)]
+    return gens[draw(st.integers(0, 2)) :], n
+
+
+class TestIntegerAlgebraAgainstFractionOracle:
+    """The integer construction against the Fraction elimination it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fam=_commuting_family(),
+        coeffs=st.lists(_large, min_size=4, max_size=4),
+        other=st.lists(_small, min_size=16, max_size=16),
+    )
+    # weights (t + 1)**k at t = 0 give diag(1, 2, 1): the search goes on to t = 1
+    @example(fam=([[[0, 0, 0], [0, 1, 0], [0, 0, -1]]], 3), coeffs=[F(1)] * 4, other=[F(1)] * 16)
+    def test_matches_fraction_elimination(self, fam, coeffs, other):
+        gens, n = fam
+        alg = CommutingAlgebra([_mat(g) for g in gens], dim=n)
+        ref = oracles.FractionAlgebra(gens, n)
+        assert [b.entries for b in alg._basis] == [tuple(map(tuple, b)) for b in ref.basis]
+        assert alg._table == ref.table
+        assert alg._sep.entries == tuple(map(tuple, ref.sep))
+        assert alg._minpoly == ref.minpoly
+        assert alg.basis_norm_sum == ref.basis_norm_sum
+        assert sturm_chain(alg._minpoly) == oracles.sturm_chain_fraction(alg._minpoly)
+        # each generator, a member and its square, and a symmetric matrix
+        # that for n > 1 usually lies outside the algebra
+        combo = alg.mat_of(coeffs[: alg.size])
+        free = [[other[4 * min(i, j) + max(i, j)] for j in range(n)] for i in range(n)]
+        probes = [_mat(g) for g in gens] + [combo, combo @ combo, _mat(free)]
+        for m in probes:
+            rows = [list(r) for r in m.entries]
+            assert alg.coords_of(m) == ref.coords_of(rows)
+            want = ref.value_poly_of(rows)
+            if want is None:
+                with pytest.raises(SpaceMismatchError):
+                    alg.value_poly_of(m)
+            else:
+                assert alg.value_poly_of(m) == want
+
+    def test_value_polynomials_stay_bounded(self):
+        alg = CommutingAlgebra([_mat(CUBIC)])
+        g, eye = _mat(CUBIC), RationalMatrix.identity(3)
+        members = [g.scale(F(k + 1, 3)) + eye.scale(F(k % 7)) for k in range(10_000)]
+        first = [alg.value_poly_of(m) for m in members[:50]]
+        for m in members[50:]:
+            alg.value_poly_of(m)
+        assert len(alg._vpoly) == herm._VPOLY_CAP
+        assert members[0] not in alg._vpoly
+        fresh = CommutingAlgebra([_mat(CUBIC)])
+        assert [alg.value_poly_of(m) for m in members[:50]] == first
+        assert first == [fresh.value_poly_of(m) for m in members[:50]]
 
 
 class TestCharactersAgainstSympy:

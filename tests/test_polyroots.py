@@ -11,7 +11,6 @@ from rieszspec.polyroots import (
     cauchy_bound,
     count_roots,
     isolate_real_roots,
-    poly_deriv,
     poly_divmod,
     poly_eval,
     poly_eval_interval,
@@ -78,10 +77,6 @@ class TestPolyBasics:
         assert poly_eval(g, F(1)) == 0
         # coprime pair gives the monic unit
         assert poly_gcd((F(-2), F(-1), F(1)), b) == (F(1),)
-
-    def test_deriv(self):
-        assert poly_deriv((F(1), F(2), F(3))) == (F(2), F(6))
-        assert poly_deriv((F(5),)) == ()
 
     def test_interval_horner_encloses(self):
         rng = random.Random(11)
@@ -256,3 +251,36 @@ class TestIntegerSignKernel:
         width = F(1, 1 << bits)
         for lo, hi in boxes:
             assert refine_root(p, lo, hi, width) == oracles.refine_root_fraction(p, lo, hi, width)
+
+
+@st.composite
+def _any_poly(draw):
+    """Free coefficients with large denominators, sparse ones (a zero
+    leading term in a division step changes how often it scales), or a
+    square-free part times a repeated factor, scaled by a lead of either
+    sign."""
+    kind = draw(st.sampled_from(["free", "sparse", "product"]))
+    if kind == "free":
+        big = st.fractions(max_denominator=1 << 40).filter(lambda x: abs(x) < 1 << 20)
+        return tuple(draw(st.lists(big, max_size=8)))
+    if kind == "sparse":
+        coeff = st.one_of(st.just(F(0)), st.integers(-9, 9).map(F))
+        return tuple(draw(st.lists(coeff, max_size=9)))
+    p = draw(_squarefree())
+    rep = (draw(_fractions), F(1))
+    for _ in range(draw(st.integers(0, 2))):
+        p = _poly_mul(p, rep)
+    return _poly_mul(p, (draw(_fractions.filter(bool)),))
+
+
+class TestIntegerSturmChain:
+    @settings(max_examples=200, deadline=None)
+    @given(p=_any_poly())
+    def test_chain_matches_fraction_remainders(self, p):
+        assert sturm_chain(p) == oracles.sturm_chain_fraction(p)
+
+    def test_negative_leads_keep_signs(self):
+        # the first and last chains divide by members with a negative
+        # leading coefficient; the pseudo-remainder must not flip signs
+        for p in [(F(2), F(0), F(-1)), (F(2), F(-3), F(0), F(1, 5)), (F(1), F(-1), F(-7, 3), F(-1, 2))]:
+            assert sturm_chain(p) == oracles.sturm_chain_fraction(p)

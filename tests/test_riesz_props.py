@@ -212,15 +212,15 @@ class TestLocatedCut:
         assert s - eps < F(1, 3) <= s
 
     def test_refinement_never_contradicts(self):
-        # a deliberately sloppy backend: returns value + eps/2
+        # a sloppy backend whose slack varies from query to query: each
+        # answer meets the contract on its own, and nothing promises that
+        # a finer query gives a smaller upper bound
         value = F(5, 7)
-        cut = LocatedCut(lambda eps: value + eps / 2)
-        answers = [(e, cut.approx(e)) for e in [F(1, 2), F(1, 8), F(1, 64), F(1, 512)]]
-        for eps, s in answers:
+        slack = iter([F(1, 3), F(9, 10), F(0), F(1, 2), F(99, 100)])
+        cut = LocatedCut(lambda eps: value + eps * next(slack))
+        for eps in [F(1, 512), F(1, 2), F(1, 64), F(1, 8), F(1, 64)]:
+            s = cut.approx(eps)
             assert s - eps < value <= s
-        # upper bounds only ever tighten
-        uppers = [s for _, s in answers]
-        assert uppers == sorted(uppers, reverse=True)
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
