@@ -47,6 +47,7 @@ from .lattice import (
     cover_range,
     certify_cover,
     d_of,
+    grid_cells,
     precedes,
     prune_cover,
     shrink_cover,
@@ -97,7 +98,7 @@ __all__ = [
     "HermSpace", "HermElement", "CommutingAlgebra",
     # positivity lattice
     "LatticeElement", "CoverCertificate", "d_of", "precedes",
-    "certify_cover", "cover_range", "cover_interval",
+    "certify_cover", "cover_range", "grid_cells", "cover_interval",
     "shrink_cover", "prune_cover",
     # spectrum
     "Pos", "Below", "pos_or_below", "sup_approx",

@@ -22,7 +22,7 @@ from . import __version__
 from .exact import RenderError, format_rational, parse_rational
 from .falgebra import abs_element, gelfand_check, sqrt_psd, sum_of_squares
 from .instances import HermSpace
-from .lattice import cover_interval, cover_range, shrink_cover
+from .lattice import CoverCertificate, cover_interval, cover_range, grid_cells, shrink_cover
 from .riesz import CertificateError, MarginCollapseError, ToleranceError, norm_cut
 from .serialize import (
     attach,
@@ -143,27 +143,28 @@ def _run_net(ns, res: dict) -> int:
 def _run_check_lattice(ns, res: dict) -> int:
     obj = _need_input(ns)
     if obj.get("certificate") == "cover":
+        # replay: rebuild the recipe's cells and verify both claims with the
+        # recipe's multipliers, without searching for multipliers again
         space, (a,) = _elements(ns, [obj["element"]])
         p, q = parse_rational(obj["p"]), parse_rational(obj["q"])
-        width = parse_rational(obj["width"])
-        _, cells, cert = cover_interval(space, a, p, q, width)
-        grid_ok = cert.multiplier <= int(obj["multiplier"]) and cert.verify()
-        r = parse_rational(obj["shrink"]["r"])
-        shrunk = [space.add(b, space.scale(-r, space.unit())) for b in cells]
-        from .lattice import CoverCertificate
-
-        re_cert = CoverCertificate(
-            space, space.unit(), tuple(shrunk), int(obj["shrink"]["multiplier"])
-        )
-        shrink_ok = re_cert.verify()
+        _, cells = grid_cells(space, a, p, q, parse_rational(obj["width"]))
+        target = space.in_interval(a, p, q)
+        grid_ok = CoverCertificate(
+            space, target, tuple(cells), int(obj["multiplier"])
+        ).verify()
+        r, unit = parse_rational(obj["shrink"]["r"]), space.unit()
+        shrunk = tuple(space.add(b, space.scale(-r, unit)) for b in cells)
+        shrink_ok = CoverCertificate(
+            space, unit, shrunk, int(obj["shrink"]["multiplier"])
+        ).verify()
         res["gridVerified"] = grid_ok
         res["shrinkVerified"] = shrink_ok
         return 0 if grid_ok and shrink_ok else 2
     space, (a,) = _elements(ns, [obj])
     p, q, range_cert = cover_range(space, a)
     width = parse_rational(ns.eps)
-    _, cells, cert = cover_interval(space, a, Fraction(p), Fraction(q), width)
-    shrunk = shrink_cover(space, cells)
+    _, cells, joined, cert = cover_interval(space, a, Fraction(p), Fraction(q), width)
+    shrunk = shrink_cover(space, cells, joined)
     res.update(
         cover_recipe_to_json(
             obj, Fraction(p), Fraction(q), width, cert.multiplier,

@@ -29,6 +29,9 @@ Order facts (is b - a positive semidefinite, suprema of spectra, how far
 an element sits inside an interval) then reduce to exact comparisons of
 rationals at rational characters, and elsewhere to exact sign tests and
 refinable rational enclosures of polynomial values at isolated roots.
+Every root box is a node of one fixed dyadic tree under the root's
+isolating interval, picked by the width asked for, so an enclosure does
+not depend on the queries that ran before it.
 
 Elements carry an error radius ``err``: the element (A, err) stands for
 any member X of the algebra within operator distance err of A, that is,
@@ -357,7 +360,15 @@ class CommutingAlgebra:
         roots = isolate_real_roots(self._minpoly)
         if len(roots) != s:  # pragma: no cover - spectra here are always real
             raise ValueError("separating member has unexpected complex spectrum")
-        self._roots: list[list[Fraction]] = [[lo, hi] for lo, hi in roots]
+        # root j's isolating box, as integers (a, w, d) for (a/d, (a + w)/d),
+        # and the finest node of its dyadic tree refined so far, (k, i, lo, hi)
+        self._roots: list[tuple[int, int, int]] = []
+        self._deep: list[tuple[int, int, Fraction, Fraction]] = []
+        for lo, hi in roots:
+            d = math.lcm(lo.denominator, hi.denominator)
+            a = lo.numerator * (d // lo.denominator)
+            self._roots.append((a, hi.numerator * (d // hi.denominator) - a, d))
+            self._deep.append((0, 0, lo, hi))
         # leading coefficient of the primitive integer minimal polynomial:
         # every rational root has a denominator dividing it
         den = math.lcm(*(c.denominator for c in self._minpoly))
@@ -406,7 +417,7 @@ class CommutingAlgebra:
             return q
         coords = self.coords_of(m)
         if coords is None:
-            raise SpaceMismatchError("matrix lies outside the algebra span")
+            raise SpaceMismatchError("matrix lies outside the generated algebra")
         s = self.size
         v, cden = _integers(coords)
         v, sn, sd = _reduce(self._krylov, v + [0] * (s + 1), cden)
@@ -427,7 +438,7 @@ class CommutingAlgebra:
         """
         if j in self._exact:
             return self._exact[j]
-        lo, hi = self._roots[j]
+        _, _, lo, hi = self._deep[j]
         r = None
         if lo == hi:
             r = lo
@@ -437,7 +448,6 @@ class CommutingAlgebra:
             c = ((a + b) / 2).limit_denominator(lead)
             if a <= c <= b and poly_eval(self._minpoly, c) == 0:
                 r = c
-                self._roots[j] = [r, r]
         self._exact[j] = r
         return r
 
@@ -468,44 +478,78 @@ class CommutingAlgebra:
         return self._idem
 
     def root_box(self, j: int, width: Fraction) -> tuple[Fraction, Fraction]:
-        """Isolating interval of character root j, refined below width.
+        """Box of character root j at the first depth of its tree whose
+        width is at most width.
 
-        A rational root is held exactly, as the one point box (r, r).
+        Bisection from the isolating box (a/d, (a + w)/d) only ever
+        halves, so every box it yields is a node of one fixed dyadic tree:
+        node i at depth k is ((a 2**k + i w) / (d 2**k), (a 2**k + (i + 1) w)
+        / (d 2**k)).  The answer is that node for the depth width asks
+        for, whatever was refined before; the finest node refined so far
+        is kept only so that a deeper request resumes from it.  A rational
+        root is held exactly, as the one point box (r, r).
         """
-        self.rational_root(j)
-        lo, hi = self._roots[j]
-        if hi - lo > width:
-            lo, hi = refine_root(self._minpoly, lo, hi, width)
-            self._roots[j][0] = lo
-            self._roots[j][1] = hi
+        r = self.rational_root(j)
+        if r is not None:
+            return r, r
+        return self._node(j, self._depth(j, Fraction(width)))
+
+    def _depth(self, j: int, width: Fraction) -> int:
+        """Least k >= 0 with w / (d 2**k) <= width, for positive width."""
+        _, w, d = self._roots[j]
+        return ((w * width.denominator - 1) // (d * width.numerator)).bit_length()
+
+    def _node(self, j: int, k: int) -> tuple[Fraction, Fraction]:
+        """Node of root j's tree at depth k on the path to the root."""
+        deep, i, lo, hi = self._deep[j]
+        if k == deep:
+            return lo, hi
+        a, w, d = self._roots[j]
+        if k < deep:
+            n = (a << k) + (i >> (deep - k)) * w
+            return Fraction(n, d << k), Fraction(n + w, d << k)
+        lo, hi = refine_root(self._minpoly, lo, hi, Fraction(w, d << k))
+        i = (lo.numerator * (d << k) // lo.denominator - (a << k)) // w
+        self._deep[j] = (k, i, lo, hi)
         return lo, hi
 
     def value_interval(
         self, q: Poly, j: int, target: Fraction
     ) -> tuple[Fraction, Fraction]:
-        """Enclosure of q(gamma_j), refined until its width is at most target."""
-        lo, hi = self.root_box(j, max(target, Fraction(1, 1 << 60)))
+        """Enclosure of q(gamma_j) over a root box, with width at most target.
+
+        The boxes tried are the tree nodes at the depth of target, then
+        two levels deeper at a time, so the enclosure depends on q, j and
+        target only.
+        """
+        width = max(target, Fraction(1, 1 << 60))
+        lo, hi = self.root_box(j, width)
+        k = self._depth(j, width) if lo != hi else 0
         while True:
             vlo, vhi = poly_eval_interval(q, lo, hi)
             if lo == hi or vhi - vlo <= target:
                 return vlo, vhi
-            lo, hi = self.root_box(j, (hi - lo) / 4)
+            k += 2
+            lo, hi = self._node(j, k)
 
     def value_sign(self, q: Poly, c: Rational, j: int) -> int:
         """Exact sign of q(gamma_j) - c.
 
         At a character whose root is rational, q is evaluated there
         exactly.  Elsewhere one interval enclosure of q(gamma_j) - c over
-        the current root box settles almost every sign; only an enclosure
-        that straddles 0 goes on to a gcd test against the minimal
-        polynomial, which finds an exact zero, and then to interval
-        refinement.
+        the finest root box refined so far (at most 1/4 wide) settles
+        almost every sign; only an enclosure that straddles 0 goes on to a
+        gcd test against the minimal polynomial, which finds an exact
+        zero, and then to interval refinement.  The sign is exact, so the
+        box it starts from does not change the answer.
         """
         c = Fraction(c)
-        lo, hi = self.root_box(j, Fraction(1, 4))
-        if lo == hi:
-            v = poly_eval(q, lo) - c
+        r = self.rational_root(j)
+        if r is not None:
+            v = poly_eval(q, r) - c
             return (v > 0) - (v < 0)
+        k = max(self._deep[j][0], self._depth(j, Fraction(1, 4)))
+        lo, hi = self._node(j, k)
         d = poly_sub(q, (c,))
         vlo, vhi = poly_eval_interval(d, lo, hi)
         if vlo <= 0 <= vhi:
@@ -515,8 +559,8 @@ class CommutingAlgebra:
             if len(g) > 1 and count_roots(sturm_chain(g), lo, hi) >= 1:
                 return 0
             while vlo <= 0 <= vhi:
-                lo, hi = self.root_box(j, (hi - lo) / 4)
-                vlo, vhi = poly_eval_interval(d, lo, hi)
+                k += 2
+                vlo, vhi = poly_eval_interval(d, *self._node(j, k))
         return 1 if vlo > 0 else -1
 
 
@@ -581,8 +625,9 @@ class HermSpace(RieszSpace):
             raise SpaceMismatchError(f"matrix dimension {m.dim}, expected {self.dim}")
         if not m.is_symmetric():
             raise ValueError("matrix must be symmetric")
-        if self.algebra.coords_of(m) is None:
-            raise SpaceMismatchError("matrix lies outside the generated algebra")
+        # one elimination tests membership and leaves the value polynomial
+        # that the element's first read takes
+        self.algebra.value_poly_of(m)
         return HermElement(self, m, e)
 
     def zero(self) -> HermElement:

@@ -6,6 +6,14 @@ x <= n * y for some natural n.  Classes form a distributive lattice
 whose joins and meets are computed on representatives.  All cover
 claims made here are backed by explicit dominance certificates that can
 be re-verified with a single order test.
+
+The search joins each cover's cells once, to J.  Distributivity gives
+pos(J) = join of the pos(c_i), which serves the grid claim and the unit
+claim, and pos(J - r) = join of the pos(c_i - r), which serves the claim
+of the cover lowered by r.  :meth:`CoverCertificate.verify` does not
+reuse J: it joins the positive parts of its own parts, so re-checking a
+certificate (the CLI replay, ``selftest``) stays independent of the
+search that found it.
 """
 from __future__ import annotations
 
@@ -25,6 +33,7 @@ __all__ = [
     "join_all",
     "certify_cover",
     "cover_range",
+    "grid_cells",
     "cover_interval",
     "shrink_cover",
     "prune_cover",
@@ -105,7 +114,10 @@ class CoverCertificate:
     """Witness that the target class is below the join of the parts.
 
     The claim is target^+ <= multiplier * join of the parts' positive
-    parts; verify replays that single order test.
+    parts; verify joins those positive parts from the parts themselves
+    and replays that single order test.  It is the re-check, independent
+    of the search, which proved the same claim on pos(J) for the join J
+    of the parts (equal by distributivity).
     """
 
     space: RieszSpace
@@ -126,13 +138,16 @@ def certify_cover(
     space: RieszSpace,
     target: RieszElement,
     parts: Sequence[RieszElement],
+    joined: RieszElement,
 ) -> CoverCertificate:
     """Certificate that target's class is below the join of the parts' classes.
 
-    The multiplier is the one precedes verifies; CertificateError when
-    none is established.
+    joined is J, the join of the parts (0 when there are none).  pos(J)
+    is the join of the parts' positive parts, so the multiplier that
+    precedes verifies against it is one that verify accepts;
+    CertificateError when none is established.
     """
-    n = precedes(space, _pos(space, target), _join_pos(space, parts))
+    n = precedes(space, _pos(space, target), _pos(space, joined))
     if n is None:
         raise CertificateError("no dominance multiplier found for the cover")
     return CoverCertificate(space, target, tuple(parts), n)
@@ -155,27 +170,42 @@ def cover_range(
     return p, q, cert
 
 
+def grid_cells(
+    space: RieszSpace,
+    a: RieszElement,
+    p: Rational,
+    q: Rational,
+    width: Rational,
+) -> tuple[list[RatInterval], list[RieszElement]]:
+    """The half overlapping width cells of (p, q) that may hold a value of a.
+
+    Only the cells of the integer-index grid that meet one of a's value
+    ranges are built; every other cell is <= 0 everywhere.
+    """
+    p, q, width = Fraction(p), Fraction(q), Fraction(width)
+    ranges = space.value_ranges(a, None, width / 4)
+    grid = [iv for _, iv in interval_grid_window(p, q, width, ranges)]
+    return grid, [space.in_interval(a, iv.lo, iv.hi) for iv in grid]
+
+
 def cover_interval(
     space: RieszSpace,
     a: RieszElement,
     p: Rational,
     q: Rational,
     width: Rational,
-) -> tuple[list[RatInterval], list[RieszElement], CoverCertificate]:
-    """Cover the class of a in (p, q) by half overlapping width cells.
+) -> tuple[list[RatInterval], list[RieszElement], RieszElement, CoverCertificate]:
+    """Cover the class of a in (p, q) by the grid cells of a.
 
-    Only the cells of the integer-index grid that meet one of a's value
-    ranges are built; every other cell is <= 0 everywhere.  One order test
-    still proves the cover, so a range that misses a positive cell fails
-    closed with CertificateError.  An empty cover joins to 0.
+    Returns the grid, the cells, their join J and the certificate.  One
+    order test on pos(J) proves the cover, so a range that misses a
+    positive cell fails closed with CertificateError.  An empty cover
+    joins to 0.  J is what shrink_cover takes.
     """
-    p, q, width = Fraction(p), Fraction(q), Fraction(width)
-    ranges = space.value_ranges(a, None, width / 4)
-    grid = [iv for _, iv in interval_grid_window(p, q, width, ranges)]
-    cells = [space.in_interval(a, iv.lo, iv.hi) for iv in grid]
-    target = space.in_interval(a, p, q)
-    cert = certify_cover(space, target, cells)
-    return grid, cells, cert
+    grid, cells = grid_cells(space, a, p, q, width)
+    joined = join_all(space, cells) if cells else space.zero()
+    cert = certify_cover(space, space.in_interval(a, p, q), cells, joined)
+    return grid, cells, joined, cert
 
 
 @dataclass(frozen=True)
@@ -188,30 +218,35 @@ class ShrinkResult:
     cert: CoverCertificate
 
 
-def shrink_cover(space: RieszSpace, cells: Sequence[RieszElement]) -> ShrinkResult:
+def shrink_cover(
+    space: RieszSpace, cells: Sequence[RieszElement], joined: RieszElement
+) -> ShrinkResult:
     """Lower every cell by r > 0 with the unit class still covered.
 
-    From the multiplier N that precedes verifies for 1 <= N * join(cells),
-    rounded up to a power of two n, the join is at least 1/n; lowering by
-    r = 1/(2n) keeps it at least 1/(2n), which multiplier 2n certifies.
-    CertificateError when the cells do not cover the unit class or the
-    shrunken certificate fails to verify.
+    joined is J, the join of the cells.  From the multiplier N that
+    precedes verifies for 1 <= N * pos(J), rounded up to a power of two n,
+    J is at least 1/n; lowering by r = 1/(2n) keeps it at least 1/(2n).
+    The shrunk claim is the one order test 1 <= 2n * pos(J - r), where
+    pos(J - r) is the join of the lowered cells' positive parts, so the
+    returned certificate on the lowered cells verifies.  CertificateError
+    when the cells do not cover the unit class or the lowered cover fails
+    that test.
     """
     if not cells:
         raise CertificateError("an empty cover admits no shrink")
     unit = space.unit()
-    n0 = precedes(space, unit, _pos(space, join_all(space, list(cells))))
+    n0 = precedes(space, unit, _pos(space, joined))
     if n0 is None:
         raise CertificateError("cells do not cover the unit class")
     n = 1
     while n < n0:
         n *= 2
     r = Fraction(1, 2 * n)
-    shrunk = tuple(space.add(b, space.scale(-r, unit)) for b in cells)
-    cert = CoverCertificate(space, unit, shrunk, 2 * n)
-    if not cert.verify():
+    lowered = _pos(space, space.add(joined, space.scale(-r, unit)))
+    if space.leq(unit, space.scale(2 * n, lowered)) is not True:
         raise CertificateError("shrunken cover failed to verify")
-    return ShrinkResult(r, 2 * n, shrunk, cert)
+    shrunk = tuple(space.add(b, space.scale(-r, unit)) for b in cells)
+    return ShrinkResult(r, 2 * n, shrunk, CoverCertificate(space, unit, shrunk, 2 * n))
 
 
 def prune_cover(

@@ -15,7 +15,7 @@ from typing import Callable
 from .exact import RatInterval, RationalMatrix, interval_combine, interval_distance, psd_check, round_dyadic
 from .falgebra import gelfand_check, product_positive, sqrt_psd, sum_of_squares
 from .instances import HermSpace, PLSpace, QnSpace
-from .lattice import cover_interval, cover_range, d_of, precedes, shrink_cover
+from .lattice import cover_interval, cover_range, d_of, join_all, precedes, shrink_cover
 from .riesz import decompose, norm_cut
 from .sampling import rand_diagonal_family, rand_pl, rand_qn, rand_rational
 from .spectrum import Below, Pos, epsilon_net, pos_or_below, stone_yosida_check, sup_approx
@@ -87,14 +87,14 @@ def _check_covers() -> str | None:
         p, q, cert = cover_range(space, a)
         if not cert.verify():
             return "range certificate"
-        grid, cells, cov = cover_interval(space, a, F(p), F(q), F(1, 2))
+        grid, cells, joined, cov = cover_interval(space, a, F(p), F(q), F(1, 2))
         if not cov.verify():
             return "grid certificate"
-        shrunk = shrink_cover(space, cells)
+        shrunk = shrink_cover(space, cells, joined)
         if not shrunk.cert.verify():
             return "shrink certificate"
     two = [space.element([1, 0, 0]), space.element([0, 1, 1])]
-    if shrink_cover(space, two).r != F(1, 2):
+    if shrink_cover(space, two, join_all(space, two)).r != F(1, 2):
         return "shrink r on a unit cover"
     return None
 
@@ -251,6 +251,24 @@ def _check_herm_irrational() -> str | None:
     return None
 
 
+def _check_net_history() -> str | None:
+    # root enclosures are fixed nodes of one dyadic tree per character, so
+    # a net does not depend on the queries that ran before on its space
+    m = RationalMatrix.from_rows([[1, 1], [1, 0]])
+
+    def margins(space: HermSpace) -> list[Fraction]:
+        net = epsilon_net(space, [space.element(m)], F(1, 2))
+        return [pt.margin for pt in net.points]
+
+    fresh = margins(HermSpace([m]))
+    space = HermSpace([m])
+    epsilon_net(space, [space.element(m)], F(1, 16))
+    after = margins(space)
+    if after != fresh:
+        return f"margins {[str(x) for x in after]} after a finer net, {[str(x) for x in fresh]} fresh"
+    return None
+
+
 def _check_sqrt_oracle() -> str | None:
     rng = random.Random(18)
     tol = F(1, 1024)
@@ -337,6 +355,7 @@ CHECKS_FULL: list[tuple[str, CheckFn]] = CHECKS_QUICK + [
     ("sup-cross-validation", _check_sup_cross),
     ("stone-yosida", _check_stone_yosida),
     ("herm-irrational", _check_herm_irrational),
+    ("net-history", _check_net_history),
     ("sqrt-oracle", _check_sqrt_oracle),
     ("gelfand", _check_gelfand),
     ("representation-contract", _check_representation_contract),

@@ -298,8 +298,8 @@ def epsilon_net(
     for e in elements:
         p, q, _ = cover_range(space, e)
         ranges[e] = (p, q)
-        grid, cells, _ = cover_interval(space, e, Fraction(p), Fraction(q), w)
-        shrunk = shrink_cover(space, cells)
+        grid, cells, joined, _ = cover_interval(space, e, Fraction(p), Fraction(q), w)
+        shrunk = shrink_cover(space, cells, joined)
         kept = prune_cover(space, cells, shrunk.r)
         per_elem.append([(grid[k], cells[k]) for k in kept])
         shrink_info.append((shrunk.r, shrunk.multiplier))

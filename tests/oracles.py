@@ -7,7 +7,9 @@ grid is a plain stepping loop, and element files load through the
 package's own ``attach``.  The rational elimination psd test, the Sturm
 chain, isolation and bisection in ``Fraction`` arithmetic, and the
 ``Fraction`` elimination that builds a commuting algebra are the
-routines the package ran before its integer kernels.  Tests that compare
+routines the package ran before its integer kernels.  The three-join
+cover route is the one the package ran before it joined each cover once.
+Tests that compare
 a package result against one of these functions are exercising two
 genuinely different routes to the same value.
 """
@@ -428,3 +430,40 @@ class FractionAlgebra:
         return poly_normalize(
             [sum(r[t] * coords[t] for t in range(self.size)) for r in self.power_inv]
         )
+
+
+def shrink_cover_three_joins(space, target, cells) -> tuple[int, Fraction, int]:
+    """The grid multiplier, r and unit multiplier of the three-join route.
+
+    The grid claim joins the cells' positive parts, the unit claim joins
+    the raw cells, and the lowered claim joins the positive parts of the
+    lowered cells; each multiplier is proposed and checked by
+    ``precedes``.  CertificateError where that route failed.
+    """
+    from rieszspec.lattice import CoverCertificate, join_all, precedes
+    from rieszspec.riesz import CertificateError
+
+    zero, unit = space.zero(), space.unit()
+
+    def pos(x):
+        return space.join(x, zero)
+
+    def join_pos(parts):
+        return join_all(space, [pos(x) for x in parts]) if parts else zero
+
+    grid = precedes(space, pos(target), join_pos(cells))
+    if grid is None:
+        raise CertificateError("no dominance multiplier found for the cover")
+    if not cells:
+        raise CertificateError("an empty cover admits no shrink")
+    n0 = precedes(space, unit, pos(join_all(space, list(cells))))
+    if n0 is None:
+        raise CertificateError("cells do not cover the unit class")
+    n = 1
+    while n < n0:
+        n *= 2
+    r = Fraction(1, 2 * n)
+    lowered = [space.add(b, space.scale(-r, unit)) for b in cells]
+    if space.leq(pos(unit), space.scale(2 * n, join_pos(lowered))) is not True:
+        raise CertificateError("shrunken cover failed to verify")
+    return grid, r, 2 * n

@@ -154,6 +154,19 @@ class TestCheckLattice:
         assert code == 2
         assert rep["result"]["gridVerified"] is False
 
+    def test_larger_multipliers_still_verify(self, capsys, tmp_path):
+        # the replay checks the recipe's claims as stated: any multiplier at
+        # least the minimal one certifies the same cover
+        elem = write(tmp_path, "e.json", {"space": "qn", "coords": ["0", "2"]})
+        _, rep = run_json(capsys, "check-lattice", "--input", elem, "--eps", "1/2")
+        loose = dict(rep["result"])
+        loose["multiplier"] = loose["multiplier"] + 5
+        loose["shrink"] = dict(loose["shrink"], multiplier=2 * loose["shrink"]["multiplier"])
+        cert_path = write(tmp_path, "loose.json", loose)
+        code, rep = run_json(capsys, "check-lattice", "--input", cert_path)
+        assert code == 0
+        assert rep["result"] == {"gridVerified": True, "shrinkVerified": True}
+
     def test_overtight_shrink_fails(self, capsys, tmp_path):
         elem = write(tmp_path, "e.json", {"space": "qn", "coords": ["0", "2"]})
         _, rep = run_json(capsys, "check-lattice", "--input", elem, "--eps", "1/2")
@@ -293,6 +306,8 @@ class TestSelftest:
 
         assert ("herm-irrational", selftest._check_herm_irrational) in selftest.CHECKS_FULL
         assert selftest._check_herm_irrational() is None
+        assert ("net-history", selftest._check_net_history) in selftest.CHECKS_FULL
+        assert selftest._check_net_history() is None
 
     def test_bad_level(self, capsys):
         code, _ = run_json(capsys, "selftest", "sideways")

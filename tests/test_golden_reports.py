@@ -15,12 +15,16 @@ The order reports (``norm``, ``sup``, ``point``, ``pos`` and
 ``check-lattice``) on two irrational spectra, the golden ratio matrix and
 a 3x3 matrix whose characteristic polynomial x^3 - 2x^2 - 3x + 5 is
 irreducible over the rationals, were recorded from the formula-walking
-character enclosures and must stay byte-identical.
+character enclosures and must stay byte-identical.  The cubic
+``check-lattice`` and the two ``point`` reports were re-recorded when root
+enclosures became nodes of a fixed dyadic tree: before, they were read on
+whatever finer boxes earlier queries of the same run had left.
 
 The ``net`` reports on a Qn, a PL, a rational and two irrational matrix
 inputs were recorded from the full-grid epsilon net, with each point's
 constraints and margin and each element's shrink radius and multiplier;
-all of them must stay byte-identical.
+all of them must stay byte-identical.  The irrational ones were
+re-recorded with the order reports above.
 """
 import json
 from fractions import Fraction
@@ -30,7 +34,7 @@ import pytest
 from rieszspec import __version__
 from rieszspec.cli import main
 from rieszspec.serialize import attach, canonical_json, space_for
-from rieszspec.spectrum import epsilon_net
+from rieszspec.spectrum import epsilon_net, stone_yosida_check
 
 
 INPUTS = {
@@ -264,7 +268,7 @@ IRR_ORDER_GOLDEN = {
     ("irr", "point"): {
         "constraints": [{"hi": "3", "lo": "827/1024"}, {"hi": "13/8", "lo": "103/64"}],
         "eval": {"input": "207/128"},
-        "margin": "4403/8192",
+        "margin": "4451/8192",
     },
     ("irr", "pos"): {"outcome": "pos", "verified": True, "witness": "827/512"},
     ("irr", "check-lattice"): {
@@ -284,17 +288,17 @@ IRR_ORDER_GOLDEN = {
             {"hi": "4", "lo": "159313041/134217728"}, {"hi": "41/32", "lo": "81/64"},
         ],
         "eval": {"input": "163/128"},
-        "margin": "901140761/1073741824",
+        "margin": "960530441/1073741824",
     },
     ("cubic", "pos"): {"outcome": "pos", "verified": True, "witness": "159313041/67108864"},
     ("cubic", "check-lattice"): {
         "certificate": "cover",
         "element": HERM_INPUTS["cubic"],
-        "multiplier": 373,
+        "multiplier": 7095,
         "p": "-3",
         "q": "4",
         "rangeMultiplier": 1,
-        "shrink": {"multiplier": 512, "r": "1/512"},
+        "shrink": {"multiplier": 16384, "r": "1/16384"},
         "width": "1/64",
     },
 }
@@ -308,6 +312,25 @@ def test_irrational_order_report_bytes(capsys, tmp_path, monkeypatch, name, comm
     code, out = _run(capsys, command, "--input", path, "--eps", "1/64")
     assert code == 0
     assert out == _expected(command, path, "1/64", IRR_ORDER_GOLDEN[name, command])
+
+
+@pytest.mark.parametrize("name", ["irr", "cubic"])
+def test_irrational_recipe_replays(capsys, tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cert.json").write_text(json.dumps(IRR_ORDER_GOLDEN[name, "check-lattice"]))
+    code, out = _run(capsys, "check-lattice", "--input", "cert.json")
+    assert code == 0
+    assert out == _expected("check-lattice", "cert.json", "1/64", VERIFIED)
+
+
+@pytest.mark.parametrize("name", ["irr", "cubic"])
+def test_irrational_nets_stay_certified(name):
+    # the re-recorded nets: positive margins, and the Stone-Yosida check
+    # of the element at the net's resolution passes
+    space = space_for([HERM_INPUTS[name]])
+    a = attach(space, HERM_INPUTS[name])
+    assert all(Fraction(m) > 0 for _, m in NET_GOLDEN[name, "1/16"]["points"])
+    assert stone_yosida_check(space, a, Fraction(1, 16)).ok
 
 
 # ``net`` reports recorded before the net was restricted to the cells an
@@ -377,22 +400,23 @@ NET_GOLDEN = {
         "shrink_info": [("1/128", 128)],
         "points": [
             ("-21/32 -19/32", "23/1024"),
-            ("-5/8 -9/16", "21/4096"),
-            ("25/16 13/8", "21/4096"),
+            ("-5/8 -9/16", "3/512"),
+            ("25/16 13/8", "3/512"),
             ("51/32 53/32", "23/1024"),
         ],
     },
     ("cubic", "1/16"): {
         "evals": [
-            "-211/128", "-211/128", "163/128", "163/128", "19/8",
+            "-211/128", "-211/128", "163/128", "163/128", "19/8", "19/8",
         ],
-        "shrink_info": [("1/128", 128)],
+        "shrink_info": [("1/1024", 1024)],
         "points": [
-            ("-27/16 -13/8", "6490831/268435456"),
-            ("-53/32 -51/32", "231321/67108864"),
-            ("39/32 41/32", "5950543/1073741824"),
-            ("5/4 21/16", "94376481/4294967296"),
-            ("75/32 77/32", "7309255/268435456"),
+            ("-27/16 -13/8", "444164711/17179869184"),
+            ("-53/32 -51/32", "21231553/4294967296"),
+            ("39/32 41/32", "123092543/17179869184"),
+            ("5/4 21/16", "101716513/4294967296"),
+            ("75/32 77/32", "495460775/17179869184"),
+            ("19/8 39/16", "8678305/4294967296"),
         ],
     },
 }

@@ -12,9 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 from rieszspec.exact import RationalMatrix, psd_check
 from rieszspec.instances import CommutingAlgebra, HermSpace, herm
 from rieszspec.instances.herm import HermElement
+from rieszspec.lattice import cover_interval, cover_range
 from rieszspec.polyroots import isolate_real_roots, poly_eval_interval, poly_gcd, sturm_chain
 from rieszspec.riesz import SpaceMismatchError, ToleranceError, norm_cut
 from rieszspec.sampling import rand_diagonal_family, rand_orthogonal
+from rieszspec.spectrum import epsilon_net, pos_or_below
 
 import oracles
 
@@ -263,6 +265,25 @@ class TestRationalCharacters:
         assert all(lo < hi for lo, hi in before)
         self._agrees_with_sympy(alg, [g])
 
+    def test_root_box_is_a_node_of_the_fixed_tree(self):
+        # the box for a width is the depth-k node on the path to the root,
+        # k least with w / 2**k <= width, before and after deeper refinement
+        alg = CommutingAlgebra([_mat(CUBIC)])
+        widths = [F(1, 3), F(1, 64), F(5, 7), F(1, 1 << 20), F(1, 10), F(4)]
+        first = [[alg.root_box(j, w) for w in widths] for j in range(3)]
+        for j, (lo0, hi0) in enumerate(isolate_real_roots(alg._minpoly)):
+            w0 = hi0 - lo0
+            for w, (lo, hi) in zip(widths, first[j]):
+                k = 0
+                while w0 / 2**k > w:
+                    k += 1
+                assert hi - lo == w0 / 2**k
+                i = (lo - lo0) / (hi - lo)
+                assert i.denominator == 1 and 0 <= i < 2**k
+                assert alg.rational_root(j) is None
+                assert oracles.refine_root_fraction(alg._minpoly, lo0, hi0, w) == (lo, hi)
+        assert [[alg.root_box(j, w) for w in widths] for j in range(3)] == first
+
     def test_mixed_spectrum_splits_characters(self):
         # golden ratio block beside the eigenvalue 2/3
         g = _mat([[1, 1, 0], [1, 0, 0], [0, 0, F(2, 3)]])
@@ -278,8 +299,20 @@ class TestElementConstruction:
         hs = HermSpace([d])
         hs.element(d)  # in span
         hs.element(RationalMatrix.identity(2))
-        with pytest.raises(SpaceMismatchError):
+        with pytest.raises(SpaceMismatchError, match="matrix lies outside the generated algebra"):
             hs.element(_mat([[0, 1], [1, 0]]))  # outside the diagonal span
+
+    def test_one_elimination_per_matrix(self, monkeypatch):
+        m = _mat(CUBIC)
+        hs = HermSpace([m])
+        calls = []
+        real = CommutingAlgebra.coords_of
+        monkeypatch.setattr(
+            CommutingAlgebra, "coords_of", lambda alg, x: calls.append(x) or real(alg, x)
+        )
+        a = hs.element(m @ m)
+        assert hs.leq(hs.join(a, hs.zero()), hs.scale(10, hs.unit())) is True
+        assert calls.count(m @ m) == 1
 
     def test_dim_enforced(self):
         hs = HermSpace([RationalMatrix.diagonal([F(1), F(2)])])
@@ -709,3 +742,56 @@ class TestIrrationalCharacters:
         del e
         gc.collect()
         assert ref() is None
+
+
+class TestHistoryFreeEnclosures:
+    """Root boxes, enclosures, cover multipliers and net margins at
+    irrational characters are the same on a fresh space and after any
+    earlier queries on the same space."""
+
+    @staticmethod
+    def _answers(hs, m):
+        alg = hs.algebra
+        a = hs.element(m)
+        q = alg.value_poly_of(m)
+        chars = range(alg.char_count)
+        boxes = [alg.root_box(j, F(1, 1 << k)) for j in chars for k in (0, 3, 9)]
+        encl = [alg.value_interval(q, j, t) for j in chars for t in (F(1, 8), F(1, 1000))]
+        ranges = hs.value_ranges(hs.in_interval(a, F(-1), F(2)), tol=F(1, 32))
+        p, r, _ = cover_range(hs, a)
+        mults = [cover_interval(hs, a, p, r, w)[-1].multiplier for w in (F(1, 4), F(1, 16))]
+        net = epsilon_net(hs, [a], F(1, 2))
+        points = [
+            ([(lo, hi) for _, lo, hi in pt.constraints], pt.margin) for pt in net.points
+        ]
+        return boxes, encl, ranges, mults, list(net.shrink_info), points
+
+    @staticmethod
+    def _history(hs, m, seed):
+        rng = random.Random(seed)
+        alg = hs.algebra
+        a = hs.element(m)
+        q = alg.value_poly_of(m @ m)
+        unit = hs.unit()
+        for _ in range(12):
+            c = F(rng.randint(-96, 96), rng.choice([16, 48, 64, 96]))
+            kind = rng.randrange(4)
+            if kind == 0:
+                hs.leq(hs.join(a, hs.zero()), hs.scale(c, unit))
+            elif kind == 1:
+                hs.value_ranges(hs.in_interval(a, c, c + 1), tol=F(1, 1 << rng.randint(4, 30)))
+            elif kind == 2:
+                pos_or_below(hs, hs.add(a, hs.scale(-c, unit)), F(1, 1 << rng.randint(2, 12)))
+            else:
+                alg.value_interval(q, rng.randrange(alg.char_count), F(1, 1 << rng.randint(8, 50)))
+        epsilon_net(hs, [a], F(1, 16))
+
+    @pytest.mark.parametrize("rows", [[[1, 1], [1, 0]], CUBIC], ids=["golden", "cubic"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_answers_do_not_depend_on_earlier_queries(self, rows, seed):
+        m = _mat(rows)
+        fresh = self._answers(HermSpace([m]), m)
+        hs = HermSpace([m])
+        assert all(hs.algebra.rational_root(j) is None for j in range(hs.algebra.char_count))
+        self._history(hs, m, seed)
+        assert self._answers(hs, m) == fresh

@@ -3,7 +3,9 @@ from fractions import Fraction as F
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rieszspec import lattice
 from rieszspec.exact import RationalMatrix, interval_grid_window
 from rieszspec.instances import HermSpace, PLSpace, QnSpace
 from rieszspec.lattice import (
@@ -12,6 +14,7 @@ from rieszspec.lattice import (
     cover_interval,
     cover_range,
     d_of,
+    grid_cells,
     join_all,
     precedes,
     prune_cover,
@@ -19,6 +22,9 @@ from rieszspec.lattice import (
 )
 from rieszspec.riesz import CertificateError, ToleranceError
 from rieszspec.sampling import rand_pl, rand_qn
+from rieszspec.spectrum import epsilon_net
+
+import oracles
 
 
 def _cls_eq(x, y):
@@ -163,7 +169,7 @@ class TestCoverInterval:
         # can be positive, and only it is built
         q1 = QnSpace(1)
         a = q1.element([F(1, 2)])
-        grid, cells, cert = cover_interval(q1, a, F(0), F(1), F(1, 2))
+        grid, cells, _, cert = cover_interval(q1, a, F(0), F(1), F(1, 2))
         assert [(iv.lo, iv.hi) for iv in grid] == [(F(1, 4), F(3, 4))]
         assert len(cells) == 1
         assert cert.verify()
@@ -171,7 +177,7 @@ class TestCoverInterval:
     def test_wide_cell_single(self):
         q1 = QnSpace(1)
         a = q1.element([F(1, 2)])
-        grid, cells, cert = cover_interval(q1, a, F(0), F(1), F(2))
+        grid, cells, _, cert = cover_interval(q1, a, F(0), F(1), F(2))
         assert len(grid) == 1 and (grid[0].lo, grid[0].hi) == (F(0), F(1))
         assert cert.multiplier == 1 and cert.verify()
 
@@ -180,16 +186,16 @@ class TestCoverInterval:
         # certifies the target, which is <= 0, and admits no shrink
         q1 = QnSpace(1)
         a = q1.element([F(1, 2)])
-        grid, cells, cert = cover_interval(q1, a, F(2), F(3), F(1, 2))
+        grid, cells, _, cert = cover_interval(q1, a, F(2), F(3), F(1, 2))
         assert grid == [] and cells == []
         assert cert.multiplier == 1 and cert.verify()
         with pytest.raises(CertificateError):
-            shrink_cover(q1, cells)
+            shrink_cover(q1, cells, q1.zero())
 
     def test_tampered_certificate_fails(self):
         q1 = QnSpace(1)
         a = q1.element([F(1, 2)])
-        grid, cells, cert = cover_interval(q1, a, F(0), F(1), F(1, 2))
+        grid, cells, _, cert = cover_interval(q1, a, F(0), F(1), F(1, 2))
         # dropping a part or zeroing the multiplier must break verification
         bad = CoverCertificate(q1, cert.target, cert.parts[:1], cert.multiplier)
         assert not bad.verify() or precedes(q1, cert.target, cells[0]) is not None
@@ -201,31 +207,35 @@ class TestCoverInterval:
         target = q2.element([F(0), F(1)])
         part = q2.element([F(1), F(0)])
         with pytest.raises(CertificateError):
-            certify_cover(q2, target, [part])
+            certify_cover(q2, target, [part], part)
+
+
+def _shrink(space, cells):
+    return shrink_cover(space, cells, join_all(space, cells))
 
 
 class TestShrinkCover:
     def test_disjoint_projections(self):
         q2 = QnSpace(2)
-        res = shrink_cover(q2, [q2.element([F(1), F(0)]), q2.element([F(0), F(1)])])
+        res = _shrink(q2, [q2.element([F(1), F(0)]), q2.element([F(0), F(1)])])
         assert res.r == F(1, 2)
         assert res.cert.verify()
 
     def test_quarter_unit(self):
         q1 = QnSpace(1)
-        res = shrink_cover(q1, [q1.element([F(1, 4)])])
+        res = _shrink(q1, [q1.element([F(1, 4)])])
         assert res.r == F(1, 8)
         assert res.cert.verify()
 
     def test_unit_cell(self):
         q1 = QnSpace(1)
-        res = shrink_cover(q1, [q1.unit()])
+        res = _shrink(q1, [q1.unit()])
         assert res.r == F(1, 2)
 
     def test_uncoverable_raises(self):
         q2 = QnSpace(2)
         with pytest.raises(CertificateError):
-            shrink_cover(q2, [q2.element([F(1), F(0)])])  # second coord uncovered
+            _shrink(q2, [q2.element([F(1), F(0)])])  # second coord uncovered
 
     def test_uncoverable_fails_without_cut_queries(self):
         class CountingQn(QnSpace):
@@ -237,13 +247,13 @@ class TestShrinkCover:
 
         q2 = CountingQn(2)
         with pytest.raises(CertificateError):
-            shrink_cover(q2, [q2.element([F(1), F(0)])])
+            _shrink(q2, [q2.element([F(1), F(0)])])
         assert q2.cuts == 0
         # err carrying Herm cells fail closed in the dominance ceiling
         hs = HermSpace([RationalMatrix.diagonal([F(1), F(2)])])
         cells = [hs.element(RationalMatrix.diagonal([F(2), F(3)]), err=F(1, 8))]
         with pytest.raises(ToleranceError):
-            shrink_cover(hs, cells)
+            _shrink(hs, cells)
 
     def test_random_recertify(self):
         pls = PLSpace()
@@ -251,10 +261,108 @@ class TestShrinkCover:
         for _ in range(20):
             a = rand_pl(pls, rng, 5)
             p, q, _ = cover_range(pls, a)
-            grid, cells, _ = cover_interval(pls, a, F(p), F(q), F(1, 2))
-            res = shrink_cover(pls, cells)
+            grid, cells, joined, _ = cover_interval(pls, a, F(p), F(q), F(1, 2))
+            res = shrink_cover(pls, cells, joined)
             assert res.r > 0
             assert res.cert.verify()
+
+
+_fracs = st.builds(F, st.integers(-24, 24), st.sampled_from([1, 2, 3, 4, 6, 7]))
+_radii = st.builds(F, st.integers(1, 16), st.sampled_from([4, 8, 16]))
+
+
+@st.composite
+def _qn_family(draw):
+    q3 = QnSpace(3)
+    rows = draw(st.lists(st.lists(_fracs, min_size=3, max_size=3), min_size=2, max_size=6))
+    return q3, [q3.element(r) for r in rows]
+
+
+@st.composite
+def _pl_family(draw):
+    pls = PLSpace()
+    out = []
+    for _ in range(draw(st.integers(2, 5))):
+        den = draw(st.sampled_from([5, 12, 24]))
+        inner = draw(st.sets(st.integers(1, den - 1), max_size=4))
+        xs = [F(0)] + [F(k, den) for k in sorted(inner)] + [F(1)]
+        ys = draw(st.lists(_fracs, min_size=len(xs), max_size=len(xs)))
+        out.append(pls.element(list(zip(xs, ys))))
+    return pls, out
+
+
+def _one_join_route(space, target, cells):
+    joined = join_all(space, cells)
+    cert = certify_cover(space, target, cells, joined)
+    res = shrink_cover(space, cells, joined)
+    assert res.cert.verify()
+    return cert.multiplier, res.r, res.multiplier
+
+
+def _verdict(route, *args):
+    try:
+        return route(*args)
+    except CertificateError:
+        return "fails"
+
+
+class TestOneJoinPerCover:
+    @settings(max_examples=120, deadline=None)
+    @given(family=st.one_of(_qn_family(), _pl_family()), r=_radii)
+    def test_lowered_join_is_join_of_lowered_positive_parts(self, family, r):
+        space, cells = family
+        zero, shift = space.zero(), space.scale(-r, space.unit())
+        lhs = space.join(space.add(join_all(space, cells), shift), zero)
+        rhs = join_all(space, [space.join(space.add(c, shift), zero) for c in cells])
+        assert lhs == rhs
+
+    @settings(max_examples=80, deadline=None)
+    @given(family=st.one_of(_qn_family(), _pl_family()))
+    def test_random_families_match_three_join_oracle(self, family):
+        space, elems = family
+        target, cells = elems[0], elems[1:]
+        assert _verdict(_one_join_route, space, target, cells) == _verdict(
+            oracles.shrink_cover_three_joins, space, target, cells
+        )
+
+    def test_grid_covers_match_three_join_oracle(self):
+        rng = random.Random(65)
+        for k in range(24):
+            space = PLSpace() if k % 2 else QnSpace(3)
+            a = rand_pl(space, rng, 6) if k % 2 else rand_qn(space, rng)
+            p, q, _ = cover_range(space, a)
+            width = F(1, 2) if k % 3 else F(1, 8)
+            _, cells, joined, cert = cover_interval(space, a, F(p), F(q), width)
+            res = shrink_cover(space, cells, joined)
+            want = oracles.shrink_cover_three_joins(space, space.in_interval(a, p, q), cells)
+            assert (cert.multiplier, res.r, res.multiplier) == want
+            assert cert.verify() and res.cert.verify()
+
+    def test_net_joins_each_cell_once(self, monkeypatch):
+        class CountingPL(PLSpace):
+            def __init__(self):
+                super().__init__()
+                self.operands = []
+
+            def join(self, a, b):
+                self.operands += [a, b]
+                return super().join(a, b)
+
+        covers = []
+
+        def recording(*args):
+            grid, cells = grid_cells(*args)
+            covers.append(cells)
+            return grid, cells
+
+        monkeypatch.setattr(lattice, "grid_cells", recording)
+        pls = CountingPL()
+        rng = random.Random(66)
+        elems = [rand_pl(pls, rng, 6) for _ in range(2)]
+        epsilon_net(pls, elems, F(1, 4))
+        assert len(covers) == 2 and all(len(cells) >= 2 for cells in covers)
+        for cells in covers:
+            assert [sum(x is c for x in pls.operands) for c in cells] == [1] * len(cells)
 
 
 class TestPruneCover:
@@ -285,10 +393,10 @@ class TestPruneCover:
         for _ in range(10):
             a = rand_pl(pls, rng, 4)
             p, q, _ = cover_range(pls, a)
-            grid, cells, _ = cover_interval(pls, a, F(p), F(q), F(1, 2))
-            res = shrink_cover(pls, cells)
+            grid, cells, joined, _ = cover_interval(pls, a, F(p), F(q), F(1, 2))
+            res = shrink_cover(pls, cells, joined)
             kept = prune_cover(pls, cells, res.r)
             assert kept, "a shrunken cover cannot be empty"
             shrunk_kept = [res.parts[k] for k in kept]
-            cert = certify_cover(pls, pls.unit(), shrunk_kept)
+            cert = certify_cover(pls, pls.unit(), shrunk_kept, join_all(pls, shrunk_kept))
             assert cert.verify()

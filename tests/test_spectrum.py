@@ -13,6 +13,7 @@ from rieszspec.lattice import (
     cover_interval,
     cover_range,
     d_of,
+    join_all,
     precedes,
     prune_cover,
     shrink_cover,
@@ -432,8 +433,9 @@ def _full_grid_net(space, elements, eps):
         p, q, _ = cover_range(space, e)
         grid = oracles.interval_grid(F(p), F(q), w)
         cells = [space.in_interval(e, iv.lo, iv.hi) for iv in grid]
-        mults.append(certify_cover(space, space.in_interval(e, p, q), cells).multiplier)
-        shrunk = shrink_cover(space, cells)
+        joined = join_all(space, cells)
+        mults.append(certify_cover(space, space.in_interval(e, p, q), cells, joined).multiplier)
+        shrunk = shrink_cover(space, cells, joined)
         kept = prune_cover(space, cells, shrunk.r)
         per_elem.append([(grid[k], cells[k]) for k in kept])
         shrink_info.append((shrunk.r, shrunk.multiplier))
@@ -464,7 +466,7 @@ def _net_summary(space, elements, eps):
     mults = []
     for e in elements:
         p, q, _ = cover_range(space, e)
-        mults.append(cover_interval(space, e, p, q, w)[2].multiplier)
+        mults.append(cover_interval(space, e, p, q, w)[3].multiplier)
     net = epsilon_net(space, elements, eps)
     points = [([(lo, hi) for _, lo, hi in pt.constraints], pt.margin) for pt in net.points]
     return mults, list(net.shrink_info), points
