@@ -132,31 +132,40 @@ def interval_grid_window(
     the window, and only returned cells are built.  The range (p, q) gives
     the full grid.  Indices do not depend on the ranges, so callers that
     resolve ties by index see the same winners.
-    """
-    p, q, width = Fraction(p), Fraction(q), Fraction(width)
-    if not p < q:
-        raise ValueError("need p < q")
-    if width <= 0:
-        raise ValueError("need positive width")
-    h = width / 2
-    count = max(1, -((p - q) // h) - 1)
 
-    def span(lo: Fraction, hi: Fraction) -> tuple[int, int]:
-        if not (lo < q and p < hi):
+    p, q and h are put over one integer denominator D, the lcm of their
+    denominators, as P, Q and H; every comparison and every span is then
+    integer arithmetic, and ``Fraction`` values are built only for the
+    endpoints (P + k*H)/D of the returned cells.
+    """
+    pn, pd = p.numerator, p.denominator
+    qn, qd = q.numerator, q.denominator
+    hn, hd = width.numerator, 2 * width.denominator
+    if not pn * qd < qn * pd:
+        raise ValueError("need p < q")
+    if hn <= 0:
+        raise ValueError("need positive width")
+    den = lcm(pd, qd, hd)
+    P, Q, H = pn * (den // pd), qn * (den // qd), hn * (den // hd)
+    count = max(1, -((P - Q) // H) - 1)
+
+    def span(lo: Rational, hi: Rational) -> tuple[int, int]:
+        # lo = a/b and hi = c/e over D: a*D/b against P, Q in integers
+        a, b, c, e = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        if not (a * den < Q * b and P * e < c * den):
             return 0, 0
-        return max(0, (lo - p) // h - 1), min(count, -((p - hi) // h))
+        start = (a * den - P * b) // (H * b) - 1
+        stop = -((P * e - c * den) // (H * e))
+        return max(0, start), min(count, stop)
 
     wa, wb = span(*window) if window is not None else (0, count)
-    # cell ends over one denominator: p + k*h = (pn + k*hn) / den
-    pn, hn = p.numerator * h.denominator, h.numerator * p.denominator
-    den = p.denominator * h.denominator
     out: list[tuple[int, RatInterval]] = []
     done = 0  # cells below this index are already out (ranges overlap)
     for start, stop in sorted(span(lo, hi) for lo, hi in ranges):
         stop = min(stop, wb)
         for k in range(max(start, wa, done), stop):
-            hi = q if k == count - 1 else Fraction(pn + (k + 2) * hn, den)
-            out.append((k, RatInterval(Fraction(pn + k * hn, den), hi)))
+            hi = Fraction(q) if k == count - 1 else Fraction(P + (k + 2) * H, den)
+            out.append((k, RatInterval(Fraction(P + k * H, den), hi)))
         done = max(done, stop)
     return out
 

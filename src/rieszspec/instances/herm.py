@@ -69,6 +69,7 @@ from typing import Iterable, Sequence
 
 from ..exact import RationalMatrix, RatInterval, psd_check
 from ..polyroots import (
+    Box,
     Poly,
     count_roots,
     isolate_real_roots,
@@ -362,13 +363,10 @@ class CommutingAlgebra:
             raise ValueError("separating member has unexpected complex spectrum")
         # root j's isolating box, as integers (a, w, d) for (a/d, (a + w)/d),
         # and the finest node of its dyadic tree refined so far, (k, i, lo, hi)
-        self._roots: list[tuple[int, int, int]] = []
-        self._deep: list[tuple[int, int, Fraction, Fraction]] = []
-        for lo, hi in roots:
-            d = math.lcm(lo.denominator, hi.denominator)
-            a = lo.numerator * (d // lo.denominator)
-            self._roots.append((a, hi.numerator * (d // hi.denominator) - a, d))
-            self._deep.append((0, 0, lo, hi))
+        self._roots: list[Box] = roots
+        self._deep: list[tuple[int, int, Fraction, Fraction]] = [
+            (0, 0, Fraction(a, d), Fraction(a + w, d)) for a, w, d in roots
+        ]
         # leading coefficient of the primitive integer minimal polynomial:
         # every rational root has a denominator dividing it
         den = math.lcm(*(c.denominator for c in self._minpoly))

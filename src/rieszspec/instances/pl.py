@@ -227,14 +227,15 @@ class PLSpace(RieszSpace):
         """min(a - p, q - a) in one pass over the breakpoints of a.
 
         The branch switches where a crosses the midpoint m = (p + q)/2;
-        the value there is the half width h = (q - p)/2.
+        the value there is the half width h = (q - p)/2.  Both are kept as
+        integer numerators over L = 2 * pd * qd: only the signs of y - m
+        and the reduced output triples depend on them, and neither changes
+        when m and h are scaled by the same positive number.
         """
-        p, q = Fraction(p), Fraction(q)
-        if not p < q:
-            raise ValueError("in_interval needs p < q")
-        m, h = (p + q) / 2, (q - p) / 2
         pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
-        mn, md, hn, hd = m.numerator, m.denominator, h.numerator, h.denominator
+        if not pn * qd < qn * pd:
+            raise ValueError("in_interval needs p < q")
+        mn, hn, md = pn * qd + qn * pd, qn * pd - pn * qd, 2 * pd * qd
         out: list[Triple] = []
         prev: Optional[Triple] = None
         ps = 0
@@ -245,7 +246,7 @@ class PLSpace(RieszSpace):
                 la, lb, lc = _line(prev, pt)
                 xc = -(lb * mn + lc * md)
                 dc = la * md
-                out.append(_reduced(xc * hd, hn * dc, dc * hd))
+                out.append(_reduced(xc * md, hn * dc, dc * md))
             if s <= 0:
                 out.append(_reduced(x * pd, y * pd - pn * d, d * pd))
             else:
@@ -340,22 +341,25 @@ class PLSpace(RieszSpace):
 
     def interval_sup_upper(self, b: PLElement, iv: RatInterval) -> Optional[Fraction]:
         """Half width minus the distance from the midpoint to the nearest
-        breakpoint value, or the half width when a segment spans it."""
-        half = (iv.hi - iv.lo) / 2
-        mid = iv.lo + half
-        mn, md = mid.numerator, mid.denominator
+        breakpoint value, or the half width when a segment spans it.
+
+        The midpoint and the half width are integer numerators mn and hn
+        over L = 2 * lo.den * hi.den; one ``Fraction`` is built, on return.
+        """
+        ln, ld, un, ud = iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator
+        mn, hn, md = ln * ud + un * ld, un * ld - ln * ud, 2 * ld * ud
         # distance |y - mid| = |dev| / (d * md) with dev = y * md - mn * d
         near_n, near_d = None, 1
         prev = None
         for _, y, d in b.triples:
             dev = y * md - mn * d
             if prev is not None and (dev <= 0 <= prev or prev <= 0 <= dev):
-                return half
+                return Fraction(hn, md)
             if near_n is None or abs(dev) * near_d < near_n * d:
                 near_n, near_d = abs(dev), d
             prev = dev
-        best = half - Fraction(near_n, near_d * md)
-        return best if best > 0 else None
+        best = hn * near_d - near_n
+        return Fraction(best, near_d * md) if best > 0 else None
 
     def dominance_ceiling(self, x: PLElement, y: PLElement) -> Optional[int]:
         """Exact for positive piecewise linear functions.

@@ -19,10 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Sequence
 
 from .exact import RatInterval, interval_grid_window
 from .riesz import CertificateError, Rational, RieszElement, RieszSpace
+
+if TYPE_CHECKING:
+    from .spectrum import Pos
 
 __all__ = [
     "LatticeElement",
@@ -210,12 +214,27 @@ def cover_interval(
 
 @dataclass(frozen=True)
 class ShrinkResult:
-    """Cells lowered by r while still covering the unit class."""
+    """Cells lowered by r while still covering the unit class.
+
+    r and multiplier are what shrink_cover proved.  The lowered cells
+    (parts) and their certificate (cert) are built when first read:
+    nets read only r and multiplier.
+    """
 
     r: Fraction
     multiplier: int
-    parts: tuple[RieszElement, ...]
-    cert: CoverCertificate
+    space: RieszSpace
+    cells: tuple[RieszElement, ...]
+
+    @cached_property
+    def parts(self) -> tuple[RieszElement, ...]:
+        space = self.space
+        down = space.scale(-self.r, space.unit())
+        return tuple(space.add(b, down) for b in self.cells)
+
+    @cached_property
+    def cert(self) -> CoverCertificate:
+        return CoverCertificate(self.space, self.space.unit(), self.parts, self.multiplier)
 
 
 def shrink_cover(
@@ -228,7 +247,8 @@ def shrink_cover(
     J is at least 1/n; lowering by r = 1/(2n) keeps it at least 1/(2n).
     The shrunk claim is the one order test 1 <= 2n * pos(J - r), where
     pos(J - r) is the join of the lowered cells' positive parts, so the
-    returned certificate on the lowered cells verifies.  CertificateError
+    certificate on the lowered cells verifies; no cell is lowered until
+    the result's parts are read.  CertificateError
     when the cells do not cover the unit class or the lowered cover fails
     that test.
     """
@@ -245,24 +265,26 @@ def shrink_cover(
     lowered = _pos(space, space.add(joined, space.scale(-r, unit)))
     if space.leq(unit, space.scale(2 * n, lowered)) is not True:
         raise CertificateError("shrunken cover failed to verify")
-    shrunk = tuple(space.add(b, space.scale(-r, unit)) for b in cells)
-    return ShrinkResult(r, 2 * n, shrunk, CoverCertificate(space, unit, shrunk, 2 * n))
+    return ShrinkResult(r, 2 * n, space, tuple(cells))
 
 
 def prune_cover(
     space: RieszSpace,
     cells: Sequence[RieszElement],
     r: Rational,
-) -> list[int]:
-    """Indices of cells whose positivity at level r is certified.
+) -> list[tuple[int, Pos]]:
+    """(index, answer) of the cells whose positivity at level r is certified.
 
     Cells answering Below are at most r and can be dropped from a cover
-    shrunk by r without losing any covered point.
+    shrunk by r without losing any covered point.  The Pos answer of each
+    kept cell is returned with it, so a caller asking the same question
+    again can reuse it.
     """
     from .spectrum import Pos, pos_or_below
 
     kept = []
     for k, cell in enumerate(cells):
-        if isinstance(pos_or_below(space, cell, r), Pos):
-            kept.append(k)
+        t = pos_or_below(space, cell, r)
+        if isinstance(t, Pos):
+            kept.append((k, t))
     return kept

@@ -2,8 +2,8 @@
 
 Polynomials are tuples of ``Fraction`` coefficients in ascending order.
 Root counting uses Sturm chains, so every answer is an exact rational
-computation: isolation produces disjoint intervals holding exactly one
-root each (a degenerate pair (x, x) marks an exact rational root), and
+computation: isolation produces disjoint integer boxes holding exactly
+one root each (a box of width 0 marks an exact rational root), and
 the sign of one polynomial at a root of another is decided by an interval
 enclosure over the root's isolating box first; only when that enclosure
 straddles zero do a gcd test and interval refinement follow, which
@@ -12,9 +12,10 @@ terminate in every case.
 Root isolation and refinement decide signs with one integer kernel: the
 sign of p at a/b, b > 0, is the sign of b**n * p(a/b), which homogeneous
 Horner computes from the primitive integer coefficients of p with no
-division.  Sturm variation counts and bisection steps therefore build no
-``Fraction`` per evaluation, and give the boxes and exact-root hits of
-``Fraction`` evaluation.  Sturm chains themselves come from integer
+division.  Isolation and refinement bisect integer endpoints over one
+doubling denominator, so Sturm variation counts and bisection steps build
+no ``Fraction``, and give the boxes and exact-root hits of ``Fraction``
+evaluation.  Sturm chains themselves come from integer
 pseudo-remainders, each scaled by a positive number and made primitive,
 so they are the primitive forms of the rational chain's members.
 """
@@ -25,9 +26,11 @@ from math import gcd as int_gcd, lcm as int_lcm
 from typing import Sequence
 
 Poly = tuple[Fraction, ...]
+Box = tuple[int, int, int]
 
 __all__ = [
     "Poly",
+    "Box",
     "poly_normalize",
     "poly_eval",
     "poly_eval_interval",
@@ -38,7 +41,6 @@ __all__ = [
     "poly_gcd",
     "sturm_chain",
     "count_roots",
-    "cauchy_bound",
     "isolate_real_roots",
     "refine_root",
 ]
@@ -210,8 +212,8 @@ def _sign_at(ints: list[int], a: int, b: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _variations(chain: list[list[int]], x: Fraction) -> int:
-    a, b = x.numerator, x.denominator
+def _variations(chain: list[list[int]], a: int, b: int) -> int:
+    """Sign variations of the chain at a/b, b > 0."""
     signs = [s for s in (_sign_at(q, a, b) for q in chain) if s]
     return sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
 
@@ -219,59 +221,67 @@ def _variations(chain: list[list[int]], x: Fraction) -> int:
 def count_roots(chain: list[Poly], a: Fraction, b: Fraction) -> int:
     """Distinct real roots in (a, b); both endpoints must be non roots."""
     ichain = [_int_coeffs(q) for q in chain]
-    return _variations(ichain, Fraction(a)) - _variations(ichain, Fraction(b))
+    va = _variations(ichain, a.numerator, a.denominator)
+    return va - _variations(ichain, b.numerator, b.denominator)
 
 
-def cauchy_bound(p: Poly) -> Fraction:
-    p = poly_normalize(p)
-    if len(p) <= 1:
-        return Fraction(1)
-    lead = abs(p[-1])
-    return 1 + max(abs(c) for c in p[:-1]) / lead
+def isolate_real_roots(p: Poly) -> list[Box]:
+    """Disjoint isolating boxes for the real roots of squarefree p.
 
+    A box (a, w, d), with d > 0 and gcd(a, w, d) = 1, is the interval
+    (a/d, (a + w)/d).  w = 0 marks an exact rational root a/d; w > 0 holds
+    exactly one root strictly inside and has non root endpoints.  Returned
+    in ascending order.
 
-def isolate_real_roots(p: Poly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint isolating intervals for the real roots of squarefree p.
-
-    Pairs (x, x) are exact rational roots; pairs (a, b) with a < b hold
-    exactly one root strictly inside and have non root endpoints.
-    Returned in ascending order.
+    Bisection runs on integer endpoints over one denominator that doubles
+    at each halving, as in refine_root, and starts from the Cauchy bound
+    (|c_n| + max |c_i|)/|c_n| of p's primitive integer coefficients c_i,
+    so the boxes are those of the same bisection in ``Fraction``
+    arithmetic.
     """
     p = poly_normalize(p)
     if len(p) <= 1:
         return []
     chain = _sturm_ints(p)
     ip = chain[0]
-    bound = cauchy_bound(p)
-    out: list[tuple[Fraction, Fraction]] = []
+    lead = abs(ip[-1])
+    bound = lead + max(abs(c) for c in ip[:-1])
+    out: list[Box] = []
 
-    def count(a: Fraction, b: Fraction) -> int:
-        return _variations(chain, a) - _variations(chain, b)
+    def count(a: int, b: int, d: int) -> int:
+        return _variations(chain, a, d) - _variations(chain, b, d)
 
-    def is_root(x: Fraction) -> bool:
-        return _sign_at(ip, x.numerator, x.denominator) == 0
+    def emit(a: int, b: int, d: int) -> None:
+        g = int_gcd(a, b - a, d)
+        out.append((a // g, (b - a) // g, d // g))
 
-    def go(a: Fraction, b: Fraction) -> None:
-        c = count(a, b)
+    def go(a: int, b: int, d: int) -> None:
+        c = count(a, b, d)
         if c == 0:
             return
         if c == 1:
-            out.append((a, b))
+            emit(a, b, d)
             return
-        m = (a + b) / 2
-        if is_root(m):
-            out.append((m, m))
-            d = (b - a) / 4
-            while is_root(m - d) or is_root(m + d) or count(m - d, m + d) != 1:
-                d = d / 2
-            go(a, m - d)
-            go(m + d, b)
+        m = a + b  # the midpoint, over 2d
+        if _sign_at(ip, m, 2 * d) == 0:
+            # the box (mm - t, mm + t)/e starts a quarter of (a, b) to each
+            # side of the root and halves until it isolates that root alone
+            e, mm, t = 8 * d, 4 * m, 2 * (b - a)
+            while (
+                _sign_at(ip, mm - t, e) == 0
+                or _sign_at(ip, mm + t, e) == 0
+                or count(mm - t, mm + t, e) != 1
+            ):
+                e, mm = 2 * e, 2 * mm
+            go(a * (e // d), mm - t, e)
+            emit(m, m, 2 * d)
+            go(mm + t, b * (e // d), e)
         else:
-            go(a, m)
-            go(m, b)
+            go(2 * a, m, 2 * d)
+            go(m, 2 * b, 2 * d)
 
-    go(-bound, bound)
-    return sorted(out)
+    go(-bound, bound, lead)
+    return out
 
 
 def refine_root(

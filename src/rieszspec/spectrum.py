@@ -17,10 +17,13 @@ Nets: for a finite family and a resolution, each element's certified
 range is covered by the overlapping grid cells that meet one of its
 value ranges (the rest are <= 0 everywhere), the cover is shrunk by a
 positive r and pruned, and joint cells that keep a positive meet become
-points.  Each point keeps the certified range of every family member, so
-evaluating a member proves no range again.  Every representation of the
-space then agrees with some net point to within the resolution on every
-family member.
+points.  The net hands each point the meet it certified and the witness
+of that test, which is the point's margin, so no point rebuilds its meet;
+a first cell alone is tested once, by the pruning, whenever the pruning
+ran at the joint r.  Each point keeps the certified range of every family
+member, so evaluating a member proves no range again.  Every
+representation of the space then agrees with some net point to within
+the resolution on every family member.
 """
 from __future__ import annotations
 
@@ -103,11 +106,13 @@ def sup_approx(space: RieszSpace, a: RieszElement, eps: Rational) -> Fraction:
 
 
 def _dyadic_level(eps: Fraction) -> int:
-    """The least level >= 0 with 2^-level <= eps."""
-    level = 0
-    while Fraction(1, 1 << level) > eps:
-        level += 1
-    return level
+    """The least level >= 0 with 2^-level <= eps, for positive eps.
+
+    2^level >= 1/eps = d/n holds exactly when 2^level >= c = ceil(d/n),
+    and the least such level is the bit length of c - 1.
+    """
+    n, d = eps.numerator, eps.denominator
+    return (-(-d // n) - 1).bit_length()
 
 
 def _constraint_meet(
@@ -124,13 +129,20 @@ def _constraint_meet(
 
 
 class PointState:
-    """A spectrum point under refinement; not safe for concurrent use."""
+    """A spectrum point under refinement; not safe for concurrent use.
+
+    meet is the meet of the constraints' interval elements, the element
+    whose supremum certified the margin: both constructors, point_new and
+    epsilon_net, hold it already, and eval replaces it with the meet that
+    certified the new margin.
+    """
 
     def __init__(
         self,
         space: RieszSpace,
         constraints: Sequence[tuple[RieszElement, Fraction, Fraction]],
         margin: Fraction,
+        meet: RieszElement,
         ident: int = 0,
         ranges: Mapping[RieszElement, tuple[int, int]] | None = None,
     ) -> None:
@@ -140,16 +152,10 @@ class PointState:
         self.constraints = list(constraints)
         self.margin = Fraction(margin)
         self.ident = ident
-        self._meet: RieszElement | None = None
+        self.meet = meet
         self._evals: dict[tuple[RieszElement, int], Fraction] = {}
         # certified integer bounds (p, q) of evaluated elements, per point
         self._ranges: dict[RieszElement, tuple[int, int]] = dict(ranges or {})
-
-    def meet_element(self) -> RieszElement:
-        """Cached meet of all interval constraints."""
-        if self._meet is None:
-            self._meet = _constraint_meet(self.space, self.constraints)
-        return self._meet
 
     def eval(self, b: RieszElement, eps: Rational) -> Fraction:
         """Value of b at this point within eps; narrows the filter.
@@ -182,7 +188,7 @@ class PointState:
         for e2, lo2, hi2 in self.constraints:
             if e2 == b:
                 wlo, whi = max(wlo, lo2), min(whi, hi2)
-        meet_cur = self.meet_element()
+        meet_cur = self.meet
         cands = []
         if wlo < whi:
             ranges = space.value_ranges(b, meet_cur, w / 4)
@@ -207,7 +213,7 @@ class PointState:
             )
         iv = best_iv
         self.constraints.append((b, iv.lo, iv.hi))
-        self._meet = best_meet
+        self.meet = best_meet
         self.margin = best_mu - delta
         val = iv.midpoint
         self._evals[key] = val
@@ -227,7 +233,7 @@ def point_new(
     margin = s - delta
     if margin <= 0:
         raise MarginCollapseError("constraints do not certify a point")
-    return PointState(space, cs, margin, ident)
+    return PointState(space, cs, margin, m, ident)
 
 
 def pseudo_dist(
@@ -245,9 +251,7 @@ def pseudo_dist(
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    ncut = 1
-    while Fraction(2, 1 << ncut) > eps:
-        ncut += 1
+    ncut = max(1, _dyadic_level(eps / 2))  # least ncut >= 1 with 2^(1-ncut) <= eps
     total = Fraction(0)
     for n, e in enumerate(elements):
         if n > ncut:
@@ -291,43 +295,41 @@ def epsilon_net(
         raise ValueError("net needs at least one element")
     w = Fraction(1, 1 << _dyadic_level(eps))
 
-    per_elem: list[list[tuple[RatInterval, RieszElement]]] = []
+    per_elem: list[list[tuple[RatInterval, RieszElement, Pos]]] = []
     shrink_info: list[tuple[Fraction, int]] = []
     ranges: dict[RieszElement, tuple[int, int]] = {}
-    r_joint: Fraction | None = None
     for e in elements:
         p, q, _ = cover_range(space, e)
         ranges[e] = (p, q)
         grid, cells, joined, _ = cover_interval(space, e, Fraction(p), Fraction(q), w)
         shrunk = shrink_cover(space, cells, joined)
         kept = prune_cover(space, cells, shrunk.r)
-        per_elem.append([(grid[k], cells[k]) for k in kept])
+        per_elem.append([(grid[k], cells[k], t) for k, t in kept])
         shrink_info.append((shrunk.r, shrunk.multiplier))
-        r_joint = shrunk.r if r_joint is None else min(r_joint, shrunk.r)
+    r_joint = min(r for r, _ in shrink_info)
+    # a first cell alone is the meet prune_cover already tested at the
+    # first element's r; when that r is r_joint, its answer is reused
+    reuse = shrink_info[0][0] == r_joint
 
     points: list[PointState] = []
 
-    def extend(i: int, meet: RieszElement | None, chosen: list[RatInterval]) -> None:
-        if meet is not None:
-            t = pos_or_below(space, meet, r_joint)
-            if isinstance(t, Below):
-                return
-            if i == len(elements):
-                cs = [
-                    (elements[j], chosen[j].lo, chosen[j].hi)
-                    for j in range(len(elements))
-                ]
-                points.append(
-                    PointState(space, cs, t.witness, ident=len(points), ranges=ranges)
-                )
-                return
-        for iv, cell in per_elem[i]:
-            nxt = cell if meet is None else space.meet(meet, cell)
+    def extend(i: int, meet: RieszElement, t: Pos | Below, chosen: list[RatInterval]) -> None:
+        if isinstance(t, Below):
+            return
+        if i == len(elements):
+            cs = [(elements[j], chosen[j].lo, chosen[j].hi) for j in range(len(elements))]
+            points.append(
+                PointState(space, cs, t.witness, meet, ident=len(points), ranges=ranges)
+            )
+            return
+        for iv, cell, _ in per_elem[i]:
+            nxt = space.meet(meet, cell)
             chosen.append(iv)
-            extend(i + 1, nxt, chosen)
+            extend(i + 1, nxt, pos_or_below(space, nxt, r_joint), chosen)
             chosen.pop()
 
-    extend(0, None, [])
+    for iv, cell, t in per_elem[0]:
+        extend(1, cell, t if reuse else pos_or_below(space, cell, r_joint), [iv])
     return SpectrumNet(
         space=space,
         elements=tuple(elements),

@@ -7,11 +7,12 @@ grid is a plain stepping loop, and element files load through the
 package's own ``attach``.  The rational elimination psd test, the Sturm
 chain, isolation and bisection in ``Fraction`` arithmetic, and the
 ``Fraction`` elimination that builds a commuting algebra are the
-routines the package ran before its integer kernels.  The three-join
-cover route is the one the package ran before it joined each cover once.
-Tests that compare
-a package result against one of these functions are exercising two
-genuinely different routes to the same value.
+routines the package ran before its integer kernels, and so are the
+piecewise linear ``in_interval`` and cell bound with ``Fraction``
+midpoints.  The three-join cover route is the one the package ran before
+it joined each cover once.  Tests that compare a package result against
+one of these functions are exercising two genuinely different routes to
+the same value.
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ from typing import Sequence
 import sympy
 
 from rieszspec.exact import RatInterval
+from rieszspec.instances.pl import PLElement, _canonical, _line, _reduced
 from rieszspec.polyroots import (
-    cauchy_bound,
     poly_divmod,
     poly_eval,
     poly_normalize,
@@ -188,8 +189,10 @@ def element_from_json(obj: dict):
 def interval_grid(p: Fraction, q: Fraction, width: Fraction) -> list[RatInterval]:
     """Every cell of the half overlapping width grid over (p, q), stepping.
 
-    Interval k starts at p + k*width/2; the last ones are truncated at q.
-    A plain loop over the positions, with no index arithmetic.
+    Each interval starts width/2 after the one before, the first at p, and
+    is width long, truncated at q; the interval that reaches q is the last.
+    A plain loop that accumulates the position, with no index arithmetic:
+    a cell (lo, hi) is followed by (mid, hi + width/2), mid = lo + width/2.
     """
     p, q, width = Fraction(p), Fraction(q), Fraction(width)
     if not p < q:
@@ -197,13 +200,62 @@ def interval_grid(p: Fraction, q: Fraction, width: Fraction) -> list[RatInterval
     if width <= 0:
         raise ValueError("need positive width")
     out = []
-    k = 0
     half = width / 2
-    while p + k * half < q and (k == 0 or p + k * half + half < q):
-        lo = p + k * half
-        out.append(RatInterval(lo, min(lo + width, q)))
-        k += 1
-    return out
+    lo, mid = p, p + half
+    while True:
+        hi = mid + half
+        if not hi < q:
+            out.append(RatInterval(lo, q))
+            return out
+        out.append(RatInterval(lo, hi))
+        lo, mid = mid, hi
+
+
+def pl_in_interval_fraction(a: PLElement, p: Fraction, q: Fraction) -> PLElement:
+    """PL min(a - p, q - a) with the midpoint and half width as reduced
+    ``Fraction`` values; the routine the package ran before its integer
+    numerators over 2 * pd * qd."""
+    p, q = Fraction(p), Fraction(q)
+    if not p < q:
+        raise ValueError("in_interval needs p < q")
+    m, h = (p + q) / 2, (q - p) / 2
+    pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
+    mn, md, hn, hd = m.numerator, m.denominator, h.numerator, h.denominator
+    out = []
+    prev = None
+    ps = 0
+    for pt in a.triples:
+        x, y, d = pt
+        s = y * md - mn * d
+        if (s > 0 > ps) or (s < 0 < ps):
+            la, lb, lc = _line(prev, pt)
+            xc = -(lb * mn + lc * md)
+            dc = la * md
+            out.append(_reduced(xc * hd, hn * dc, dc * hd))
+        if s <= 0:
+            out.append(_reduced(x * pd, y * pd - pn * d, d * pd))
+        else:
+            out.append(_reduced(x * qd, qn * d - y * qd, d * qd))
+        prev, ps = pt, s
+    return PLElement(a.space, _canonical(out))
+
+
+def pl_interval_sup_upper_fraction(b: PLElement, iv: RatInterval):
+    """PL cheap cell bound with a ``Fraction`` midpoint and half width."""
+    half = (iv.hi - iv.lo) / 2
+    mid = iv.lo + half
+    mn, md = mid.numerator, mid.denominator
+    near_n, near_d = None, 1
+    prev = None
+    for _, y, d in b.triples:
+        dev = y * md - mn * d
+        if prev is not None and (dev <= 0 <= prev or prev <= 0 <= dev):
+            return half
+        if near_n is None or abs(dev) * near_d < near_n * d:
+            near_n, near_d = abs(dev), d
+        prev = dev
+    best = half - Fraction(near_n, near_d * md)
+    return best if best > 0 else None
 
 
 def poly_degree(p: Sequence[Fraction]) -> int:
@@ -255,6 +307,15 @@ def count_roots_fraction(chain, a: Fraction, b: Fraction) -> int:
         return sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
 
     return variations(a) - variations(b)
+
+
+def cauchy_bound(p) -> Fraction:
+    """1 + max |c_i| / |c_n|: every real root lies in [-bound, bound]."""
+    p = poly_normalize(p)
+    if len(p) <= 1:
+        return Fraction(1)
+    lead = abs(p[-1])
+    return 1 + max(abs(c) for c in p[:-1]) / lead
 
 
 def isolate_real_roots_fraction(p) -> list[tuple[Fraction, Fraction]]:

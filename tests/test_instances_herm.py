@@ -21,6 +21,11 @@ from rieszspec.spectrum import epsilon_net, pos_or_below
 import oracles
 
 
+def _boxes(p):
+    """The isolating boxes of p as (lo, hi) pairs of Fractions."""
+    return [(F(a, d), F(a + w, d)) for a, w, d in isolate_real_roots(p)]
+
+
 def _mat(rows):
     return RationalMatrix.from_rows([[F(v) for v in r] for r in rows])
 
@@ -239,7 +244,7 @@ class TestRationalCharacters:
     def test_rational_non_dyadic_roots_get_point_boxes(self):
         fam = rand_diagonal_family(random.Random(6100), 3, 1)
         alg = CommutingAlgebra(fam.members)
-        open_boxes = isolate_real_roots(alg._minpoly)
+        open_boxes = _boxes(alg._minpoly)
         assert all(lo < hi for lo, hi in open_boxes)
         roots = []
         for j in range(alg.char_count):
@@ -259,7 +264,7 @@ class TestRationalCharacters:
     def test_golden_ratio_keeps_open_boxes(self):
         g = _mat([[1, 1], [1, 0]])
         alg = CommutingAlgebra([g])
-        before = isolate_real_roots(alg._minpoly)
+        before = _boxes(alg._minpoly)
         assert [alg.rational_root(j) for j in range(2)] == [None, None]
         assert [alg.root_box(j, F(100)) for j in range(2)] == before
         assert all(lo < hi for lo, hi in before)
@@ -271,7 +276,7 @@ class TestRationalCharacters:
         alg = CommutingAlgebra([_mat(CUBIC)])
         widths = [F(1, 3), F(1, 64), F(5, 7), F(1, 1 << 20), F(1, 10), F(4)]
         first = [[alg.root_box(j, w) for w in widths] for j in range(3)]
-        for j, (lo0, hi0) in enumerate(isolate_real_roots(alg._minpoly)):
+        for j, (lo0, hi0) in enumerate(_boxes(alg._minpoly)):
             w0 = hi0 - lo0
             for w, (lo, hi) in zip(widths, first[j]):
                 k = 0

@@ -11,6 +11,7 @@ from rieszspec.instances import PLSpace
 from rieszspec.riesz import RieszSpace, in_interval, norm_cut
 from rieszspec.sampling import rand_pl
 
+import oracles
 from oracles import pl_max, pl_min, pl_value
 
 
@@ -313,3 +314,56 @@ class TestAgainstFractionEvaluation:
         else:
             expect = max(1, math.ceil(ratio))
         assert PLS.dominance_ceiling(x, y) == expect
+
+
+_big = st.fractions(min_value=-4, max_value=4, max_denominator=1 << 40)
+_abscissa = st.fractions(min_value=0, max_value=1, max_denominator=1 << 30)
+
+
+@st.composite
+def _pl_and_cell(draw):
+    """A PL element with large denominators and constant pieces, and an
+    open cell that is free, starts or ends at a breakpoint value, or has
+    one as its midpoint."""
+    xs = sorted(set(draw(st.lists(_abscissa, max_size=5))) - {F(0), F(1)})
+    xs = [F(0)] + xs + [F(1)]
+    ys = []
+    for _ in xs:
+        ys.append(ys[-1] if ys and draw(st.booleans()) else draw(_big))
+    a = PLS.element(list(zip(xs, ys)))
+    w = draw(st.fractions(min_value=0, max_value=4, max_denominator=1 << 40).filter(bool))
+    y = draw(st.sampled_from(ys))
+    lo = {
+        "free": draw(_big),
+        "lo": y,
+        "hi": y - w,
+        "mid": y - w / 2,
+    }[draw(st.sampled_from(["free", "lo", "hi", "mid"]))]
+    return a, RatInterval(lo, lo + w)
+
+
+class TestIntegerCellHooks:
+    """in_interval and interval_sup_upper on integer numerators against the
+    ``Fraction`` midpoint routines they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_pl_and_cell())
+    def test_in_interval_matches_fraction_route(self, case):
+        a, iv = case
+        got = PLS.in_interval(a, iv.lo, iv.hi)
+        assert got == oracles.pl_in_interval_fraction(a, iv.lo, iv.hi)
+        assert got.triples == PLS.element(got.points).triples
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_pl_and_cell())
+    def test_cell_bound_matches_fraction_route(self, case):
+        a, iv = case
+        got = PLS.interval_sup_upper(a, iv)
+        assert got == oracles.pl_interval_sup_upper_fraction(a, iv)
+        assert got is None or isinstance(got, F)
+
+    def test_integer_endpoints(self):
+        a = _f((0, -1), (F(1, 3), 2), (1, F(1, 2)))
+        assert PLS.in_interval(a, 0, 1) == oracles.pl_in_interval_fraction(a, F(0), F(1))
+        with pytest.raises(ValueError):
+            PLS.in_interval(a, 1, 1)

@@ -22,7 +22,7 @@ from rieszspec.lattice import (
 )
 from rieszspec.riesz import CertificateError, ToleranceError
 from rieszspec.sampling import rand_pl, rand_qn
-from rieszspec.spectrum import epsilon_net
+from rieszspec.spectrum import Pos, epsilon_net
 
 import oracles
 
@@ -255,6 +255,51 @@ class TestShrinkCover:
         with pytest.raises(ToleranceError):
             _shrink(hs, cells)
 
+    def test_lowers_no_cell_until_parts_are_read(self):
+        class CountingPL(PLSpace):
+            def __init__(self):
+                super().__init__()
+                self.added = []
+
+            def add(self, a, b):
+                self.added.append(a)
+                return super().add(a, b)
+
+        pls = CountingPL()
+        a = rand_pl(pls, random.Random(67), 6)
+        p, q, _ = cover_range(pls, a)
+        _, cells, joined, _ = cover_interval(pls, a, F(p), F(q), F(1, 4))
+
+        def lowered():
+            return sum(any(x is c for c in cells) for x in pls.added)
+
+        res = shrink_cover(pls, cells, joined)
+        assert len(cells) > 1 and lowered() == 0
+        parts = res.parts
+        assert lowered() == len(cells) == len(parts)
+        assert res.cert.verify() and res.parts is parts and lowered() == len(cells)
+
+    @pytest.mark.parametrize("kind", ["qn", "pl", "herm-rational", "herm-irrational"])
+    @pytest.mark.parametrize("width", [F(1, 2), F(1, 8)])
+    def test_cert_built_on_read_verifies(self, kind, width):
+        rng = random.Random(69)
+        if kind == "qn":
+            space = QnSpace(3)
+            a = rand_qn(space, rng)
+        elif kind == "pl":
+            space = PLSpace()
+            a = rand_pl(space, rng, 6)
+        else:
+            rows = [[1, 1], [1, 0]] if kind == "herm-irrational" else [[2, 1], [1, 2]]
+            g = RationalMatrix.from_rows(rows)
+            space = HermSpace([g])
+            a = space.element(g)
+        p, q, _ = cover_range(space, a)
+        _, cells, joined, _ = cover_interval(space, a, F(p), F(q), width)
+        res = shrink_cover(space, cells, joined)
+        assert res.cert.parts == res.parts and res.cert.multiplier == res.multiplier
+        assert res.cert.verify()
+
     def test_random_recertify(self):
         pls = PLSpace()
         rng = random.Random(63)
@@ -365,6 +410,13 @@ class TestOneJoinPerCover:
             assert [sum(x is c for x in pls.operands) for c in cells] == [1] * len(cells)
 
 
+def _kept(space, cells, r):
+    """The indices prune_cover keeps; each comes with its Pos answer."""
+    kept = prune_cover(space, cells, r)
+    assert all(isinstance(t, Pos) and t.witness > 0 for _, t in kept)
+    return [k for k, _ in kept]
+
+
 class TestPruneCover:
     def test_examples(self):
         q2 = QnSpace(2)
@@ -373,18 +425,18 @@ class TestPruneCover:
             q2.element([F(0), F(0)]),
             q2.element([F(-1), F(-1)]),
         ]
-        assert prune_cover(q2, cells, F(1, 2)) == [0]
+        assert _kept(q2, cells, F(1, 2)) == [0]
         cells2 = [
             q2.element([F(1), F(0)]),
             q2.element([F(0), F(1)]),
             q2.element([F(1, 100), F(1, 100)]),
         ]
-        assert prune_cover(q2, cells2, F(1, 2)) == [0, 1]
+        assert _kept(q2, cells2, F(1, 2)) == [0, 1]
 
     def test_all_positive_kept(self):
         q2 = QnSpace(2)
         cells = [q2.unit(), q2.element([F(2), F(3)])]
-        assert prune_cover(q2, cells, F(1, 4)) == [0, 1]
+        assert _kept(q2, cells, F(1, 4)) == [0, 1]
 
     def test_prune_preserves_cover(self):
         # after shrinking by r, dropping Below cells keeps the unit covered
@@ -395,7 +447,7 @@ class TestPruneCover:
             p, q, _ = cover_range(pls, a)
             grid, cells, joined, _ = cover_interval(pls, a, F(p), F(q), F(1, 2))
             res = shrink_cover(pls, cells, joined)
-            kept = prune_cover(pls, cells, res.r)
+            kept = _kept(pls, cells, res.r)
             assert kept, "a shrunken cover cannot be empty"
             shrunk_kept = [res.parts[k] for k in kept]
             cert = certify_cover(pls, pls.unit(), shrunk_kept, join_all(pls, shrunk_kept))

@@ -1,5 +1,6 @@
 """Sturm chain real root isolation, cross checked against sympy."""
 from fractions import Fraction as F
+import math
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from rieszspec import polyroots
 from rieszspec.polyroots import (
-    cauchy_bound,
     count_roots,
     isolate_real_roots,
     poly_divmod,
@@ -21,6 +21,11 @@ from rieszspec.polyroots import (
 )
 
 import oracles
+
+
+def _boxes(p):
+    """The isolating boxes of p as (lo, hi) pairs of Fractions."""
+    return [(F(a, d), F(a + w, d)) for a, w, d in isolate_real_roots(p)]
 
 
 def _to_sympy(p):
@@ -117,7 +122,7 @@ class TestCauchyBound:
             p = _rand_poly(rng, rng.randint(1, 5))
             if oracles.poly_degree(p) == 0:
                 continue
-            bound = cauchy_bound(p)
+            bound = oracles.cauchy_bound(p)
             expr, x = _to_sympy(p)
             for r in sympy.real_roots(sympy.Poly(expr, x)):
                 assert bool(sympy.simplify(abs(r) - bound) <= 0)
@@ -143,7 +148,7 @@ class TestSturm:
             # squarefree inputs only, same contract as the function
             if sympy.degree(sympy.gcd(sp, sp.diff(x))) > 0:
                 continue
-            boxes = isolate_real_roots(p)
+            boxes = _boxes(p)
             roots = sympy.real_roots(sp)
             assert len(boxes) == len(roots)
             for (lo, hi), r in zip(boxes, roots):
@@ -156,7 +161,7 @@ class TestSturm:
 
     def test_boxes_disjoint_and_sorted(self):
         p = (F(0), F(-1), F(0), F(1))  # x^3 - x: roots -1, 0, 1
-        boxes = isolate_real_roots(p)
+        boxes = _boxes(p)
         assert len(boxes) == 3
         for (a1, b1), (a2, b2) in zip(boxes, boxes[1:]):
             assert b1 <= a2
@@ -164,7 +169,7 @@ class TestSturm:
     def test_exact_rational_roots_collapse(self):
         # (x - 1/2)(x + 3) has both roots rational
         p = poly_normalize([F(-3, 2), F(5, 2), F(1)])
-        boxes = isolate_real_roots(p)
+        boxes = _boxes(p)
         vals = set()
         for lo, hi in boxes:
             lo, hi = refine_root(p, lo, hi, F(1, 1 << 30))
@@ -176,7 +181,7 @@ class TestSturm:
 class TestRefineRoot:
     def test_shrinks_and_keeps_root(self):
         p = (F(-2), F(0), F(1))
-        boxes = isolate_real_roots(p)
+        boxes = _boxes(p)
         for lo, hi in boxes:
             rlo, rhi = refine_root(p, lo, hi, F(1, 1 << 24))
             assert rhi - rlo <= F(1, 1 << 24)
@@ -185,7 +190,7 @@ class TestRefineRoot:
 
     def test_sqrt2_value(self):
         p = (F(-2), F(0), F(1))
-        (_, _), (lo, hi) = isolate_real_roots(p)
+        (_, _), (lo, hi) = _boxes(p)
         lo, hi = refine_root(p, lo, hi, F(1, 1 << 40))
         # 2^(1/2) to 40 bits
         assert lo < F(1414213562373095049, 10**18) < hi
@@ -246,7 +251,7 @@ class TestIntegerSignKernel:
     @settings(max_examples=100, deadline=None)
     @given(p=_squarefree(), bits=st.integers(0, 60))
     def test_boxes_match_fraction_routines(self, p, bits):
-        boxes = isolate_real_roots(p)
+        boxes = _boxes(p)
         assert boxes == oracles.isolate_real_roots_fraction(p)
         width = F(1, 1 << bits)
         for lo, hi in boxes:
@@ -278,6 +283,26 @@ class TestIntegerSturmChain:
     @given(p=_any_poly())
     def test_chain_matches_fraction_remainders(self, p):
         assert sturm_chain(p) == oracles.sturm_chain_fraction(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=_any_poly())
+    def test_isolation_matches_fraction_bisection(self, p):
+        # free, sparse and repeated-root inputs; boxes come reduced
+        assert _boxes(p) == oracles.isolate_real_roots_fraction(p)
+        for a, w, d in isolate_real_roots(p):
+            assert d > 0 and w >= 0 and math.gcd(a, w, d) == 1
+
+    def test_exact_root_boxes_that_must_shrink(self):
+        # a root at the first midpoint with another at a quarter offset, so
+        # the box around the exact root halves before bisection goes on
+        for p in [
+            (F(0), F(-1), F(1)),  # x(x - 1): bound 2, roots 0 and 1
+            _poly_mul((F(0), F(-1), F(1)), (F(1, 2), F(1))),
+            _poly_mul((F(0), F(-1), F(1)), (F(-2), F(0), F(1))),
+        ]:
+            boxes = _boxes(p)
+            assert boxes == oracles.isolate_real_roots_fraction(p)
+            assert (F(0), F(0)) in boxes
 
     def test_negative_leads_keep_signs(self):
         # the first and last chains divide by members with a negative

@@ -5,14 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rieszspec import lattice
+from rieszspec import lattice, spectrum
 from rieszspec.instances import HermSpace, PLSpace, QnSpace
-from rieszspec.exact import RationalMatrix, interval_grid_window
+from rieszspec.exact import RatInterval, RationalMatrix, interval_grid_window
 from rieszspec.lattice import (
     certify_cover,
     cover_interval,
     cover_range,
     d_of,
+    grid_cells,
     join_all,
     precedes,
     prune_cover,
@@ -437,7 +438,7 @@ def _full_grid_net(space, elements, eps):
         mults.append(certify_cover(space, space.in_interval(e, p, q), cells, joined).multiplier)
         shrunk = shrink_cover(space, cells, joined)
         kept = prune_cover(space, cells, shrunk.r)
-        per_elem.append([(grid[k], cells[k]) for k in kept])
+        per_elem.append([(grid[k], cells[k]) for k, _ in kept])
         shrink_info.append((shrunk.r, shrunk.multiplier))
     r_joint = min(r for r, _ in shrink_info)
     points = []
@@ -556,6 +557,95 @@ class TestNetOnCandidateCells:
         assert len(calls) == 1
         net.points[0].eval(pls.negate(a), F(1, 32))
         assert len(calls) == 2
+
+    def test_one_element_net_asks_each_cell_once(self):
+        # prune_cover asks every cell of the cover once; a kept cell alone
+        # is a point's meet at the same r, so that answer is reused
+        class CountingPL(PLSpace):
+            def __init__(self):
+                super().__init__()
+                self.cut_args = []
+
+            def sup_cut(self, a):
+                self.cut_args.append(a)
+                return super().sup_cut(a)
+
+        pls = CountingPL()
+        a = pls.element([(0, F(-1, 2)), (F(1, 4), F(3, 2)), (1, 1)])
+        p, q, _ = cover_range(pls, a)
+        _, cells = grid_cells(pls, a, p, q, F(1, 8))
+        pls.cut_args.clear()
+        net = epsilon_net(pls, [a], F(1, 8))
+        assert len(net.points) > 1
+        assert [sum(x == c for x in pls.cut_args) for c in cells] == [1] * len(cells)
+        assert len(pls.cut_args) == len(cells)
+        assert all(pt.meet in cells for pt in net.points)
+
+    def test_first_eval_builds_only_candidate_cells(self):
+        # a point holds the meet its constructor certified, so evaluating
+        # builds interval elements only for cells of the evaluation grid
+        # that meet the point's window
+        class CountingPL(PLSpace):
+            def __init__(self):
+                super().__init__()
+                self.built = []
+
+            def in_interval(self, a, p, q):
+                self.built.append((a, RatInterval(p, q)))
+                return super().in_interval(a, p, q)
+
+        pls = CountingPL()
+        a = pls.element([(0, F(-1, 2)), (F(1, 4), F(3, 2)), (1, 1)])
+        p, q, _ = cover_range(pls, a)
+        net = epsilon_net(pls, [a], F(1, 8))
+        for pt in net.points:
+            (_, lo, hi), = pt.constraints
+            window = [iv for _, iv in interval_grid_window(p, q, F(1, 32), [(lo, hi)])]
+            pls.built.clear()
+            pt.eval(a, F(1, 32))
+            assert pls.built
+            assert all(b is a and iv in window for b, iv in pls.built)
+        # a started point proves a's range once, and never rebuilds its cell
+        started = point_new(pls, [(a, F(1, 4), F(3, 4))])
+        pls.built.clear()
+        started.eval(a, F(1, 32))
+        assert RatInterval(F(p), F(q)) in [iv for _, iv in pls.built]
+        assert RatInterval(F(1, 4), F(3, 4)) not in [iv for _, iv in pls.built]
+
+
+_eps_any = st.one_of(
+    st.builds(F, st.integers(1, 1 << 80), st.integers(1, 1 << 80)),
+    # powers of two, and values just above and below them
+    st.builds(
+        lambda k, t: F(1, 1 << k) + t,
+        st.integers(0, 70),
+        st.sampled_from([F(0), F(1, 1 << 90), -F(1, 1 << 90)]),
+    ),
+    st.integers(1, 40).map(F),
+)
+
+
+def _level_loop(eps):
+    level = 0
+    while F(1, 1 << level) > eps:
+        level += 1
+    return level
+
+
+def _ncut_loop(eps):
+    ncut = 1
+    while F(2, 1 << ncut) > eps:
+        ncut += 1
+    return ncut
+
+
+@settings(max_examples=300, deadline=None)
+@given(eps=_eps_any)
+def test_dyadic_levels_match_the_loops(eps):
+    # the net and eval level, and pseudo_dist's truncation point, against
+    # the loops they replaced; eps >= 1 included
+    assert spectrum._dyadic_level(eps) == _level_loop(eps)
+    assert max(1, spectrum._dyadic_level(eps / 2)) == _ncut_loop(eps)
 
 
 def _excluded_cells(space, b, context, w):
