@@ -22,7 +22,14 @@ from . import __version__
 from .exact import RenderError, format_rational, parse_rational
 from .falgebra import abs_element, gelfand_check, sqrt_psd, sum_of_squares
 from .instances import HermSpace
-from .lattice import CoverCertificate, cover_interval, cover_range, grid_cells, shrink_cover
+from .lattice import (
+    CoverCertificate,
+    ShrinkResult,
+    cover_interval,
+    cover_range,
+    grid_cells,
+    shrink_cover,
+)
 from .riesz import CertificateError, MarginCollapseError, ToleranceError, norm_cut
 from .serialize import (
     attach,
@@ -152,11 +159,12 @@ def _run_check_lattice(ns, res: dict) -> int:
         grid_ok = CoverCertificate(
             space, target, tuple(cells), int(obj["multiplier"])
         ).verify()
-        r, unit = parse_rational(obj["shrink"]["r"]), space.unit()
-        shrunk = tuple(space.add(b, space.scale(-r, unit)) for b in cells)
-        shrink_ok = CoverCertificate(
-            space, unit, shrunk, int(obj["shrink"]["multiplier"])
-        ).verify()
+        shrink_ok = ShrinkResult(
+            parse_rational(obj["shrink"]["r"]),
+            int(obj["shrink"]["multiplier"]),
+            space,
+            tuple(cells),
+        ).cert.verify()
         res["gridVerified"] = grid_ok
         res["shrinkVerified"] = shrink_ok
         return 0 if grid_ok and shrink_ok else 2

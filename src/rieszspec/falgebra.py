@@ -11,29 +11,26 @@ algebra basis with all coefficients rounded down to a fixed dyadic grid,
 so iterates stay exactly representable and below the true orbit; a
 scalar majorant sequence r_{n+1} = (1 + r_n^2) / 2, rounded up and
 capped at one, dominates every iterate.  Termination never trusts the
-analysis: the result is accepted only when exact positive
-semidefiniteness certificates pass, either
+analysis: the result is accepted only when the exact positive
+semidefiniteness certificates |S*S - A| <= tol * I pass.  ``sqrt_psd``
+then certifies S within an operator distance t of the true square root
+by tS + A - S*S >= 0 and (S + tI)^2 - A >= 0 (S*S - A <= tS forces
+S - sqrt(A) <= t on each joint eigenvalue, and (S + t)^2 >= A forces
+sqrt(A) <= S + t).
 
-    residual mode:  |S*S - A| <= tol * I, or
-    distance mode:  tol*S + A - S*S >= 0  and  (S + tol*I)^2 - A >= 0,
-
-the latter pair certifying that S is within tol of the true square root
-in operator norm (S*S - A <= tol*S forces S - sqrt(A) <= tol on each
-joint eigenvalue, and (S + tol)^2 >= A forces sqrt(A) <= S + tol).
-
-On top of the square root sit materialized absolute values, positive
+Beside the square root sit materialized absolute values, positive
 parts, joins and meets, a sum of squares decomposition for elements
 between 0 and 1, and a multiplicativity check for point evaluations.
 
-The absolute value has two routes.  When every character root of the
-algebra is rational it is exact: with the spectral idempotents E_j and
-the values a_j of A at the characters, S = sum_j |a_j| E_j, accepted
-only after the exact checks S*S == A*A and S >= 0, which pin S down as
-the unique positive semidefinite square root of A*A (the interpolation
-definition of a matrix function, Higham, Functions of Matrices, 2008,
-section 1.2).  Otherwise it runs the square root iteration on A*A in
-distance mode.  ``sqrt_psd`` always runs the iteration, the paper's
-construction, and so stays an independent check of the exact route.
+The absolute value has one route, on every spectrum: |a| is the join of
+a and -a, materialized by ``HermSpace.materialize`` as the polynomial in
+the separating member that interpolates its character values (the
+interpolation definition of a matrix function, Higham, Functions of
+Matrices, 2008, section 1.2), then accepted only after exact matrix
+checks that hold character by character.  On a rational spectrum the
+result is |A| exactly.  ``sqrt_psd`` runs the paper's iteration, and so
+stays the independent cross-check of that route: sqrt_psd(A*A) lies
+within the sum of the two errs of abs_element(A).
 """
 from __future__ import annotations
 
@@ -44,8 +41,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .exact import RationalMatrix, psd_check, round_dyadic
-from .instances.herm import CommutingAlgebra, HermElement, HermSpace
-from .polyroots import poly_eval
+from .instances.herm import HermElement, HermSpace
 from .riesz import CertificateError, Rational, ToleranceError
 
 __all__ = [
@@ -109,10 +105,7 @@ def _check_schedule(n: int) -> bool:
 
 
 def _sqrt_core(
-    space: HermSpace,
-    amat: RationalMatrix,
-    tol: Fraction,
-    mode: str,
+    space: HermSpace, amat: RationalMatrix, tol: Fraction
 ) -> tuple[RationalMatrix, SqrtTrace]:
     alg = space.algebra
     eye = RationalMatrix.identity(space.dim)
@@ -131,40 +124,21 @@ def _sqrt_core(
     ap = [c / mu for c in coords]
     size = alg.size
 
-    if mode == "residual":
-        theta = tol / mu
-        need = -(-16 * theta.denominator // theta.numerator)
-        m = math.isqrt(need)
-        if m * m < need:
-            m += 1
-        ncap = m + 2
-    else:
-        # distance certificates fire near n = 2^(k+1)/tol; double for the
-        # dyadic rounding drag
-        ncap = 2 * math.ceil(Fraction(2 << k, 1) / tol) + 16
+    theta = tol / mu
+    need = -(-16 * theta.denominator // theta.numerator)
+    m = math.isqrt(need)
+    if m * m < need:
+        m += 1
+    ncap = m + 2
     rho_unit = max(alg.basis_norm_sum, Fraction(1))
     grid = max(8, _ceil_log2(8 * ncap * rho_unit * (1 << k) / tol))
     g = Fraction(1, 1 << grid)
     rho_step = round_dyadic(g * rho_unit, grid, "up")
-
-    def certified(smat: RationalMatrix) -> tuple[Fraction | None, Fraction | None]:
-        if mode == "residual":
-            resid = smat @ smat - amat
-            shift = eye.scale(tol)
-            if psd_check(shift - resid) and psd_check(shift + resid):
-                return tol, None
-            return None, None
-        upper = smat.scale(tol) + amat - smat @ smat
-        lowm = smat + eye.scale(tol)
-        if psd_check(upper) and psd_check(lowm @ lowm - amat):
-            return None, tol
-        return None, None
+    shift = eye.scale(tol)
 
     b = [Fraction(0)] * size
     rs = [Fraction(0)]
     n = 0
-    smat = None
-    res_bound = dist_bound = None
     while True:
         n += 1
         sq = alg.mult_coeffs(b, b)
@@ -175,15 +149,13 @@ def _sqrt_core(
             # (integer spectra on the grid) come out exactly
             b[0] -= rho_step
         rs.append(min(Fraction(1), round_dyadic((1 + rs[-1] ** 2) / 2, grid, "up")))
-        majorant_fired = (
-            mode == "residual" and len(rs) >= 2 and 2 * (rs[-1] - rs[-2]) * mu <= tol
-        )
+        majorant_fired = 2 * (rs[-1] - rs[-2]) * mu <= tol
         if _check_schedule(n) or majorant_fired or n >= ncap:
             smat = alg.mat_of(
                 [((1 if i == 0 else 0) - b[i]) * (1 << k) for i in range(size)]
             )
-            res_bound, dist_bound = certified(smat)
-            if res_bound is not None or dist_bound is not None:
+            resid = smat @ smat - amat
+            if psd_check(shift - resid) and psd_check(shift + resid):
                 break
             if n >= ncap:
                 raise CertificateError(
@@ -196,8 +168,8 @@ def _sqrt_core(
         iterations=n,
         majorant=tuple(rs[: n + 2]),
         majorant_bound=2 * (rs[n + 1] - rs[n]) * mu,
-        certified_residual=res_bound,
-        certified_distance=dist_bound,
+        certified_residual=tol,
+        certified_distance=None,
     )
     return smat, trace
 
@@ -221,7 +193,7 @@ def sqrt_psd(a: HermElement, tol: Rational) -> tuple[HermElement, SqrtTrace]:
         raise ValueError("tol must be positive")
     if not psd_check(a.matrix):
         raise ValueError("matrix must be positive semidefinite")
-    smat, trace = _sqrt_core(space, a.matrix, tol, "residual")
+    smat, trace = _sqrt_core(space, a.matrix, tol)
     eye = RationalMatrix.identity(space.dim)
     dist = None
     t = tol
@@ -246,48 +218,41 @@ def sqrt_psd(a: HermElement, tol: Rational) -> tuple[HermElement, SqrtTrace]:
     return HermElement(space, smat, dist + _sqrt_upper(a.err)), trace
 
 
-def _spectral_abs(
-    alg: CommutingAlgebra, idem: Sequence[RationalMatrix], amat: RationalMatrix
-) -> RationalMatrix:
-    """Exact |A| = sum_j |a_j| E_j, certified by S*S == A*A and S >= 0."""
-    q = alg.value_poly_of(amat)
-    smat = RationalMatrix.zeros(alg.dim)
-    for j, e in enumerate(idem):
-        v = abs(poly_eval(q, alg.rational_root(j)))
-        if v:
-            smat = smat + e.scale(v)
-    # the psd square root of A*A is unique, so these two facts prove S = |A|
-    if smat @ smat != amat @ amat or not psd_check(smat):
-        raise CertificateError("spectral absolute value failed its certificate")
-    return smat
-
-
 def abs_element(a: HermElement, tol: Rational) -> HermElement:
-    """Materialized absolute value.
+    """Materialized absolute value, with err at most a.err + tol.
 
-    When every character root is rational the result is |a| itself,
-    exactly, and err stays a.err: |.| moves no character value by more
-    than the input moved it.  Otherwise the square root iteration gives a
-    matrix within tol of |a| in operator norm, and err grows by tol.
+    S materializes the join of a and -a at tol/2.  That join's ball at
+    character j is [|a_j| - a.err, |a_j| + a.err], so d = S.err - a.err
+    bounds |s_j - |a_j|| at every j.  With t = 2d, the exact checks
+    S + tI >= 0, (S + tI)**2 >= A**2 and A**2 + tS - S**2 + 2t**2 I >= 0
+    prove |a_j| - t <= s_j <= |a_j| + 2t at every character, so the err
+    returned is a.err + 2t; CertificateError when one fails.  At t = 0,
+    which every rational spectrum gives, they say S >= 0 and S**2 = A**2:
+    S is then |A| exactly and err stays a.err.
     """
     _require_plain(a)
     space = a.space
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    idem = space.algebra.idempotents()
-    if idem is not None:
-        return HermElement(space, _spectral_abs(space.algebra, idem, a.matrix), a.err)
-    smat, _ = _sqrt_core(space, a.matrix @ a.matrix, tol, "distance")
-    return HermElement(space, smat, a.err + tol)
+    s = space.materialize(space.join(a, space.negate(a)), tol / 2)
+    t = 2 * (s.err - a.err)
+    eye = RationalMatrix.identity(space.dim)
+    m = s.matrix
+    # (S + tI)**2 - A**2 = D + 2tS + t**2 I with D = S**2 - A**2
+    d = m @ m - a.matrix @ a.matrix
+    if not (
+        psd_check(m + eye.scale(t))
+        and psd_check(d + m.scale(2 * t) + eye.scale(t * t))
+        and psd_check(m.scale(t) - d + eye.scale(2 * t * t))
+    ):
+        raise CertificateError("absolute value failed its certificate")
+    return HermElement(space, m, a.err + 2 * t)
 
 
 def pos_part(a: HermElement, tol: Rational) -> HermElement:
-    """Materialized positive part (a + |a|) / 2.
-
-    err grows by tol / 2 on the iteration route of abs_element and not at
-    all on its exact route.
-    """
+    """Materialized positive part (a + |a|) / 2, with err at most
+    a.err + tol/2: half the err of abs_element's result plus a.err / 2."""
     space = a.space
     return space.scale(Fraction(1, 2), space.add(a, abs_element(a, tol)))
 

@@ -48,16 +48,20 @@ upper value of its err ball: rationals at a rational character,
 elsewhere polynomials to be read at the root.  An err free element has
 one value, its lower and upper bound at once; at each join, meet and
 interval node one exact sign test per bound picks the operand.  The
-bounds are kept on the element itself, so they live exactly as long as
-it does.  Beyond its per character root data, the algebra caches only
-one value polynomial per distinct matrix, at most ``_VPOLY_CAP`` of
-them, dropping the oldest first.  ``leq`` compares bounds by
-exact sign tests, so it answers None only where the balls overlap at
-some character, and an enclosure of an element's values encloses its
-two bounds.  :meth:`HermSpace.materialize` turns a formula back into a
-single matrix through ``falgebra.abs_element``: exactly, by the spectral
-idempotents, when every character root is rational, and with a
-certified error radius from the square root construction otherwise.
+walk keeps its pending nodes on an explicit stack, and the bounds are
+kept on the element itself, so they live exactly as long as it does.
+Beyond its per character root data, the algebra caches only one value
+polynomial per distinct matrix, at most ``_VPOLY_CAP`` of them, dropping
+the oldest first.  ``leq`` compares bounds by exact sign tests, so it
+answers None only where the balls overlap at some character, and an
+enclosure of an element's values encloses its two bounds.
+
+That walk is the only reader of formulas.  :meth:`HermSpace.materialize`
+turns a formula back into one matrix by interpolating the values it
+gives: p(G) for the separating member G, with p through the characters'
+roots (or points of their root boxes) and the midpoints of the bounds
+there.  On a rational spectrum this is exact; elsewhere the boxes shrink
+until the certified distance from p to the bounds meets the tolerance.
 """
 from __future__ import annotations
 
@@ -77,11 +81,11 @@ from ..polyroots import (
     poly_eval,
     poly_eval_interval,
     poly_gcd,
+    poly_interpolate,
     poly_normalize,
     poly_scale,
     poly_sub,
     refine_root,
-    sturm_chain,
 )
 from ..riesz import (
     LocatedCut,
@@ -129,6 +133,15 @@ def _cmp(alg: "CommutingAlgebra", x: Value, y: Value | Rational, j: int) -> int:
     if isinstance(y, tuple):
         x, y = poly_sub(x, y), 0
     return alg.value_sign(x, y, j)
+
+
+def _memo(e: "HermElement") -> dict[int, tuple[Value, Value]]:
+    """The bounds kept on e, per character."""
+    vals = e.__dict__.get("_vals")
+    if vals is None:
+        vals = {}
+        object.__setattr__(e, "_vals", vals)
+    return vals
 
 
 # Value polynomials an algebra keeps, the oldest dropped first.  A herm
@@ -209,9 +222,8 @@ def _reduce(
 class CommutingAlgebra:
     """Unital algebra generated by commuting symmetric rational matrices.
 
-    Use is single-threaded: the root boxes, the rational roots, the
-    spectral idempotents and the value polynomials are filled in lazily
-    without locks.
+    Use is single-threaded: the root boxes, the rational roots and the
+    value polynomials are filled in lazily without locks.
     """
 
     def __init__(
@@ -287,8 +299,6 @@ class CommutingAlgebra:
         self._vpoly: dict[RationalMatrix, Poly] = {}
         # per character, once decided: its rational root, or None
         self._exact: dict[int, Fraction | None] = {}
-        # spectral idempotents, built on first use when every root is rational
-        self._idem: tuple[RationalMatrix, ...] | None = None
         self._init_characters()
 
     # -- linear structure ------------------------------------------------
@@ -449,32 +459,6 @@ class CommutingAlgebra:
         self._exact[j] = r
         return r
 
-    def idempotents(self) -> tuple[RationalMatrix, ...] | None:
-        """Spectral idempotents E_j when every character root is rational.
-
-        E_j = prod_{k != j} (G - r_k I) / (r_j - r_k) for the separating
-        member G with roots r_k: E_j is 1 at character j and 0 at every
-        other, so any member b equals sum_j b(j) E_j.  Built once, on
-        first use; None when some root is irrational.
-        """
-        if self._idem is None:
-            roots = []
-            for j in range(self.char_count):
-                r = self.rational_root(j)
-                if r is None:
-                    return None
-                roots.append(r)
-            eye = RationalMatrix.identity(self.dim)
-            idem = []
-            for j, rj in enumerate(roots):
-                e = eye
-                for k, rk in enumerate(roots):
-                    if k != j:
-                        e = e @ (self._sep - eye.scale(rk)).scale(1 / (rj - rk))
-                idem.append(e)
-            self._idem = tuple(idem)
-        return self._idem
-
     def root_box(self, j: int, width: Fraction) -> tuple[Fraction, Fraction]:
         """Box of character root j at the first depth of its tree whose
         width is at most width.
@@ -554,7 +538,7 @@ class CommutingAlgebra:
             if not d:
                 return 0
             g = poly_gcd(self._minpoly, d)
-            if len(g) > 1 and count_roots(sturm_chain(g), lo, hi) >= 1:
+            if len(g) > 1 and count_roots(g, lo, hi) >= 1:
                 return 0
             while vlo <= 0 <= vhi:
                 k += 2
@@ -690,15 +674,31 @@ class HermSpace(RieszSpace):
         An err free element gives the same object twice.  Each max, min
         and interval tent picks its operand by one exact sign test.
         Results are kept on e itself, so they live exactly as long as the
-        element.
+        element.  The descendants not yet evaluated at j go on an explicit
+        stack, so the depth of a formula is bounded by memory only.
         """
-        vals = e.__dict__.get("_vals")
-        if vals is None:
-            vals = {}
-            object.__setattr__(e, "_vals", vals)
-        got = vals.get(j)
+        got = _memo(e).get(j)
         if got is not None:
             return got
+        stack = [e]
+        while stack:
+            x = stack[-1]
+            if j in _memo(x):
+                stack.pop()
+                continue
+            kids = [
+                k for k in (x.formula or ())[1:]
+                if isinstance(k, HermElement) and j not in _memo(k)
+            ]
+            if kids:
+                stack.extend(kids)
+            else:
+                stack.pop()
+                _memo(x)[j] = self._node_bounds(x, j)
+        return _memo(e)[j]
+
+    def _node_bounds(self, e: HermElement, j: int) -> tuple[Value, Value]:
+        """Bounds of e at j, from its operands' bounds there, already kept."""
         alg = self.algebra
         f = e.formula
         if f is None:
@@ -706,19 +706,19 @@ class HermSpace(RieszSpace):
             r = alg.rational_root(j)
             if r is not None:
                 v = poly_eval(v, r)
-            got = (v, v) if not e.err else (_shift(v, -e.err), _shift(v, e.err))
-        elif f[0] == "add":
+            return (v, v) if not e.err else (_shift(v, -e.err), _shift(v, e.err))
+        if f[0] == "add":
             alo, ahi = self._bounds(f[1], j)
             blo, bhi = self._bounds(f[2], j)
             lo = _plus(alo, blo)
-            got = (lo, lo if alo is ahi and blo is bhi else _plus(ahi, bhi))
-        elif f[0] == "scale":
+            return lo, lo if alo is ahi and blo is bhi else _plus(ahi, bhi)
+        if f[0] == "scale":
             c = f[1]
             blo, bhi = self._bounds(f[2], j)
             lo = _times(c, blo)
             hi = lo if blo is bhi else _times(c, bhi)
-            got = (lo, hi) if c > 0 else (hi, lo)
-        elif f[0] == "ii":
+            return (lo, hi) if c > 0 else (hi, lo)
+        if f[0] == "ii":
             _, b, p, q = f
             blo, bhi = self._bounds(b, j)
             # depth(x) = min(x - p, q - x) is a tent peaking at m = (p + q)/2:
@@ -734,19 +734,16 @@ class HermSpace(RieszSpace):
                 hi = _shift(_times(-1, blo), q)
             else:
                 hi = (q - p) / 2 if isinstance(blo, Fraction) else ((q - p) / 2,)
-            got = (lo, hi)
-        else:
-            alo, ahi = self._bounds(f[1], j)
-            blo, bhi = self._bounds(f[2], j)
-            meet = f[0] == "meet"
+            return lo, hi
+        alo, ahi = self._bounds(f[1], j)
+        blo, bhi = self._bounds(f[2], j)
+        meet = f[0] == "meet"
 
-            def pick(x: Value, y: Value) -> Value:
-                return x if (_cmp(alg, x, y, j) <= 0) == meet else y
+        def pick(x: Value, y: Value) -> Value:
+            return x if (_cmp(alg, x, y, j) <= 0) == meet else y
 
-            lo = pick(alo, blo)
-            got = (lo, lo if alo is ahi and blo is bhi else pick(ahi, bhi))
-        vals[j] = got
-        return got
+        lo = pick(alo, blo)
+        return lo, lo if alo is ahi and blo is bhi else pick(ahi, bhi)
 
     def _char_interval(
         self, e: HermElement, j: int, target: Fraction
@@ -872,67 +869,62 @@ class HermSpace(RieszSpace):
 
     # -- materialization -------------------------------------------------
 
-    def materialize(self, a: HermElement, tol: Rational | None = None) -> HermElement:
-        """Collapse a lattice formula to one matrix with certified err.
+    def materialize(self, e: HermElement, tol: Rational | None = None) -> HermElement:
+        """Collapse a lattice formula to one matrix, with err at most
+        e.err + tol/2.
 
-        Each interval, meet, and join node costs one absolute value, so
-        the tolerance is split evenly across the distinct such nodes.  A
-        node's err is the larger err of its materialized operands plus
-        half the approximation error of its absolute value.
+        The result is p(G) for the separating member G and the polynomial
+        p of degree below the character count that interpolates e's
+        values: at a rational root r_j the node is r_j and the value the
+        midpoint of e's exact bounds there; elsewhere the node is the
+        midpoint of the root box of width w and the value the midpoint of
+        e's enclosure at width w.  The err d is the largest upper end, over
+        the characters, of the enclosures of p - lo_j and hi_j - p at the
+        root, exact at rational roots, so every member of e's err ball lies
+        within d of p(G) at every character.  Accepted once d <= e.err +
+        tol/2, with w = tol first and w/16 after each miss; ToleranceError
+        after 64 rounds.  Root boxes and enclosures are nodes of fixed
+        trees, so the result depends on e and tol only.
         """
-        self._require(a)
-        if a.formula is None:
-            return a
+        self._require(e)
+        if e.formula is None:
+            return e
         tol = Fraction(tol if tol is not None else self.lattice_tol)
         if tol <= 0:
             raise ValueError("tol must be positive")
-        seen: set[HermElement] = set()
-
-        def count(e: HermElement) -> int:
-            if e.formula is None or e in seen:
-                return 0
-            seen.add(e)
-            kids = [x for x in e.formula[1:] if isinstance(x, HermElement)]
-            own = 1 if e.formula[0] in ("ii", "meet", "join") else 0
-            return own + sum(count(k) for k in kids)
-
-        budget = tol / max(1, count(a))
-        from ..falgebra import abs_element
-
-        memo: dict[HermElement, HermElement] = {}
-
-        def rec(e: HermElement) -> HermElement:
-            if e.formula is None:
-                return e
-            got = memo.get(e)
-            if got is not None:
-                return got
-            tag = e.formula[0]
-            if tag == "add":
-                out = self.add(rec(e.formula[1]), rec(e.formula[2]))
-            elif tag == "scale":
-                out = self.scale(e.formula[1], rec(e.formula[2]))
-            else:
-                if tag == "ii":
-                    _, b, p, q = e.formula
-                    bm = rec(b)
-                    x = self.add(bm, self.scale(-p, self.unit()))
-                    y = self.add(self.scale(q, self.unit()), self.negate(bm))
+        alg = self.algebra
+        bounds = [self._bounds(e, j) for j in range(alg.char_count)]
+        w = tol
+        for _ in range(64):
+            xs: list[Fraction] = []
+            ys: list[Fraction] = []
+            for j, (lo, hi) in enumerate(bounds):
+                if isinstance(lo, Fraction):
+                    xs.append(alg.rational_root(j))
+                    ys.append((lo + hi) / 2)
                 else:
-                    x = rec(e.formula[1])
-                    y = rec(e.formula[2])
-                diff = self.add(x, self.negate(y))
-                d = abs_element(diff, budget)
-                sign = 1 if tag == "join" else -1
-                m = (x.matrix + y.matrix + d.matrix.scale(sign)).scale(Fraction(1, 2))
-                # max and min move by at most max(x.err, y.err) at each
-                # character; (x + y +- |x - y|) / 2 adds half the error
-                # of the absolute value itself
-                out = HermElement(self, m, max(x.err, y.err) + (d.err - diff.err) / 2)
-            memo[e] = out
-            return out
-
-        return rec(a)
+                    xs.append(sum(alg.root_box(j, w)) / 2)
+                    ys.append(sum(self._char_interval(e, j, w)) / 2)
+            p = poly_interpolate(xs, ys)
+            # how far e's ball reaches from p at each character
+            d = Fraction(0)
+            for j, (lo, hi) in enumerate(bounds):
+                if isinstance(lo, Fraction):
+                    d = max(d, (hi - lo) / 2)
+                else:
+                    d = max(
+                        d,
+                        alg.value_interval(poly_sub(p, lo), j, w)[1],
+                        alg.value_interval(poly_sub(hi, p), j, w)[1],
+                    )
+            if d <= e.err + tol / 2:
+                eye = RationalMatrix.identity(self.dim)
+                m = RationalMatrix.zeros(self.dim)
+                for c in reversed(p):
+                    m = m @ alg._sep + eye.scale(c)
+                return HermElement(self, m, max(e.err, d))
+            w /= 16
+        raise ToleranceError(f"materialize did not reach tol {tol} in 64 rounds")
 
     def join_with_tol(self, a: HermElement, b: HermElement, tol: Rational) -> HermElement:
         return self.materialize(self.join(a, b), tol)

@@ -39,7 +39,7 @@ __all__ = [
     "poly_scale",
     "poly_divmod",
     "poly_gcd",
-    "sturm_chain",
+    "poly_interpolate",
     "count_roots",
     "isolate_real_roots",
     "refine_root",
@@ -135,6 +135,29 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a
 
 
+def poly_interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Poly:
+    """The polynomial of degree below len(xs) through the points (x_i, y_i).
+
+    Newton's divided differences c_i over the distinct nodes x_i, then
+    the Newton form c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...)) expanded
+    to ascending coefficients from the inside out.
+    """
+    n = len(xs)
+    c = [Fraction(y) for y in ys]
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - k])
+    p: list[Fraction] = []
+    for i in range(n - 1, -1, -1):
+        # p <- p * (x - x_i) + c_i
+        q = [Fraction(0)] + p
+        for k, v in enumerate(p):
+            q[k] -= xs[i] * v
+        q[0] += c[i]
+        p = q
+    return poly_normalize(p)
+
+
 def _content_free(v: list[int]) -> list[int]:
     """v divided by the gcd of its entries, a positive number."""
     g = int_gcd(*v)
@@ -191,10 +214,6 @@ def _sturm_ints(p: Poly) -> list[list[int]]:
     return chain
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    return [tuple(Fraction(c) for c in q) for q in _sturm_ints(p)]
-
-
 def _sign_at(ints: list[int], a: int, b: int) -> int:
     """Sign of p(a/b) for b > 0, from p's integer coefficients (ascending).
 
@@ -218,11 +237,11 @@ def _variations(chain: list[list[int]], a: int, b: int) -> int:
     return sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
 
 
-def count_roots(chain: list[Poly], a: Fraction, b: Fraction) -> int:
-    """Distinct real roots in (a, b); both endpoints must be non roots."""
-    ichain = [_int_coeffs(q) for q in chain]
-    va = _variations(ichain, a.numerator, a.denominator)
-    return va - _variations(ichain, b.numerator, b.denominator)
+def count_roots(p: Poly, a: Fraction, b: Fraction) -> int:
+    """Distinct real roots of p in (a, b); both endpoints must be non roots."""
+    chain = _sturm_ints(p)
+    va = _variations(chain, a.numerator, a.denominator)
+    return va - _variations(chain, b.numerator, b.denominator)
 
 
 def isolate_real_roots(p: Poly) -> list[Box]:

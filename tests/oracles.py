@@ -528,3 +528,49 @@ def shrink_cover_three_joins(space, target, cells) -> tuple[int, Fraction, int]:
     if space.leq(pos(unit), space.scale(2 * n, join_pos(lowered))) is not True:
         raise CertificateError("shrunken cover failed to verify")
     return grid, r, 2 * n
+
+
+# ----- spectral references for the absolute value ---------------------
+
+
+def idempotents(alg):
+    """Spectral idempotents E_j of an algebra whose character roots are
+    all rational, in character order.
+
+    E_j = prod_{k != j} (G - r_k I) / (r_j - r_k) for the separating
+    member G with roots r_k: E_j is 1 at character j and 0 at every
+    other, so any member b equals sum_j b(j) E_j.
+    """
+    from rieszspec.exact import RationalMatrix
+
+    roots = [alg.rational_root(j) for j in range(alg.char_count)]
+    if None in roots:
+        raise ValueError("an irrational character root has no rational idempotent")
+    eye = RationalMatrix.identity(alg.dim)
+    out = []
+    for j, rj in enumerate(roots):
+        e = eye
+        for k, rk in enumerate(roots):
+            if k != j:
+                e = e @ (alg._sep - eye.scale(rk)).scale(1 / (rj - rk))
+        out.append(e)
+    return out
+
+
+def eigen_values_of(gen: Mat, rows: Mat) -> list:
+    """(lambda, v^T M v / v^T v) for every exact eigenpair (lambda, v) of
+    gen, M = rows: the value of a member M of the algebra gen generates at
+    the character of lambda, as sympy numbers."""
+    g, m = to_sympy(gen), to_sympy(rows)
+    out = []
+    for lam, _, vecs in g.eigenvects():
+        for v in vecs:
+            out.append((lam, sympy.simplify((v.T * m * v)[0] / (v.T * v)[0])))
+    return out
+
+
+def within_exact(x, target, err: Fraction) -> bool:
+    """|x - target| <= err for sympy reals, decided symbolically."""
+    d = sympy.simplify(x - target)
+    e = sympy.Rational(err.numerator, err.denominator)
+    return bool(sympy.simplify(e - d) >= 0) and bool(sympy.simplify(e + d) >= 0)

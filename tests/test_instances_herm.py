@@ -13,7 +13,7 @@ from rieszspec.exact import RationalMatrix, psd_check
 from rieszspec.instances import CommutingAlgebra, HermSpace, herm
 from rieszspec.instances.herm import HermElement
 from rieszspec.lattice import cover_interval, cover_range
-from rieszspec.polyroots import isolate_real_roots, poly_eval_interval, poly_gcd, sturm_chain
+from rieszspec.polyroots import _sturm_ints, isolate_real_roots, poly_eval_interval, poly_gcd
 from rieszspec.riesz import SpaceMismatchError, ToleranceError, norm_cut
 from rieszspec.sampling import rand_diagonal_family, rand_orthogonal
 from rieszspec.spectrum import epsilon_net, pos_or_below
@@ -133,7 +133,9 @@ class TestIntegerAlgebraAgainstFractionOracle:
         assert alg._sep.entries == tuple(map(tuple, ref.sep))
         assert alg._minpoly == ref.minpoly
         assert alg.basis_norm_sum == ref.basis_norm_sum
-        assert sturm_chain(alg._minpoly) == oracles.sturm_chain_fraction(alg._minpoly)
+        assert [tuple(map(F, q)) for q in _sturm_ints(alg._minpoly)] == oracles.sturm_chain_fraction(
+            alg._minpoly
+        )
         # each generator, a member and its square, and a symmetric matrix
         # that for n > 1 usually lies outside the algebra
         combo = alg.mat_of(coeffs[: alg.size])
@@ -488,6 +490,39 @@ class TestFormulasAndMaterialize:
         signs = sorted(hs._char_sign(cell, j) for j in range(hs.algebra.char_count))
         # positive only on the middle character
         assert signs == [-1, -1, 1]
+
+    @pytest.mark.parametrize(
+        "rows,pos",
+        [
+            ([[1, 0, 0], [0, -1, 0], [0, 0, 0]], [[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+            # golden ratio spectrum: the positive part is a matrix with
+            # irrational entries, so only its upper and lower bounds are
+            # checked, below
+            ([[1, 1], [1, 0]], None),
+        ],
+    )
+    def test_chain_of_2000_joins(self, rows, pos):
+        # join(...join(join(x_0, x_1), x_2)..., x_N) with x_k = (k/N) A
+        # is the positive part of A: the chain is 2,000 formulas deep
+        n = 2000
+        gen = _mat(rows)
+        hs = HermSpace([gen])
+        a = hs.element(gen)
+        chain = hs.scale(0, a)
+        for k in range(1, n + 1):
+            chain = hs.join(chain, hs.scale(F(k, n), a))
+        plus = hs.join(a, hs.zero())
+        assert hs.leq(chain, plus) is True
+        assert hs.leq(plus, chain) is True
+        assert hs.leq(chain, hs.scale(F(-1), hs.unit())) is False
+        got = hs.materialize(chain, F(1, 1024))
+        assert got.err <= F(1, 2048)
+        if pos is not None:
+            assert got.matrix == _mat(pos) and got.err == 0
+        else:
+            want = hs.materialize(plus, F(1, 1 << 20))
+            for lam, v in oracles.eigen_values_of(rows, (got.matrix - want.matrix).entries):
+                assert oracles.within_exact(v, 0, got.err + want.err)
 
 
 class TestHooksAndDense:

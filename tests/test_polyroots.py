@@ -17,7 +17,6 @@ from rieszspec.polyroots import (
     poly_gcd,
     poly_normalize,
     refine_root,
-    sturm_chain,
 )
 
 import oracles
@@ -26,6 +25,11 @@ import oracles
 def _boxes(p):
     """The isolating boxes of p as (lo, hi) pairs of Fractions."""
     return [(F(a, d), F(a + w, d)) for a, w, d in isolate_real_roots(p)]
+
+
+def _chain(p):
+    """The integer Sturm chain of p as Fraction tuples, the oracle's form."""
+    return [tuple(map(F, q)) for q in polyroots._sturm_ints(p)]
 
 
 def _to_sympy(p):
@@ -131,10 +135,9 @@ class TestCauchyBound:
 class TestSturm:
     def test_count_known(self):
         p = (F(-2), F(0), F(1))  # roots +-sqrt(2)
-        chain = sturm_chain(p)
-        assert count_roots(chain, F(-2), F(2)) == 2
-        assert count_roots(chain, F(0), F(2)) == 1
-        assert count_roots(chain, F(3, 2), F(2)) == 0
+        assert count_roots(p, F(-2), F(2)) == 2
+        assert count_roots(p, F(0), F(2)) == 1
+        assert count_roots(p, F(3, 2), F(2)) == 0
 
     def test_isolation_against_sympy(self):
         rng = random.Random(13)
@@ -242,11 +245,11 @@ class TestIntegerSignKernel:
     @settings(max_examples=100, deadline=None)
     @given(p=_squarefree(), a=_fractions, w=_fractions.map(abs))
     def test_sturm_count_matches_fraction(self, p, a, w):
-        chain = sturm_chain(p)
+        chain = oracles.sturm_chain_fraction(p)
         b = a + w + F(1, 3)
         if poly_eval(p, a) == 0 or poly_eval(p, b) == 0:
             return
-        assert count_roots(chain, a, b) == oracles.count_roots_fraction(chain, a, b)
+        assert count_roots(p, a, b) == oracles.count_roots_fraction(chain, a, b)
 
     @settings(max_examples=100, deadline=None)
     @given(p=_squarefree(), bits=st.integers(0, 60))
@@ -282,7 +285,7 @@ class TestIntegerSturmChain:
     @settings(max_examples=200, deadline=None)
     @given(p=_any_poly())
     def test_chain_matches_fraction_remainders(self, p):
-        assert sturm_chain(p) == oracles.sturm_chain_fraction(p)
+        assert _chain(p) == oracles.sturm_chain_fraction(p)
 
     @settings(max_examples=150, deadline=None)
     @given(p=_any_poly())
@@ -308,4 +311,23 @@ class TestIntegerSturmChain:
         # the first and last chains divide by members with a negative
         # leading coefficient; the pseudo-remainder must not flip signs
         for p in [(F(2), F(0), F(-1)), (F(2), F(-3), F(0), F(1, 5)), (F(1), F(-1), F(-7, 3), F(-1, 2))]:
-            assert sturm_chain(p) == oracles.sturm_chain_fraction(p)
+            assert _chain(p) == oracles.sturm_chain_fraction(p)
+
+
+class TestInterpolate:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        xs=st.lists(_fractions, max_size=6, unique=True),
+        ys=st.lists(_fractions, min_size=6, max_size=6),
+    )
+    def test_passes_through_the_points(self, xs, ys):
+        p = polyroots.poly_interpolate(xs, ys[: len(xs)])
+        assert len(p) <= len(xs)
+        assert all(poly_eval(p, x) == y for x, y in zip(xs, ys))
+        assert p == poly_normalize(p)
+
+    def test_matches_sympy(self):
+        xs, ys = [F(-1), F(1, 2), F(3)], [F(2), F(-1, 3), F(5)]
+        x = sympy.Symbol("x")
+        want = sympy.Poly(sympy.interpolate(list(zip(xs, ys)), x), x).all_coeffs()[::-1]
+        assert polyroots.poly_interpolate(xs, ys) == tuple(F(str(c)) for c in want)
