@@ -119,8 +119,9 @@ def interval_grid_window(
     width: Fraction,
     ranges: Iterable[tuple[Fraction, Fraction]],
     window: tuple[Fraction, Fraction] | None = None,
-) -> list[tuple[int, RatInterval]]:
-    """The (index, cell) pairs of the width grid over (p, q) meeting a range.
+) -> tuple[int, list[tuple[int, int, int]]]:
+    """The cells of the width grid over (p, q) that meet a range, over one
+    integer denominator: (D, [(k, lo, hi), ...]), cell k being (lo/D, hi/D).
 
     With h = width/2, cell k is (p + k*h, min(p + (k+2)*h, q)) for
     0 <= k < K = max(1, ceil((q-p)/h) - 1): consecutive cells overlap by
@@ -129,14 +130,15 @@ def interval_grid_window(
     hi) when cell.lo < hi and lo < cell.hi; the cells meeting one range
     are the index interval [floor((lo-p)/h) - 1, ceil((hi-p)/h)), clipped
     to [0, K).  A cell is returned when it meets some range and, if given,
-    the window, and only returned cells are built.  The range (p, q) gives
-    the full grid.  Indices do not depend on the ranges, so callers that
+    the window, in increasing index order.  The range (p, q) gives the
+    full grid.  Indices do not depend on the ranges, so callers that
     resolve ties by index see the same winners.
 
     p, q and h are put over one integer denominator D, the lcm of their
     denominators, as P, Q and H; every comparison and every span is then
-    integer arithmetic, and ``Fraction`` values are built only for the
-    endpoints (P + k*H)/D of the returned cells.
+    integer arithmetic, and cell k has the integer ends P + k*H and
+    min(P + (k+2)*H, Q).  No ``Fraction`` is built: callers build one only
+    for a cell they use.
     """
     pn, pd = p.numerator, p.denominator
     qn, qd = q.numerator, q.denominator
@@ -159,15 +161,14 @@ def interval_grid_window(
         return max(0, start), min(count, stop)
 
     wa, wb = span(*window) if window is not None else (0, count)
-    out: list[tuple[int, RatInterval]] = []
+    out: list[tuple[int, int, int]] = []
     done = 0  # cells below this index are already out (ranges overlap)
     for start, stop in sorted(span(lo, hi) for lo, hi in ranges):
         stop = min(stop, wb)
         for k in range(max(start, wa, done), stop):
-            hi = Fraction(q) if k == count - 1 else Fraction(P + (k + 2) * H, den)
-            out.append((k, RatInterval(Fraction(P + k * H, den), hi)))
+            out.append((k, P + k * H, Q if k == count - 1 else P + (k + 2) * H))
         done = max(done, stop)
-    return out
+    return den, out
 
 
 def _integer_rows(

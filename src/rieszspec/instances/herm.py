@@ -71,7 +71,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from ..exact import RationalMatrix, RatInterval, psd_check
+from ..exact import RationalMatrix, psd_check
 from ..polyroots import (
     Box,
     Poly,
@@ -556,12 +556,28 @@ class HermElement(RieszElement):
     formula: tuple | None = None
 
     def __hash__(self) -> int:
-        # formula trees nest elements; hash each node once, not per lookup
+        # formula trees nest elements: each node keeps its hash, and the
+        # nodes not hashed yet are hashed children first on an explicit
+        # stack, so the depth of a formula is bounded by memory only
         h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.space, self.matrix, self.err, self.formula))
-            object.__setattr__(self, "_hash", h)
-        return h
+        if h is not None:
+            return h
+        stack = [self]
+        while stack:
+            x = stack[-1]
+            kids = [
+                k for k in (x.formula or ())[1:]
+                if isinstance(k, HermElement) and "_hash" not in k.__dict__
+            ]
+            if kids:
+                stack.extend(kids)
+                continue
+            stack.pop()
+            f = x.formula
+            if f is not None:
+                f = tuple(k._hash if isinstance(k, HermElement) else k for k in f)
+            object.__setattr__(x, "_hash", hash((x.space, x.matrix, x.err, f)))
+        return self._hash
 
 
 class HermSpace(RieszSpace):
@@ -828,19 +844,6 @@ class HermSpace(RieszSpace):
             for j in range(self.algebra.char_count)
             if context is None or self._char_interval(context, j, Fraction(1, 8))[1] > 0
         ]
-
-    def interval_sup_upper(self, b: HermElement, iv: RatInterval) -> Fraction | None:
-        self._require(b)
-        target = iv.width / 4
-        best: Fraction | None = None
-        for j in range(self.algebra.char_count):
-            vlo, vhi = self._char_interval(b, j, target)
-            u = min(vhi - iv.lo, iv.hi - vlo)
-            if best is None or u > best:
-                best = u
-        if best is None or best <= 0:
-            return None
-        return min(best, iv.width / 2)
 
     def dominance_ceiling(self, x: HermElement, y: HermElement) -> int | None:
         self._require(x, y)

@@ -28,7 +28,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from ..exact import RatInterval
 from ..riesz import LocatedCut, RieszElement, RieszSpace
 
 __all__ = ["PLSpace", "PLElement"]
@@ -338,28 +337,6 @@ class PLSpace(RieszSpace):
         else:
             regions = self.positive_regions(context)
         return [self.range_on(b, u, v) for u, v in regions]
-
-    def interval_sup_upper(self, b: PLElement, iv: RatInterval) -> Optional[Fraction]:
-        """Half width minus the distance from the midpoint to the nearest
-        breakpoint value, or the half width when a segment spans it.
-
-        The midpoint and the half width are integer numerators mn and hn
-        over L = 2 * lo.den * hi.den; one ``Fraction`` is built, on return.
-        """
-        ln, ld, un, ud = iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator
-        mn, hn, md = ln * ud + un * ld, un * ld - ln * ud, 2 * ld * ud
-        # distance |y - mid| = |dev| / (d * md) with dev = y * md - mn * d
-        near_n, near_d = None, 1
-        prev = None
-        for _, y, d in b.triples:
-            dev = y * md - mn * d
-            if prev is not None and (dev <= 0 <= prev or prev <= 0 <= dev):
-                return Fraction(hn, md)
-            if near_n is None or abs(dev) * near_d < near_n * d:
-                near_n, near_d = abs(dev), d
-            prev = dev
-        best = hn * near_d - near_n
-        return Fraction(best, near_d * md) if best > 0 else None
 
     def dominance_ceiling(self, x: PLElement, y: PLElement) -> Optional[int]:
         """Exact for positive piecewise linear functions.

@@ -1,11 +1,19 @@
-"""Exact rational tuples with pointwise order; the simplest instance."""
+"""Exact rational tuples with pointwise order; the simplest instance.
+
+An element is stored as integer numerators over one positive denominator,
+in canonical form: gcd(nums, den) = 1 and den > 0.  Every rational tuple
+has exactly one such form, so equal elements have equal fields.  Each
+operation is an integer loop: operands over different denominators are
+cross-multiplied, and one gcd puts the result back in canonical form.
+``coords`` gives the coordinates as ``Fraction`` values.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-from ..exact import RatInterval
 from ..riesz import LocatedCut, RieszElement, RieszSpace
 
 __all__ = ["QnSpace", "QnElement"]
@@ -14,7 +22,29 @@ __all__ = ["QnSpace", "QnElement"]
 @dataclass(frozen=True)
 class QnElement(RieszElement):
     space: "QnSpace"
-    coords: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """Coordinates as exact rationals."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+
+def _make(space: "QnSpace", nums: Sequence[int], den: int) -> QnElement:
+    """The canonical element nums/den, for den > 0."""
+    g = gcd(den, *nums)
+    if g != 1:
+        return QnElement(space, tuple(x // g for x in nums), den // g)
+    return QnElement(space, tuple(nums), den)
+
+
+def _common(a: QnElement, b: QnElement) -> tuple[Sequence[int], Sequence[int], int]:
+    """Numerators of a and b over one positive denominator."""
+    da, db = a.den, b.den
+    if da == db:
+        return a.nums, b.nums, da
+    return [x * db for x in a.nums], [y * da for y in b.nums], da * db
 
 
 class QnSpace(RieszSpace):
@@ -33,51 +63,65 @@ class QnSpace(RieszSpace):
         return f"QnSpace({self.n})"
 
     def element(self, coords: Sequence[Fraction]) -> QnElement:
-        vals = tuple(Fraction(v) for v in coords)
-        if len(vals) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(vals)}")
-        return QnElement(self, vals)
+        ratios = [v.as_integer_ratio() for v in coords]
+        if len(ratios) != self.n:
+            raise ValueError(f"expected {self.n} coordinates, got {len(ratios)}")
+        den = lcm(*(d for _, d in ratios))
+        # each ratio is in lowest terms, so over the lcm the gcd is 1
+        return QnElement(self, tuple(x * (den // d) for x, d in ratios), den)
 
     def zero(self) -> QnElement:
-        return self.element([Fraction(0)] * self.n)
+        return QnElement(self, (0,) * self.n, 1)
 
     def unit(self) -> QnElement:
-        return self.element([Fraction(1)] * self.n)
+        return QnElement(self, (1,) * self.n, 1)
 
     def add(self, a: QnElement, b: QnElement) -> QnElement:
-        return QnElement(self, tuple(x + y for x, y in zip(a.coords, b.coords)))
+        xs, ys, den = _common(a, b)
+        return _make(self, [x + y for x, y in zip(xs, ys)], den)
 
     def scale(self, c: Fraction, a: QnElement) -> QnElement:
-        c = Fraction(c)
-        return QnElement(self, tuple(c * x for x in a.coords))
+        cn, cd = Fraction(c).as_integer_ratio()
+        return _make(self, [cn * x for x in a.nums], cd * a.den)
 
     def negate(self, a: QnElement) -> QnElement:
-        return QnElement(self, tuple(-x for x in a.coords))
+        return QnElement(self, tuple(-x for x in a.nums), a.den)
 
     def join(self, a: QnElement, b: QnElement) -> QnElement:
-        return QnElement(self, tuple(max(x, y) for x, y in zip(a.coords, b.coords)))
+        xs, ys, den = _common(a, b)
+        return _make(self, [x if x >= y else y for x, y in zip(xs, ys)], den)
 
     def meet(self, a: QnElement, b: QnElement) -> QnElement:
-        return QnElement(self, tuple(min(x, y) for x, y in zip(a.coords, b.coords)))
+        xs, ys, den = _common(a, b)
+        return _make(self, [x if x <= y else y for x, y in zip(xs, ys)], den)
 
     def in_interval(self, a: QnElement, p: Fraction, q: Fraction) -> QnElement:
-        """min(x - p, q - x) per coordinate."""
-        p, q = Fraction(p), Fraction(q)
-        if not p < q:
+        """min(x - p, q - x) per coordinate, over den * pd * qd."""
+        pn, pd = Fraction(p).as_integer_ratio()
+        qn, qd = Fraction(q).as_integer_ratio()
+        if not pn * qd < qn * pd:
             raise ValueError("in_interval needs p < q")
-        return QnElement(self, tuple(min(x - p, q - x) for x in a.coords))
+        # x/den - p = (x*pd*qd - pn*qd*den) / (den*pd*qd), likewise q - x
+        s, d = pd * qd, a.den * pd * qd
+        lo, hi = pn * qd * a.den, qn * pd * a.den
+        out = []
+        for x in a.nums:
+            u, v = x * s - lo, hi - x * s
+            out.append(u if u <= v else v)
+        return _make(self, out, d)
 
     def leq(self, a: QnElement, b: QnElement) -> bool:
-        return all(x <= y for x, y in zip(a.coords, b.coords))
+        da, db = a.den, b.den
+        return all(x * db <= y * da for x, y in zip(a.nums, b.nums))
 
     def sup_cut(self, a: QnElement) -> LocatedCut:
-        return LocatedCut.exact(max(a.coords))
+        return LocatedCut.exact(Fraction(max(a.nums), a.den))
 
     def unit_bound(self, a: QnElement) -> int:
-        m = max(a.coords)
+        m = max(a.nums)
         if m <= 0:
             return 0
-        return -((-m.numerator) // m.denominator)  # ceil
+        return -((-m) // a.den)  # ceil
 
     # ----- capability hooks -----------------------------------------
 
@@ -88,23 +132,23 @@ class QnSpace(RieszSpace):
         tol: Fraction = Fraction(1, 4),
     ) -> list[tuple[Fraction, Fraction]]:
         """One point range per coordinate where the context is positive."""
-        coords = b.coords
+        nums = b.nums
         if context is not None:
-            coords = [x for x, m in zip(coords, context.coords) if m > 0]
-        return [(v, v) for v in set(coords)]
-
-    def interval_sup_upper(self, b: QnElement, iv: RatInterval) -> Optional[Fraction]:
-        best = max(min(v - iv.lo, iv.hi - v) for v in b.coords)
-        return best if best > 0 else None
+            nums = [x for x, m in zip(nums, context.nums) if m > 0]
+        den = b.den
+        return [(v, v) for v in (Fraction(x, den) for x in set(nums))]
 
     def dominance_ceiling(self, x: QnElement, y: QnElement) -> Optional[int]:
         """Exact: x <= N*y for some N iff support(x+) included in support(y)."""
-        ratio = Fraction(0)
-        for xv, yv in zip(x.coords, y.coords):
+        # the ratio of coordinates is xv * y.den / (yv * x.den); the largest
+        # xv / yv is kept as the integer pair (num, den)
+        num, den = 0, 1
+        for xv, yv in zip(x.nums, y.nums):
             if xv <= 0:
                 continue
             if yv <= 0:
                 return None
-            ratio = max(ratio, xv / yv)
-        n = -((-ratio.numerator) // ratio.denominator)
-        return max(1, n)
+            if xv * den > num * yv:
+                num, den = xv, yv
+        num, den = num * y.den, den * x.den
+        return max(1, -((-num) // den))

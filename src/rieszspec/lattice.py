@@ -188,7 +188,8 @@ def grid_cells(
     """
     p, q, width = Fraction(p), Fraction(q), Fraction(width)
     ranges = space.value_ranges(a, None, width / 4)
-    grid = [iv for _, iv in interval_grid_window(p, q, width, ranges)]
+    den, found = interval_grid_window(p, q, width, ranges)
+    grid = [RatInterval(Fraction(lo, den), Fraction(hi, den)) for _, lo, hi in found]
     return grid, [space.in_interval(a, iv.lo, iv.hi) for iv in grid]
 
 

@@ -18,7 +18,7 @@ from abc import ABC, abstractmethod
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .exact import RatInterval, Rational
+from .exact import Rational
 
 __all__ = [
     "Rational",
@@ -175,22 +175,14 @@ class RieszSpace(ABC):
 
         Grid cells of b that meet none of the ranges have an interval
         element <= 0 wherever context is positive, so covers and point
-        evaluations never build them.  tol is the width an instance may
-        aim for when it encloses irrational values.  The default is the
-        whole unit bound range of b.
+        evaluations never build them.  Point evaluation also bounds each
+        remaining cell's supremum by its distance to the nearest range,
+        and skips the cells that bound rules out.  tol is the width an
+        instance may aim for when it encloses irrational values.  The
+        default is the whole unit bound range of b.
         """
         lo = -self.unit_bound(self.negate(b))
         return [(Fraction(lo), Fraction(self.unit_bound(b)))]
-
-    def interval_sup_upper(
-        self, b: RieszElement, iv: RatInterval
-    ) -> Optional[Fraction]:
-        """Upper bound for sup of the interval element of b over iv.
-
-        None certifies that the sup is <= 0.  The default bound is the
-        half width, which is always sound.
-        """
-        return iv.width / 2
 
     @abstractmethod
     def dominance_ceiling(self, x: RieszElement, y: RieszElement) -> Optional[int]:

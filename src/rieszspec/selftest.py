@@ -9,6 +9,7 @@ makes the whole run fail.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from typing import Callable
 
@@ -251,6 +252,27 @@ def _check_herm_irrational() -> str | None:
     return None
 
 
+def _check_deep_formula_net() -> str | None:
+    # a left-folded join chain deeper than the interpreter's recursion
+    # limit: nets and points key their state by element, so hashing and
+    # evaluating the chain must not recurse per formula level
+    depth = sys.getrecursionlimit() + 100
+    m = RationalMatrix.from_rows([[1, 0], [0, -2]])
+    space = HermSpace([m])
+    a = space.element(m)
+    chain = space.scale(0, a)
+    for k in range(1, depth + 1):
+        chain = space.join(chain, space.scale(F(k, depth), a))
+    eps = F(1, 4)
+    rep = stone_yosida_check(space, chain, eps, epsilon_net(space, [chain], eps))
+    if not rep.ok:
+        return f"gap {rep.norm_value - rep.net_value} on a {depth}-join chain"
+    # the chain is the positive part of diag(1, -2), whose norm is 1
+    if abs(rep.net_value - 1) >= rep.bound:
+        return f"net maximum {rep.net_value} of a {depth}-join chain, expected 1"
+    return None
+
+
 def _check_net_history() -> str | None:
     # root enclosures are fixed nodes of one dyadic tree per character, so
     # a net does not depend on the queries that ran before on its space
@@ -356,6 +378,7 @@ CHECKS_FULL: list[tuple[str, CheckFn]] = CHECKS_QUICK + [
     ("stone-yosida", _check_stone_yosida),
     ("herm-irrational", _check_herm_irrational),
     ("net-history", _check_net_history),
+    ("deep-formula-net", _check_deep_formula_net),
     ("sqrt-oracle", _check_sqrt_oracle),
     ("gelfand", _check_gelfand),
     ("representation-contract", _check_representation_contract),

@@ -8,10 +8,14 @@ of b, asks for the supremum of the current meet intersected with each
 candidate cell, and keeps the cell with the largest answer (lowest index
 on ties).  Candidates are found by arithmetic on grid indices: the cells
 that meet the window left by earlier evaluations of b and one of b's
-value ranges where the meet is positive; no other cell is built.  The
-chosen interval's midpoint is the evaluation; the margin shrinks by at
-most the query precision and stays positive, which is what keeps the
-filter consistent and the future choices sound.
+value ranges where the meet is positive.  They stay integer ends over one
+denominator; a candidate whose bound from those ranges (half width minus
+the distance from its midpoint to the nearest range) is at or under the
+incumbent's answer gets no cut query, and only a queried cell is built
+as an interval and an interval element.  The chosen interval's midpoint
+is the evaluation; the margin shrinks by at most the query precision and
+stays positive, which is what keeps the filter consistent and the future
+choices sound.
 
 Nets: for a finite family and a resolution, each element's certified
 range is covered by the overlapping grid cells that meet one of its
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .exact import RatInterval, interval_grid_window
@@ -128,6 +133,32 @@ def _constraint_meet(
     return m
 
 
+def _cell_bounds(
+    ranges: Sequence[tuple[Fraction, Fraction]],
+    den: int,
+    cells: Sequence[tuple[int, int, int]],
+) -> tuple[int, list[int]]:
+    """(S, [B_k]) with B_k / S >= sup(meet /\\ (b in cell k)) for every cell.
+
+    ranges hold b's value wherever the meet is positive, and cell (k, lo,
+    hi) is (lo/den, hi/den).  Where the meet is positive the interval
+    element is at most the half width minus the distance from the cell
+    midpoint to the nearest range; elsewhere the meet is <= 0.  So
+    B_k <= 0 certifies a supremum <= 0.  Over S = 2*den*E, E the lcm of
+    the range denominators, a cell's midpoint is (lo + hi)*E and its half
+    width (hi - lo)*E, so every bound is integer arithmetic.
+    """
+    e = lcm(*(v.denominator for rng in ranges for v in rng))
+    s = 2 * den * e
+    ends = [(u.numerator * (s // u.denominator), v.numerator * (s // v.denominator))
+            for u, v in ranges]
+    bounds = []
+    for _, lo, hi in cells:
+        mid = (lo + hi) * e
+        bounds.append((hi - lo) * e - min(max(u - mid, mid - v, 0) for u, v in ends))
+    return s, bounds
+
+
 class PointState:
     """A spectrum point under refinement; not safe for concurrent use.
 
@@ -162,9 +193,10 @@ class PointState:
 
         The winning cell is the candidate with the largest supremum of
         (current meet) /\\ (b in cell) at precision min(margin, w/2)/8,
-        ties resolved toward the lowest cell index.  Candidates that a
-        cheap per cell bound already places at or under the incumbent
-        are skipped without a cut query.
+        ties resolved toward the lowest cell index.  Candidates whose
+        bound from b's value ranges on the meet (``_cell_bounds``) is at
+        or under the incumbent's answer are skipped without a cut query,
+        and only the queried cells are built.
         """
         eps = Fraction(eps)
         if eps <= 0:
@@ -189,20 +221,25 @@ class PointState:
             if e2 == b:
                 wlo, whi = max(wlo, lo2), min(whi, hi2)
         meet_cur = self.meet
-        cands = []
+        ranges: list[tuple[Fraction, Fraction]] = []
+        den, cells = 1, []
         if wlo < whi:
             ranges = space.value_ranges(b, meet_cur, w / 4)
-            cands = interval_grid_window(p, q, w, ranges, (wlo, whi))
+            den, cells = interval_grid_window(p, q, w, ranges, (wlo, whi))
+        s, bounds = _cell_bounds(ranges, den, cells)
         delta = min(self.margin, w / 2) / 8
         best_k: int | None = None
         best_iv: RatInterval | None = None
         best_mu: Fraction | None = None
         best_meet: RieszElement | None = None
-        for k, iv in cands:
-            if best_mu is not None:
-                cheap = space.interval_sup_upper(b, iv)
-                if cheap is None or (cheap, -k) <= (best_mu, -best_k):
-                    continue
+        for (k, lo, hi), cheap in zip(cells, bounds):
+            # cells come in increasing index order, so k exceeds best_k and
+            # (cheap, -k) <= (best_mu, -best_k) exactly when cheap <= best_mu
+            if best_mu is not None and (
+                cheap <= 0 or cheap * best_mu.denominator <= best_mu.numerator * s
+            ):
+                continue
+            iv = RatInterval(Fraction(lo, den), Fraction(hi, den))
             met = space.meet(meet_cur, space.in_interval(b, iv.lo, iv.hi))
             mu = space.sup_cut(met).approx(delta)
             if best_mu is None or (mu, -k) > (best_mu, -best_k):

@@ -9,8 +9,10 @@ chain, isolation and bisection in ``Fraction`` arithmetic, and the
 ``Fraction`` elimination that builds a commuting algebra are the
 routines the package ran before its integer kernels, and so are the
 piecewise linear ``in_interval`` and cell bound with ``Fraction``
-midpoints.  The three-join cover route is the one the package ran before
-it joined each cover once.  Tests that compare a package result against
+midpoints and the Qn operations on ``Fraction`` coordinates.  The
+three-join cover route is the one the package ran before it joined each
+cover once, and the point evaluation that queries every grid cell is
+``PointState.eval`` without its candidate filters and skip bound.  Tests that compare a package result against
 one of these functions are exercising two genuinely different routes to
 the same value.
 """
@@ -25,6 +27,7 @@ import sympy
 
 from rieszspec.exact import RatInterval
 from rieszspec.instances.pl import PLElement, _canonical, _line, _reduced
+from rieszspec.lattice import cover_range
 from rieszspec.polyroots import (
     poly_divmod,
     poly_eval,
@@ -162,6 +165,53 @@ def qn_sup(coords: Sequence[Fraction]) -> Fraction:
     return max(coords)
 
 
+class QnFraction:
+    """Qn operations on ``Fraction`` coordinate tuples: the routines the
+    package ran before it held integer numerators over one denominator."""
+
+    @staticmethod
+    def add(xs, ys):
+        return tuple(x + y for x, y in zip(xs, ys))
+
+    @staticmethod
+    def scale(c, xs):
+        c = Fraction(c)
+        return tuple(c * x for x in xs)
+
+    @staticmethod
+    def join(xs, ys):
+        return tuple(max(x, y) for x, y in zip(xs, ys))
+
+    @staticmethod
+    def meet(xs, ys):
+        return tuple(min(x, y) for x, y in zip(xs, ys))
+
+    @staticmethod
+    def in_interval(xs, p, q):
+        p, q = Fraction(p), Fraction(q)
+        return tuple(min(x - p, q - x) for x in xs)
+
+    @staticmethod
+    def leq(xs, ys):
+        return all(x <= y for x, y in zip(xs, ys))
+
+    @staticmethod
+    def unit_bound(xs):
+        m = max(xs)
+        return 0 if m <= 0 else -((-m.numerator) // m.denominator)
+
+    @staticmethod
+    def dominance_ceiling(xs, ys):
+        ratio = Fraction(0)
+        for xv, yv in zip(xs, ys):
+            if xv <= 0:
+                continue
+            if yv <= 0:
+                return None
+            ratio = max(ratio, xv / yv)
+        return max(1, -((-ratio.numerator) // ratio.denominator))
+
+
 def pl_max(points: Sequence[tuple[Fraction, Fraction]]) -> Fraction:
     return max(y for _, y in points)
 
@@ -256,6 +306,33 @@ def pl_interval_sup_upper_fraction(b: PLElement, iv: RatInterval):
         prev = dev
     best = half - Fraction(near_n, near_d * md)
     return best if best > 0 else None
+
+
+def eval_no_skip(pt, b, eps: Fraction):
+    """(value, margin, constraint) that ``PointState.eval(b, eps)`` should
+    give, or None where it should raise: every cell of the full stepping
+    grid over b's range gets a cut query, with no window, no value ranges
+    and no cheap bound.  Cells those leave out have a supremum <= 0, so on
+    an instance whose cuts are exact the winner is the same.  pt is not
+    changed."""
+    space = pt.space
+    level = 0
+    while Fraction(1, 1 << level) > eps:
+        level += 1
+    w = Fraction(1, 1 << level)
+    rng = pt._ranges.get(b)
+    p, q = rng if rng is not None else cover_range(space, b)[:2]
+    delta = min(pt.margin, w / 2) / 8
+    best = None
+    for k, iv in enumerate(interval_grid(p, q, w)):
+        met = space.meet(pt.meet, space.in_interval(b, iv.lo, iv.hi))
+        mu = space.sup_cut(met).approx(delta)
+        if best is None or mu > best[0]:
+            best = (mu, iv)
+    mu, iv = best
+    if mu - delta <= 0:
+        return None
+    return (iv.lo + iv.hi) / 2, mu - delta, (b, iv.lo, iv.hi)
 
 
 def poly_degree(p: Sequence[Fraction]) -> int:

@@ -1,5 +1,6 @@
 """Exact rational substrate: rationals, intervals, matrices, psd."""
 from fractions import Fraction as F
+import math
 import random
 
 import pytest
@@ -108,8 +109,14 @@ class TestRatInterval:
             interval_combine(a, b, "meet")
 
 
+def _window(p, q, w, ranges, window=None):
+    """interval_grid_window's cells as (index, RatInterval) pairs."""
+    den, cells = interval_grid_window(p, q, w, ranges, window)
+    return [(k, RatInterval(F(lo, den), F(hi, den))) for k, lo, hi in cells]
+
+
 def _full_grid(p, q, w):
-    return [iv for _, iv in interval_grid_window(p, q, w, [(p, q)])]
+    return [iv for _, iv in _window(p, q, w, [(p, q)])]
 
 
 class TestIntervalGrid:
@@ -132,6 +139,16 @@ class TestIntervalGrid:
             assert b.lo - a.lo == F(1, 4)
             assert a.lo < b.hi and b.lo < a.hi
 
+    def test_integer_ends_over_one_denominator(self):
+        # D is the lcm of the denominators of p, q and width/2; the last
+        # cell ends at q itself
+        p, q, w = F(-1, 3), F(7, 5), F(1, 4)
+        den, cells = interval_grid_window(p, q, w, [(p, q)])
+        assert den == math.lcm(3, 5, 8)
+        assert all(type(lo) is int and type(hi) is int for _, lo, hi in cells)
+        assert [k for k, _, _ in cells] == list(range(len(cells)))
+        assert cells[-1][2] == q * den and cells[0][1] == p * den
+
     def test_window_matches_filtered_full(self):
         rng = random.Random(3)
         for _ in range(500):
@@ -142,9 +159,9 @@ class TestIntervalGrid:
             whi = wlo + F(rng.randint(0, 60), 16)
             full = oracles.interval_grid(p, q, w)
             want = [(k, iv) for k, iv in enumerate(full) if iv.lo < whi and wlo < iv.hi]
-            assert interval_grid_window(p, q, w, [(p, q)], (wlo, whi)) == want
-            assert interval_grid_window(p, q, w, [(wlo, whi)]) == want
-            assert interval_grid_window(p, q, w, [(p, q)]) == list(enumerate(full))
+            assert _window(p, q, w, [(p, q)], (wlo, whi)) == want
+            assert _window(p, q, w, [(wlo, whi)]) == want
+            assert _window(p, q, w, [(p, q)]) == list(enumerate(full))
 
     def test_ranges_and_window_match_filtered_full(self):
         # point and overlapping ranges, in any order, against the union of
@@ -168,7 +185,7 @@ class TestIntervalGrid:
                 if any(iv.lo < hi and lo < iv.hi for lo, hi in ranges)
                 and (window is None or (iv.lo < window[1] and window[0] < iv.hi))
             ]
-            assert interval_grid_window(p, q, w, ranges, window) == want
+            assert _window(p, q, w, ranges, window) == want
 
     def test_rejects(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from rieszspec.lattice import cover_interval, cover_range
 from rieszspec.polyroots import _sturm_ints, isolate_real_roots, poly_eval_interval, poly_gcd
 from rieszspec.riesz import SpaceMismatchError, ToleranceError, norm_cut
 from rieszspec.sampling import rand_diagonal_family, rand_orthogonal
-from rieszspec.spectrum import epsilon_net, pos_or_below
+from rieszspec.spectrum import epsilon_net, pos_or_below, stone_yosida_check
 
 import oracles
 
@@ -523,6 +523,12 @@ class TestFormulasAndMaterialize:
             want = hs.materialize(plus, F(1, 1 << 20))
             for lam, v in oracles.eigen_values_of(rows, (got.matrix - want.matrix).entries):
                 assert oracles.within_exact(v, 0, got.err + want.err)
+        # the hash walks the chain on a stack too, so nets and the norm
+        # audit, which key their state by element, answer on it
+        assert isinstance(hash(chain), int)
+        net = epsilon_net(hs, [chain], F(1, 4))
+        rep = stone_yosida_check(hs, chain, F(1, 4), net)
+        assert net.points and rep.ok
 
 
 class TestHooksAndDense:

@@ -10,6 +10,7 @@ from rieszspec.exact import RatInterval
 from rieszspec.instances import PLSpace
 from rieszspec.riesz import RieszSpace, in_interval, norm_cut
 from rieszspec.sampling import rand_pl
+from rieszspec.spectrum import _cell_bounds
 
 import oracles
 from oracles import pl_max, pl_min, pl_value
@@ -163,19 +164,15 @@ class TestHooks:
                     assert any(lo <= v <= hi for lo, hi in on_ctx)
         assert PLS.value_ranges(a, PLS.zero()) == []
 
-    def test_interval_sup_upper_sound(self):
+    def test_cell_bound_sound(self):
         rng = random.Random(34)
         for _ in range(60):
             a = rand_pl(PLS, rng, rng.randint(2, 6))
-            lo = F(rng.randint(-12, 10), 2)
-            iv = RatInterval(lo, lo + F(1, 2))
-            cheap = PLS.interval_sup_upper(a, iv)
-            cell = in_interval(a, iv.lo, iv.hi)
+            lo = rng.randint(-24, 20)  # the cell (lo/4, lo/4 + 1/2)
+            s, (cheap,) = _cell_bounds(PLS.value_ranges(a), 4, [(0, lo, lo + 2)])
+            cell = in_interval(a, F(lo, 4), F(lo + 2, 4))
             true_sup = pl_max(cell.points)
-            if cheap is None:
-                assert true_sup <= 0
-            else:
-                assert true_sup <= cheap
+            assert true_sup <= max(0, F(cheap, s))
 
     def test_dominance_ceiling_exact(self):
         x = _f((0, 0), (F(1, 2), 1), (1, 0))
@@ -343,7 +340,7 @@ def _pl_and_cell(draw):
 
 
 class TestIntegerCellHooks:
-    """in_interval and interval_sup_upper on integer numerators against the
+    """in_interval and the cheap cell bound on integers against the
     ``Fraction`` midpoint routines they replaced."""
 
     @settings(max_examples=150, deadline=None)
@@ -357,10 +354,14 @@ class TestIntegerCellHooks:
     @settings(max_examples=150, deadline=None)
     @given(case=_pl_and_cell())
     def test_cell_bound_matches_fraction_route(self, case):
+        # with no context the one value range is b's whole image, and the
+        # range-derived bound is the old per-breakpoint bound
         a, iv = case
-        got = PLS.interval_sup_upper(a, iv)
-        assert got == oracles.pl_interval_sup_upper_fraction(a, iv)
-        assert got is None or isinstance(got, F)
+        den = math.lcm(iv.lo.denominator, iv.hi.denominator)
+        cell = (0, int(iv.lo * den), int(iv.hi * den))
+        s, (cheap,) = _cell_bounds(PLS.value_ranges(a), den, [cell])
+        want = oracles.pl_interval_sup_upper_fraction(a, iv)
+        assert (None if cheap <= 0 else F(cheap, s)) == want
 
     def test_integer_endpoints(self):
         a = _f((0, -1), (F(1, 3), 2), (1, F(1, 2)))

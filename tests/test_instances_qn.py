@@ -6,10 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rieszspec.exact import RatInterval
 from rieszspec.instances import QnSpace
 from rieszspec.riesz import RieszSpace, SpaceMismatchError, in_interval, norm_cut
+from rieszspec.spectrum import _cell_bounds
 
+import oracles
 from oracles import qn_sup
 
 
@@ -92,21 +93,17 @@ class TestHooks:
         assert q3.value_ranges(a, ctx) == [(F(0), F(0))]
         assert q3.value_ranges(a, q3.zero()) == []
 
-    def test_interval_sup_upper_is_sound(self):
-        # the cheap bound dominates the true sup of meet(a, cell) depth
+    def test_cell_bound_is_sound(self):
+        # the range-derived cheap bound dominates the true sup of the cell
         rng = random.Random(21)
         q3 = QnSpace(3)
         for _ in range(60):
             a = _rand(q3, rng, 3)
-            lo = F(rng.randint(-8, 8), 4)
-            iv = RatInterval(lo, lo + F(1, 2))
-            cheap = q3.interval_sup_upper(a, iv)
-            cell = in_interval(a, iv.lo, iv.hi)
+            lo = rng.randint(-8, 8)  # the cell (lo/4, lo/4 + 1/2)
+            s, (cheap,) = _cell_bounds(q3.value_ranges(a), 4, [(0, lo, lo + 2)])
+            cell = in_interval(a, F(lo, 4), F(lo + 2, 4))
             true_sup = qn_sup(cell.coords)
-            if cheap is None:
-                assert true_sup <= 0
-            else:
-                assert true_sup <= cheap
+            assert true_sup <= max(0, F(cheap, s))
 
     def test_dominance_ceiling(self):
         q3 = QnSpace(3)
@@ -177,3 +174,86 @@ class TestAgainstFractionEvaluation:
         else:
             expect = max(1, math.ceil(ratio))
         assert Q4.dominance_ceiling(x, y) == expect
+
+
+# zeros, small mixed denominators and very large ones
+_coord = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-8, max_value=8, max_denominator=12),
+    st.builds(F, st.integers(-(1 << 70), 1 << 70), st.integers(1, 1 << 64)),
+)
+
+
+def _canonical(e):
+    return e.den > 0 and math.gcd(e.den, *e.nums) == 1 and all(type(x) is int for x in e.nums)
+
+
+class TestIntegerRouteAgainstFractionOracle:
+    """Every integer Qn operation equals the ``Fraction`` routine it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_operations(self, data):
+        n = data.draw(st.integers(1, 4))
+        q = QnSpace(n)
+        coords = st.lists(_coord, min_size=n, max_size=n).map(tuple)
+        xs, ys = data.draw(coords), data.draw(coords)
+        c = data.draw(_coord)
+        p, r = sorted(data.draw(st.lists(_coord, min_size=2, max_size=2, unique=True)))
+        a, b = q.element(xs), q.element(ys)
+        O = oracles.QnFraction
+        assert a.coords == xs and b.coords == ys
+        results = {
+            "add": (q.add(a, b), O.add(xs, ys)),
+            "scale": (q.scale(c, a), O.scale(c, xs)),
+            "negate": (q.negate(a), O.scale(-1, xs)),
+            "join": (q.join(a, b), O.join(xs, ys)),
+            "meet": (q.meet(a, b), O.meet(xs, ys)),
+            "in_interval": (q.in_interval(a, p, r), O.in_interval(xs, p, r)),
+        }
+        for name, (got, want) in results.items():
+            assert got.coords == want, name
+            assert _canonical(got), name
+        assert q.leq(a, b) == O.leq(xs, ys)
+        assert q.leq(b, a) == O.leq(ys, xs)
+        assert q.sup_cut(a).approx(F(1, 8)) == max(xs)
+        assert q.unit_bound(a) == O.unit_bound(xs)
+        assert q.unit_bound(q.negate(a)) == O.unit_bound(O.scale(-1, xs))
+        x, y = q.join(a, q.zero()), q.join(b, q.zero())
+        assert q.dominance_ceiling(x, y) == O.dominance_ceiling(x.coords, y.coords)
+        assert sorted(q.value_ranges(a, b)) == sorted({(v, v) for v, m in zip(xs, ys) if m > 0})
+
+
+class TestCanonicalForm:
+    """gcd(nums, den) = 1 and den > 0, so equal elements have equal fields."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(xs=st.lists(_coord, min_size=3, max_size=3), c=_coord.filter(bool))
+    def test_equal_coordinates_give_equal_elements(self, xs, c):
+        q = QnSpace(3)
+        a = q.element(xs)
+        assert _canonical(a)
+        same = [
+            q.element(list(a.coords)),
+            q.scale(1 / c, q.scale(c, a)),
+            q.add(q.scale(F(1, 2), a), q.scale(F(1, 2), a)),
+            q.join(a, a),
+            q.meet(a, q.add(a, q.unit())),
+            q.negate(q.negate(a)),
+        ]
+        for e in same:
+            assert _canonical(e)
+            assert (e.nums, e.den) == (a.nums, a.den)
+            assert e == a and hash(e) == hash(a)
+
+    def test_reduced_after_join_and_sum(self):
+        q = QnSpace(2)
+        # (3, 1)/6 join (1, 3)/6 is (3, 3)/6, which is (1, 1)/2
+        j = q.join(q.element([F(1, 2), F(1, 6)]), q.element([F(1, 6), F(1, 2)]))
+        assert (j.nums, j.den) == ((1, 1), 2)
+        assert j == q.scale(F(1, 2), q.unit()) and hash(j) == hash(q.scale(F(1, 2), q.unit()))
+        s = q.add(q.element([F(1, 3), F(2, 3)]), q.element([F(2, 3), F(1, 3)]))
+        assert (s.nums, s.den) == ((1, 1), 1) and s == q.unit()
+        z = q.scale(0, q.element([F(5, 7), F(-1, 9)]))
+        assert (z.nums, z.den) == ((0, 0), 1) and z == q.zero()
+        assert q.element([2, F(6, 4)]) == q.element([F(4, 2), F(3, 2)])

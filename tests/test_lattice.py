@@ -159,8 +159,8 @@ class TestCoverRange:
 
 class TestCoverInterval:
     def test_grid_shape(self):
-        full = interval_grid_window(F(0), F(1), F(1, 2), [(F(0), F(1))])
-        assert [(k, iv.lo, iv.hi) for k, iv in full] == [
+        den, full = interval_grid_window(F(0), F(1), F(1, 2), [(F(0), F(1))])
+        assert [(k, F(lo, den), F(hi, den)) for k, lo, hi in full] == [
             (0, F(0), F(1, 2)),
             (1, F(1, 4), F(3, 4)),
             (2, F(1, 2), F(1)),

@@ -600,7 +600,8 @@ class TestNetOnCandidateCells:
         net = epsilon_net(pls, [a], F(1, 8))
         for pt in net.points:
             (_, lo, hi), = pt.constraints
-            window = [iv for _, iv in interval_grid_window(p, q, F(1, 32), [(lo, hi)])]
+            den, found = interval_grid_window(p, q, F(1, 32), [(lo, hi)])
+            window = [RatInterval(F(c, den), F(d, den)) for _, c, d in found]
             pls.built.clear()
             pt.eval(a, F(1, 32))
             assert pls.built
@@ -650,7 +651,8 @@ def test_dyadic_levels_match_the_loops(eps):
 
 def _excluded_cells(space, b, context, w):
     p, q, _ = cover_range(space, b)
-    kept = {k for k, _ in interval_grid_window(p, q, w, space.value_ranges(b, context, w / 4))}
+    _, found = interval_grid_window(p, q, w, space.value_ranges(b, context, w / 4))
+    kept = {k for k, _, _ in found}
     return [iv for k, iv in enumerate(oracles.interval_grid(F(p), F(q), w)) if k not in kept]
 
 
@@ -696,3 +698,162 @@ class TestValueRangesSound:
                 if context is not None:
                     cell = hs.meet(context, cell)
                 assert hs.leq(cell, hs.zero()) is True
+
+
+def _bounded_cells(pt, b, eps):
+    """Every grid cell of b that meets a value range of b on pt's meet, as
+    (RatInterval, bound) with the bound eval's skip test reads."""
+    space = pt.space
+    w = F(1, 1 << spectrum._dyadic_level(eps))
+    p, q, _ = cover_range(space, b)
+    ranges = space.value_ranges(b, pt.meet, w / 4)
+    den, cells = interval_grid_window(p, q, w, ranges)
+    s, bounds = spectrum._cell_bounds(ranges, den, cells)
+    return [
+        (RatInterval(F(lo, den), F(hi, den)), F(bound, s))
+        for (_, lo, hi), bound in zip(cells, bounds)
+    ]
+
+
+def _refined_points(space, family, eps):
+    """Net points of the family, each refined once on its first member, so
+    the bound is also read on meets that eval built."""
+    pts = list(epsilon_net(space, family, eps).points)
+    for pt in pts:
+        pt.eval(family[0], eps / 2)
+    return pts
+
+
+class TestCellBoundSound:
+    """The range-derived bound is at least sup(meet /\\ (b in cell)) on every
+    candidate cell, or that sup is <= 0 where the bound is."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), eps=_eps)
+    def test_qn(self, data, eps):
+        q = QnSpace(3)
+        coords = st.lists(_small, min_size=3, max_size=3)
+        family = [q.element(data.draw(coords)) for _ in range(2)]
+        other = q.element(data.draw(coords))
+        for pt in _refined_points(q, family, eps):
+            for b in [*family, other]:
+                for iv, bound in _bounded_cells(pt, b, eps / 4):
+                    met = q.meet(pt.meet, q.in_interval(b, iv.lo, iv.hi))
+                    assert qn_sup(met.coords) <= max(bound, 0)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 1 << 30), eps=_eps)
+    def test_pl(self, seed, eps):
+        pls = PLSpace()
+        rng = random.Random(seed)
+        family = [rand_pl(pls, rng, 4, max_num=3) for _ in range(2)]
+        other = rand_pl(pls, rng, 5, max_num=3)
+        for pt in _refined_points(pls, family, eps):
+            for b in [*family, other]:
+                for iv, bound in _bounded_cells(pt, b, eps / 4):
+                    met = pls.meet(pt.meet, pls.in_interval(b, iv.lo, iv.hi))
+                    assert oracles.pl_max(met.points) <= max(bound, 0)
+
+    @settings(max_examples=8, deadline=None)
+    @given(gi=st.integers(0, 3), c0=_small, c1=_small.filter(bool), d0=_small, d1=_small)
+    def test_err_free_herm(self, gi, c0, c1, d0, d1):
+        # the exact order test reads the sup: met <= bound * 1
+        hs, family = _herm_case(gi, c0, c1)
+        other = _herm_elem(hs, gi, d0, d1)
+        eps = F(1, 2)
+        for pt in _refined_points(hs, family, eps):
+            for b in [*family, other]:
+                for iv, bound in _bounded_cells(pt, b, eps / 4):
+                    met = hs.meet(pt.meet, hs.in_interval(b, iv.lo, iv.hi))
+                    assert hs.leq(met, hs.scale(max(bound, 0), hs.unit())) is True
+
+
+def _match_no_skip(pts, elements, eps):
+    for pt in pts:
+        for b in elements:
+            for e in (eps / 2, eps / 8):
+                if (b, spectrum._dyadic_level(e)) in pt._evals:
+                    continue  # an equal element was evaluated: a cache hit
+                want = oracles.eval_no_skip(pt, b, e)
+                if want is None:
+                    with pytest.raises(MarginCollapseError):
+                        pt.eval(b, e)
+                    continue
+                val = pt.eval(b, e)
+                assert (val, pt.margin, pt.constraints[-1]) == want
+
+
+class TestEvalAgainstNoSkipOracle:
+    """On instances with exact cuts the candidate filters and the skip bound
+    change no answer: value, margin and new constraint equal the oracle's,
+    which queries every cell of the full grid."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), eps=_eps)
+    def test_qn(self, data, eps):
+        q = QnSpace(3)
+        coords = st.lists(_small, min_size=3, max_size=3)
+        family = [q.element(data.draw(coords)) for _ in range(2)]
+        other = q.element(data.draw(coords))
+        net = epsilon_net(q, family, eps)
+        _match_no_skip(net.points, [*family, other], eps)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 1 << 30), eps=_eps)
+    def test_pl(self, seed, eps):
+        pls = PLSpace()
+        rng = random.Random(seed)
+        family = [rand_pl(pls, rng, 4, max_num=3) for _ in range(2)]
+        other = rand_pl(pls, rng, 5, max_num=3)
+        net = epsilon_net(pls, family, eps)
+        _match_no_skip(net.points[:4], [*family, other], eps)
+
+
+class TestEvalBuildsQueriedCellsOnly:
+    def test_one_interval_element_and_rat_interval_per_cut_query(self, monkeypatch):
+        built = []
+
+        class CountingInterval(RatInterval):
+            def __post_init__(self):
+                built.append((self.lo, self.hi))
+                super().__post_init__()
+
+        class CountingPL(PLSpace):
+            def __init__(self):
+                super().__init__()
+                self.cells, self.cuts = [], 0
+
+            def in_interval(self, a, p, q):
+                self.cells.append((p, q))
+                return super().in_interval(a, p, q)
+
+            def sup_cut(self, a):
+                self.cuts += 1
+                return super().sup_cut(a)
+
+        pls = CountingPL()
+        rng = random.Random(71)
+        family = [rand_pl(pls, rng, 5, max_num=3) for _ in range(2)]
+        net = epsilon_net(pls, family, F(1, 8))
+        monkeypatch.setattr(spectrum, "RatInterval", CountingInterval)
+        candidates = queried = 0
+        for pt in net.points:
+            for b in family:
+                p, q = pt._ranges[b]
+                w = F(1, 32)
+                wlo, whi = F(p), F(q)
+                for e, lo, hi in pt.constraints:
+                    if e is b:
+                        wlo, whi = max(wlo, lo), min(whi, hi)
+                ranges = pls.value_ranges(b, pt.meet, w / 4)
+                candidates += len(interval_grid_window(p, q, w, ranges, (wlo, whi))[1])
+                pls.cells.clear()
+                pls.cuts = 0
+                built.clear()
+                pt.eval(b, w)
+                assert pls.cuts >= 1
+                assert len(pls.cells) == pls.cuts
+                assert built == pls.cells
+                queried += pls.cuts
+        # the bound skipped some candidates, which were never built
+        assert queried < candidates
