@@ -579,6 +579,32 @@ class HermElement(RieszElement):
             object.__setattr__(x, "_hash", hash((x.space, x.matrix, x.err, f)))
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        # the dataclass comparison, node pairs taken from an explicit stack
+        # as in __hash__; kept hashes that differ settle a pair at once,
+        # and a pair of shared subformulas is compared once
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        seen = set()
+        while stack:
+            x, y = stack.pop()
+            if x is y or (id(x), id(y)) in seen:
+                continue
+            seen.add((id(x), id(y)))
+            hx, hy = x.__dict__.get("_hash"), y.__dict__.get("_hash")
+            if hx is not None and hy is not None and hx != hy:
+                return False
+            fx, fy = x.formula or (), y.formula or ()
+            if (x.space, x.matrix, x.err) != (y.space, y.matrix, y.err) or len(fx) != len(fy):
+                return False
+            for u, v in zip(fx, fy):
+                if isinstance(u, HermElement) and isinstance(v, HermElement):
+                    stack.append((u, v))
+                elif u != v:
+                    return False
+        return True
+
 
 class HermSpace(RieszSpace):
     """Riesz space of commuting symmetric matrices under the psd order."""

@@ -27,7 +27,10 @@ a first cell alone is tested once, by the pruning, whenever the pruning
 ran at the joint r.  Each point keeps the certified range of every family
 member, so evaluating a member proves no range again.  Every
 representation of the space then agrees with some net point to within
-the resolution on every family member.
+the resolution on every family member.  The norm audit reads each point's
+window for the element before it evaluates anything: the window bounds
+the point's value, so the audit evaluates points by descending bound and
+stops once no bound can beat the maximum found.
 """
 from __future__ import annotations
 
@@ -188,6 +191,27 @@ class PointState:
         # certified integer bounds (p, q) of evaluated elements, per point
         self._ranges: dict[RieszElement, tuple[int, int]] = dict(ranges or {})
 
+    def _window(self, b: RieszElement) -> tuple[int, int, Fraction, Fraction]:
+        """(p, q, lo, hi): b's certified integer range (p, q), proved once
+        per point, and the window (lo, hi) that earlier evaluations of b
+        pin it to, (p, q) cut down by every constraint on b.
+
+        Every value eval(b, eps) returns, cached or new, is the midpoint of
+        a grid cell at most w = 2^-level wide (level as in eval) that meets
+        the window, so it lies strictly inside (lo - w/2, hi + w/2).
+        """
+        rng = self._ranges.get(b)
+        if rng is None:
+            p, q, _ = cover_range(self.space, b)
+            self._ranges[b] = (p, q)
+        else:
+            p, q = rng
+        lo, hi = Fraction(p), Fraction(q)
+        for e, lo2, hi2 in self.constraints:
+            if e == b:
+                lo, hi = max(lo, lo2), min(hi, hi2)
+        return p, q, lo, hi
+
     def eval(self, b: RieszElement, eps: Rational) -> Fraction:
         """Value of b at this point within eps; narrows the filter.
 
@@ -208,18 +232,9 @@ class PointState:
             return cached
         space = self.space
         w = Fraction(1, 1 << level)
-        rng = self._ranges.get(b)
-        if rng is None:
-            p, q, _ = cover_range(space, b)
-            self._ranges[b] = (p, q)
-        else:
-            p, q = rng
-        # earlier evals of b already pin it to a window; only cells meeting
-        # that window and one of b's value ranges on the meet can win
-        wlo, whi = Fraction(p), Fraction(q)
-        for e2, lo2, hi2 in self.constraints:
-            if e2 == b:
-                wlo, whi = max(wlo, lo2), min(whi, hi2)
+        # only cells meeting the window and one of b's value ranges on the
+        # meet can win
+        p, q, wlo, whi = self._window(b)
         meet_cur = self.meet
         ranges: list[tuple[Fraction, Fraction]] = []
         den, cells = 1, []
@@ -400,13 +415,31 @@ def stone_yosida_check(
     The norm query is eps/2 accurate, each point evaluation eps/4, and
     the net resolution is eps, so the two readings of sup |value| can
     differ by less than 2 * eps.
+
+    The maximum is found by branch and bound.  A point's evaluation at
+    eps/4 is the midpoint of a cell at most w = 2^-level wide that meets
+    the point's window (lo, hi) for a, so its absolute value is under
+    B = max(|lo|, |hi|) + w/2.  Points are visited by descending B (net
+    order on ties), and the visit stops at the first point whose B is at
+    most the running maximum: no later point can raise it, so net_value
+    is the maximum over every point.  A net passed in by the caller is
+    read the same way: the points the audit skips are left unevaluated,
+    so their constraints on a are not narrowed, while the points it
+    visits are refined as eval refines them.
     """
     eps = Fraction(eps)
     if net is None:
         net = epsilon_net(space, [a], eps)
     norm_value = norm_cut(a).approx(eps / 2)
-    net_value = Fraction(0)
+    half = Fraction(1, 2 << _dyadic_level(eps / 4))  # w/2
+    tops = []
     for pt in net.points:
+        _, _, lo, hi = pt._window(a)
+        tops.append((max(abs(lo), abs(hi)) + half, pt))
+    net_value = Fraction(0)
+    for top, pt in sorted(tops, key=lambda t: t[0], reverse=True):
+        if top <= net_value:
+            break
         net_value = max(net_value, abs(pt.eval(a, eps / 4)))
     bound = 2 * eps
     return StoneYosidaReport(

@@ -12,7 +12,9 @@ piecewise linear ``in_interval`` and cell bound with ``Fraction``
 midpoints and the Qn operations on ``Fraction`` coordinates.  The
 three-join cover route is the one the package ran before it joined each
 cover once, and the point evaluation that queries every grid cell is
-``PointState.eval`` without its candidate filters and skip bound.  Tests that compare a package result against
+``PointState.eval`` without its candidate filters and skip bound; the
+norm audit that evaluates every net point is ``stone_yosida_check``
+without its branch and bound.  Tests that compare a package result against
 one of these functions are exercising two genuinely different routes to
 the same value.
 """
@@ -34,7 +36,9 @@ from rieszspec.polyroots import (
     poly_normalize,
     poly_scale,
 )
+from rieszspec.riesz import norm_cut
 from rieszspec.serialize import attach, space_for
+from rieszspec.spectrum import StoneYosidaReport, epsilon_net
 
 Mat = Sequence[Sequence[Fraction]]
 
@@ -333,6 +337,27 @@ def eval_no_skip(pt, b, eps: Fraction):
     if mu - delta <= 0:
         return None
     return (iv.lo + iv.hi) / 2, mu - delta, (b, iv.lo, iv.hi)
+
+
+def stone_yosida_all_points(space, a, eps, net=None):
+    """``stone_yosida_check`` as it ran before its branch and bound: every
+    net point is evaluated and the largest |value| kept."""
+    eps = Fraction(eps)
+    if net is None:
+        net = epsilon_net(space, [a], eps)
+    norm_value = norm_cut(a).approx(eps / 2)
+    net_value = Fraction(0)
+    for pt in net.points:
+        net_value = max(net_value, abs(pt.eval(a, eps / 4)))
+    bound = 2 * eps
+    return StoneYosidaReport(
+        norm_value=norm_value,
+        net_value=net_value,
+        points=len(net.points),
+        eps=eps,
+        bound=bound,
+        ok=abs(norm_value - net_value) < bound,
+    )
 
 
 def poly_degree(p: Sequence[Fraction]) -> int:

@@ -508,9 +508,22 @@ class TestFormulasAndMaterialize:
         gen = _mat(rows)
         hs = HermSpace([gen])
         a = hs.element(gen)
-        chain = hs.scale(0, a)
-        for k in range(1, n + 1):
-            chain = hs.join(chain, hs.scale(F(k, n), a))
+
+        def build(last):
+            chain = hs.scale(0, a)
+            for k in range(1, n):
+                chain = hs.join(chain, hs.scale(F(k, n), a))
+            return hs.join(chain, hs.scale(last, a))
+
+        chain = build(F(1))
+        # equality walks the chain on a stack too: an equal chain built
+        # apart compares and looks up equal, one other leaf makes it unequal
+        twin = build(F(1))
+        assert twin is not chain and twin == chain and chain == twin
+        assert {chain: 1}[twin] == 1
+        other = build(F(n - 1, n))
+        assert other != chain and chain != other
+        assert other not in {chain: 1}
         plus = hs.join(a, hs.zero())
         assert hs.leq(chain, plus) is True
         assert hs.leq(plus, chain) is True

@@ -1,4 +1,5 @@
 """Positivity decisions, spectrum points, nets, and the norm cross check."""
+from dataclasses import fields
 from fractions import Fraction as F
 import random
 
@@ -857,3 +858,134 @@ class TestEvalBuildsQueriedCellsOnly:
                 queried += pls.cuts
         # the bound skipped some candidates, which were never built
         assert queried < candidates
+
+
+def _spanning_pl(pls, rng, knots):
+    """A PL element shaped like the benchmark's audits: 0, 1 and ``knots``
+    inner knots k/32, values n/d with |n| <= 1 and d <= 8, two of them
+    overwritten by 1 and -1 so the certified range is (-2, 2)."""
+    xs = {F(0), F(1)}
+    while len(xs) < knots + 2:
+        xs.add(F(rng.randint(1, 31), 32))
+    ys = [F(rng.randint(-1, 1), rng.randint(1, 8)) for _ in xs]
+    i, j = rng.sample(range(len(ys)), 2)
+    ys[i], ys[j] = F(1), F(-1)
+    return pls.element(list(zip(sorted(xs), ys)))
+
+
+def _same_report(got, want):
+    for f in fields(want):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+def _same_herm_report(gi, c0, c1):
+    # a fresh space per route, so neither reads state the other left
+    hs, (a,) = _herm_case(gi, c0, c1)
+    got = stone_yosida_check(hs, a, F(1, 8))
+    hs, (a,) = _herm_case(gi, c0, c1)
+    _same_report(got, oracles.stone_yosida_all_points(hs, a, F(1, 8)))
+
+
+class TestAuditAgainstAllPoints:
+    """The branch and bound audit gives the report of the audit that
+    evaluates every net point."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 4), data=st.data(), eps=_eps)
+    def test_qn(self, n, data, eps):
+        q = QnSpace(n)
+        a = q.element(data.draw(st.lists(_small, min_size=n, max_size=n)))
+        _same_report(stone_yosida_check(q, a, eps), oracles.stone_yosida_all_points(q, a, eps))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 1 << 30),
+        knots=st.integers(3, 5),
+        eps=st.sampled_from([F(1, 4), F(1, 8), F(1, 16)]),
+    )
+    def test_pl_spanning(self, seed, knots, eps):
+        pls = PLSpace()
+        a = _spanning_pl(pls, random.Random(seed), knots)
+        _same_report(stone_yosida_check(pls, a, eps), oracles.stone_yosida_all_points(pls, a, eps))
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 1 << 30), eps=_eps)
+    def test_pl(self, seed, eps):
+        pls = PLSpace()
+        a = rand_pl(pls, random.Random(seed), 6, max_num=4)
+        _same_report(stone_yosida_check(pls, a, eps), oracles.stone_yosida_all_points(pls, a, eps))
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(gi=st.integers(0, _RATIONAL_GENS - 1), c0=_small, c1=_small.filter(bool))
+    def test_rational_herm(self, gi, c0, c1):
+        _same_herm_report(gi, c0, c1)
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(c0=_small, c1=_small.filter(bool))
+    def test_irrational_cubic(self, c0, c1):
+        _same_herm_report(3, c0, c1)
+
+
+def _audit_trace(monkeypatch, space, a, eps, want):
+    """Run the audit on a's net and check it against B = max(|lo|, |hi|)
+    + w/2, read from each point's window (lo, hi) for a before the audit,
+    w the grid width of an eval at eps/4: points are evaluated by
+    descending B while B beats the maximum so far, each value lies
+    strictly inside (lo - w/2, hi + w/2), and every skipped point has
+    B <= net_value.  Returns (evaluated, points, skipped points with B
+    equal to net_value)."""
+    half = F(1, 2 << spectrum._dyadic_level(eps / 4))
+    net = epsilon_net(space, [a], eps)
+    window = {}
+    for pt in net.points:
+        p, q = pt._ranges[a]
+        lo, hi = F(p), F(q)
+        for e, clo, chi in pt.constraints:
+            if e == a:
+                lo, hi = max(lo, clo), min(hi, chi)
+        window[pt.ident] = (lo, hi, max(abs(lo), abs(hi)) + half)
+    seen = []
+    real_eval = spectrum.PointState.eval
+
+    def recording(pt, b, e):
+        val = real_eval(pt, b, e)
+        seen.append((pt.ident, val))
+        return val
+
+    with monkeypatch.context() as m:
+        m.setattr(spectrum.PointState, "eval", recording)
+        rep = stone_yosida_check(space, a, eps, net)
+    _same_report(rep, want)
+    visited = {k for k, _ in seen}
+    assert len(seen) == len(visited)
+    running = F(0)
+    for k, val in seen:
+        lo, hi, bound = window[k]
+        assert bound > running
+        assert lo - half < val < hi + half
+        running = max(running, abs(val))
+    bounds = [window[k][2] for k, _ in seen]
+    assert bounds == sorted(bounds, reverse=True)
+    skipped = [window[pt.ident][2] for pt in net.points if pt.ident not in visited]
+    assert all(b <= rep.net_value for b in skipped)
+    return len(seen), len(net.points), skipped.count(rep.net_value)
+
+
+class TestAuditVisitsFewPoints:
+    def test_pl_audits(self, monkeypatch):
+        pls = PLSpace()
+        rng = random.Random(15)
+        eps = F(1, 16)
+        for knots in (3, 4, 5, 3, 4, 5):
+            a = _spanning_pl(pls, rng, knots)
+            want = oracles.stone_yosida_all_points(pls, a, eps)
+            evaluated, points, _ = _audit_trace(monkeypatch, pls, a, eps, want)
+            assert evaluated < points
+
+    def test_bound_equal_to_the_maximum_is_skipped(self, monkeypatch):
+        # the point on (3/4, 1) has B = 1 + 1/32, the value at 33/32
+        q = QnSpace(2)
+        a = q.element([F(33, 32), F(7, 8)])
+        want = oracles.stone_yosida_all_points(q, a, F(1, 4))
+        assert want.net_value == F(33, 32)
+        assert _audit_trace(monkeypatch, q, a, F(1, 4), want) == (2, 3, 1)
