@@ -171,8 +171,8 @@ def _run_check_lattice(ns, res: dict) -> int:
     space, (a,) = _elements(ns, [obj])
     p, q, range_cert = cover_range(space, a)
     width = parse_rational(ns.eps)
-    _, cells, joined, cert = cover_interval(space, a, Fraction(p), Fraction(q), width)
-    shrunk = shrink_cover(space, cells, joined)
+    grid, cells, ranges, cert = cover_interval(space, a, Fraction(p), Fraction(q), width)
+    shrunk = shrink_cover(space, a, grid, cells, ranges)
     res.update(
         cover_recipe_to_json(
             obj, Fraction(p), Fraction(q), width, cert.multiplier,

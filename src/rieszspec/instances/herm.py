@@ -871,10 +871,13 @@ class HermSpace(RieszSpace):
             if context is None or self._char_interval(context, j, Fraction(1, 8))[1] > 0
         ]
 
+    def require_exact(self, *elems: HermElement) -> None:
+        if any(e.err for e in elems):
+            raise ToleranceError("the operation needs err free operands")
+
     def dominance_ceiling(self, x: HermElement, y: HermElement) -> int | None:
         self._require(x, y)
-        if x.err or y.err:
-            raise ToleranceError("dominance search needs err free operands")
+        self.require_exact(x, y)
         signs = [
             (self._char_sign(x, j), self._char_sign(y, j))
             for j in range(self.algebra.char_count)

@@ -7,19 +7,32 @@ whose joins and meets are computed on representatives.  All cover
 claims made here are backed by explicit dominance certificates that can
 be re-verified with a single order test.
 
-The search joins each cover's cells once, to J.  Distributivity gives
-pos(J) = join of the pos(c_i), which serves the grid claim and the unit
-claim, and pos(J - r) = join of the pos(c_i - r), which serves the claim
-of the cover lowered by r.  :meth:`CoverCertificate.verify` does not
-reuse J: it joins the positive parts of its own parts, so re-checking a
-certificate (the CLI replay, ``selftest``) stays independent of the
-search that found it.
+Net covers are proved by arithmetic in one variable, with no join.  The
+cells of a's cover are c_k = in_interval(a, lo_k, hi_k) = (a - lo_k) /\
+(hi_k - a), so under every representation their join J takes the value
+phi(a), where phi(t) = max_k min(t - lo_k, hi_k - t): J = phi(a)
+pointwise.  On S = union of [lo_k + 1/n, hi_k - 1/n] every t lies at
+depth >= 1/n in some cell, so phi >= 1/n there.  The order tests
+min(S) * 1 <= a, a <= max(S) * 1 and in_interval(a, g, h) <= 0 for each
+gap (g, h) between the components of S put every value of a in S, hence
+J >= 1/n: that proves 1 <= n * pos(J), and with r = 1/(2n) also
+J - r >= 1/(2n), that is 1 <= 2n * pos(J - r).  a's value ranges only
+choose n, as the power of two at or above 1/min phi over them; a range
+that misses a value of a makes an order test fail closed.
+
+:meth:`CoverCertificate.verify` is the independent re-check: it joins
+the positive parts of its own parts, which by distributivity is pos(J),
+or pos(J - r) for the lowered cells, and replays one order test.  The
+CLI replay and ``selftest`` use it; the grid multiplier that
+``check-lattice`` prints still comes from a join (cover_interval).
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import TYPE_CHECKING, Sequence
 
 from .exact import RatInterval, interval_grid_window
@@ -162,16 +175,21 @@ def cover_range(
 ) -> tuple[int, int, CoverCertificate]:
     """Integer bounds p < q with the unit class covered by a in (p, q).
 
-    The bounds leave one unit of slack on each side, so the interval
-    depth is at least one everywhere and multiplier 1 certifies it.
+    The bounds leave one unit of slack on each side: the order tests
+    a <= (q - 1) * 1 and (p + 1) * 1 <= a put a's values in [p + 1, q - 1],
+    so the interval depth is at least one everywhere and multiplier 1
+    certifies the cover; verify replays that claim with a join.
     """
     q = space.unit_bound(a) + 1
     p = -(space.unit_bound(space.negate(a)) + 1)
-    piece = space.in_interval(a, Fraction(p), Fraction(q))
-    cert = CoverCertificate(space, space.unit(), (piece,), 1)
-    if not cert.verify():
+    unit = space.unit()
+    if not (
+        space.leq(a, space.scale(Fraction(q - 1), unit)) is True
+        and space.leq(space.scale(Fraction(p + 1), unit), a) is True
+    ):
         raise CertificateError("range cover failed to verify")
-    return p, q, cert
+    piece = space.in_interval(a, Fraction(p), Fraction(q))
+    return p, q, CoverCertificate(space, unit, (piece,), 1)
 
 
 def grid_cells(
@@ -180,14 +198,17 @@ def grid_cells(
     p: Rational,
     q: Rational,
     width: Rational,
+    ranges: Sequence[tuple[Fraction, Fraction]] | None = None,
 ) -> tuple[list[RatInterval], list[RieszElement]]:
     """The half overlapping width cells of (p, q) that may hold a value of a.
 
     Only the cells of the integer-index grid that meet one of a's value
-    ranges are built; every other cell is <= 0 everywhere.
+    ranges are built; every other cell is <= 0 everywhere.  ranges are
+    a's value ranges at width/4, read from the space when not given.
     """
     p, q, width = Fraction(p), Fraction(q), Fraction(width)
-    ranges = space.value_ranges(a, None, width / 4)
+    if ranges is None:
+        ranges = space.value_ranges(a, None, width / 4)
     den, found = interval_grid_window(p, q, width, ranges)
     grid = [RatInterval(Fraction(lo, den), Fraction(hi, den)) for _, lo, hi in found]
     return grid, [space.in_interval(a, iv.lo, iv.hi) for iv in grid]
@@ -199,18 +220,25 @@ def cover_interval(
     p: Rational,
     q: Rational,
     width: Rational,
-) -> tuple[list[RatInterval], list[RieszElement], RieszElement, CoverCertificate]:
+) -> tuple[
+    list[RatInterval],
+    list[RieszElement],
+    list[tuple[Fraction, Fraction]],
+    CoverCertificate,
+]:
     """Cover the class of a in (p, q) by the grid cells of a.
 
-    Returns the grid, the cells, their join J and the certificate.  One
-    order test on pos(J) proves the cover, so a range that misses a
-    positive cell fails closed with CertificateError.  An empty cover
-    joins to 0.  J is what shrink_cover takes.
+    Returns the grid, the cells, the value ranges the cells were drawn
+    from (what shrink_cover takes) and the certificate.  One order test
+    on pos(J), J the join of the cells, proves the cover, so a range that
+    misses a positive cell fails closed with CertificateError.  An empty
+    cover joins to 0.
     """
-    grid, cells = grid_cells(space, a, p, q, width)
+    ranges = space.value_ranges(a, None, Fraction(width) / 4)
+    grid, cells = grid_cells(space, a, p, q, width, ranges)
     joined = join_all(space, cells) if cells else space.zero()
     cert = certify_cover(space, space.in_interval(a, p, q), cells, joined)
-    return grid, cells, joined, cert
+    return grid, cells, ranges, cert
 
 
 @dataclass(frozen=True)
@@ -219,7 +247,8 @@ class ShrinkResult:
 
     r and multiplier are what shrink_cover proved.  The lowered cells
     (parts) and their certificate (cert) are built when first read:
-    nets read only r and multiplier.
+    nets read only r and multiplier, and cert.verify() is the join-based
+    re-check of the claim.
     """
 
     r: Fraction
@@ -238,35 +267,99 @@ class ShrinkResult:
         return CoverCertificate(self.space, self.space.unit(), self.parts, self.multiplier)
 
 
-def shrink_cover(
-    space: RieszSpace, cells: Sequence[RieszElement], joined: RieszElement
-) -> ShrinkResult:
-    """Lower every cell by r > 0 with the unit class still covered.
+def _profile_min(
+    los: Sequence[int], his: Sequence[int], ranges: Sequence[tuple[int, int]]
+) -> int:
+    """min over the ranges of phi(t) = max_k min(t - lo_k, hi_k - t), or 0
+    when some range point lies in no cell (phi <= 0 there) or there is no
+    range.
 
-    joined is J, the join of the cells.  From the multiplier N that
-    precedes verifies for 1 <= N * pos(J), rounded up to a power of two n,
-    J is at least 1/n; lowering by r = 1/(2n) keeps it at least 1/(2n).
-    The shrunk claim is the one order test 1 <= 2n * pos(J - r), where
-    pos(J - r) is the join of the lowered cells' positive parts, so the
-    certificate on the lowered cells verifies; no cell is lowered until
-    the result's parts are read.  CertificateError
-    when the cells do not cover the unit class or the lowered cover fails
-    that test.
+    All values are integers on one scale.  Cell k is the open (lo_k, hi_k);
+    los and his are both nondecreasing, and every valley (lo_{k+1} + hi_k)/2
+    is an integer.  The minimum over a closed range [u, v] is attained at
+    u, at v or at a valley inside it: for any t in [u, v] with phi(t) = m,
+    let i be the last cell with lo_i < t - m, so hi_i <= t + m and every
+    later cell has lo >= t - m; then phi <= (hi_i - lo_{i+1})/2 <= m at the
+    valley of (i, i+1), and when that valley lies outside [u, v], or i or
+    i + 1 does not exist, phi <= m at the nearer range end.  The cells
+    holding t are those with hi > t and lo < t, an index interval found by
+    bisection; on a half overlapping grid it has at most two cells.
+    """
+    valleys = [(los[k + 1] + his[k]) // 2 for k in range(len(los) - 1)]
+
+    def phi(t: int) -> int:
+        ks = range(bisect_right(his, t), bisect_left(los, t))
+        return max((min(t - los[k], his[k] - t) for k in ks), default=0)
+
+    def candidates():
+        for u, v in ranges:
+            yield u
+            yield v
+            yield from valleys[bisect_left(valleys, u):bisect_right(valleys, v)]
+
+    return min(map(phi, candidates()), default=0)
+
+
+def shrink_cover(
+    space: RieszSpace,
+    a: RieszElement,
+    grid: Sequence[RatInterval],
+    cells: Sequence[RieszElement],
+    ranges: Sequence[tuple[Fraction, Fraction]],
+) -> ShrinkResult:
+    """Lower the cells in_interval(a, lo_k, hi_k) of the grid by r > 0 with
+    the unit class still covered, with no join.
+
+    m is the minimum of phi over a's value ranges (module docstring), in
+    integers over one denominator; n is the least power of two >= 1/m, so
+    r = 1/(2n) and the multiplier is 2n, the values a join-based search
+    gets wherever the instance's dominance ceiling is exact.  The order
+    tests of the module docstring prove the claim 1 <= 2n * pos(J - r);
+    ranges that miss a value of a fail one of them.  CertificateError when
+    m <= 0 or a test fails, and ToleranceError for an element with an
+    error radius, whose lowered cover the join in verify cannot re-check.
+    No cell is lowered until the result's parts are read.
     """
     if not cells:
         raise CertificateError("an empty cover admits no shrink")
-    unit = space.unit()
-    n0 = precedes(space, unit, _pos(space, joined))
-    if n0 is None:
+    space.require_exact(a)
+    ends = [v for iv in grid for v in (iv.lo, iv.hi)] + [v for rng in ranges for v in rng]
+    s = 2 * lcm(*(v.denominator for v in ends))
+    los = [iv.lo.numerator * (s // iv.lo.denominator) for iv in grid]
+    his = [iv.hi.numerator * (s // iv.hi.denominator) for iv in grid]
+    m = _profile_min(
+        los, his,
+        [(u.numerator * (s // u.denominator), v.numerator * (s // v.denominator))
+         for u, v in ranges],
+    )
+    if m <= 0:
         raise CertificateError("cells do not cover the unit class")
-    n = 1
-    while n < n0:
-        n *= 2
-    r = Fraction(1, 2 * n)
-    lowered = _pos(space, space.add(joined, space.scale(-r, unit)))
-    if space.leq(unit, space.scale(2 * n, lowered)) is not True:
+    # the least power of two n >= ceil(s/m), m being over s
+    n = 1 << (-(-s // m) - 1).bit_length()
+    # S over s * n: each cell shrunk by 1/n, merged into closed components;
+    # every range point lies at depth >= m >= 1/n in a cell, so S is not empty
+    comps: list[list[int]] = []
+    for lo, hi in zip(los, his):
+        lo, hi = lo * n + s, hi * n - s
+        if lo > hi:
+            continue
+        if comps and lo <= comps[-1][1]:
+            comps[-1][1] = max(comps[-1][1], hi)
+        else:
+            comps.append([lo, hi])
+    sn = s * n
+    unit, zero = space.unit(), space.zero()
+    covered = (
+        space.leq(space.scale(Fraction(comps[0][0], sn), unit), a) is True
+        and space.leq(a, space.scale(Fraction(comps[-1][1], sn), unit)) is True
+        and all(
+            space.leq(space.in_interval(a, Fraction(g, sn), Fraction(h, sn)), zero) is True
+            for (_, g), (h, _) in zip(comps, comps[1:])
+        )
+    )
+    if not covered:
         raise CertificateError("shrunken cover failed to verify")
-    return ShrinkResult(r, 2 * n, space, tuple(cells))
+    return ShrinkResult(Fraction(1, 2 * n), 2 * n, space, tuple(cells))
 
 
 def prune_cover(

@@ -184,6 +184,10 @@ class RieszSpace(ABC):
         lo = -self.unit_bound(self.negate(b))
         return [(Fraction(lo), Fraction(self.unit_bound(b)))]
 
+    def require_exact(self, *elems: RieszElement) -> None:
+        """ToleranceError unless every element is exact, free of an error
+        radius.  Exact instances have nothing to check."""
+
     @abstractmethod
     def dominance_ceiling(self, x: RieszElement, y: RieszElement) -> Optional[int]:
         """For positive x, y: an integer N >= 1 at least x/y wherever x > 0,

@@ -16,7 +16,7 @@ from typing import Callable
 from .exact import RatInterval, RationalMatrix, interval_combine, interval_distance, psd_check, round_dyadic
 from .falgebra import gelfand_check, product_positive, sqrt_psd, sum_of_squares
 from .instances import HermSpace, PLSpace, QnSpace
-from .lattice import cover_interval, cover_range, d_of, join_all, precedes, shrink_cover
+from .lattice import cover_interval, cover_range, d_of, precedes, shrink_cover
 from .riesz import decompose, norm_cut
 from .sampling import rand_diagonal_family, rand_pl, rand_qn, rand_rational
 from .spectrum import Below, Pos, epsilon_net, pos_or_below, stone_yosida_check, sup_approx
@@ -88,14 +88,17 @@ def _check_covers() -> str | None:
         p, q, cert = cover_range(space, a)
         if not cert.verify():
             return "range certificate"
-        grid, cells, joined, cov = cover_interval(space, a, F(p), F(q), F(1, 2))
+        grid, cells, ranges, cov = cover_interval(space, a, F(p), F(q), F(1, 2))
         if not cov.verify():
             return "grid certificate"
-        shrunk = shrink_cover(space, cells, joined)
+        shrunk = shrink_cover(space, a, grid, cells, ranges)
         if not shrunk.cert.verify():
             return "shrink certificate"
-    two = [space.element([1, 0, 0]), space.element([0, 1, 1])]
-    if shrink_cover(space, two, join_all(space, two)).r != F(1, 2):
+    # the cells (1, 0, 0) and (0, 1, 1) of a = (0, 1, 1) on (-1, 1) and (0, 2)
+    a = space.element([0, 1, 1])
+    grid = [RatInterval(F(-1), F(1)), RatInterval(F(0), F(2))]
+    two = [space.in_interval(a, iv.lo, iv.hi) for iv in grid]
+    if shrink_cover(space, a, grid, two, space.value_ranges(a)).r != F(1, 2):
         return "shrink r on a unit cover"
     return None
 

@@ -21,16 +21,19 @@ Nets: for a finite family and a resolution, each element's certified
 range is covered by the overlapping grid cells that meet one of its
 value ranges (the rest are <= 0 everywhere), the cover is shrunk by a
 positive r and pruned, and joint cells that keep a positive meet become
-points.  The net hands each point the meet it certified and the witness
-of that test, which is the point's margin, so no point rebuilds its meet;
-a first cell alone is tested once, by the pruning, whenever the pruning
-ran at the joint r.  Each point keeps the certified range of every family
-member, so evaluating a member proves no range again.  Every
-representation of the space then agrees with some net point to within
-the resolution on every family member.  The norm audit reads each point's
-window for the element before it evaluates anything: the window bounds
-the point's value, so the audit evaluates points by descending bound and
-stops once no bound can beat the maximum found.
+points.  The range and the shrink are proved by order tests on the
+element itself, with r read off the one-variable profile of its cells
+(lattice module docstring): the net path joins no cell.  The net hands
+each point the meet it certified and the witness of that test, which is
+the point's margin, so no point rebuilds its meet; a first cell alone is
+tested once, by the pruning, whenever the pruning ran at the joint r.
+Each point keeps the certified range of every family member, so
+evaluating a member proves no range again.  Every representation of the
+space then agrees with some net point to within the resolution on every
+family member.  The norm audit reads each point's window for the element
+before it evaluates anything: the window bounds the point's value, so the
+audit evaluates points by descending bound and stops once no bound can
+beat the maximum found.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .exact import RatInterval, interval_grid_window
-from .lattice import cover_interval, cover_range, prune_cover, shrink_cover
+from .lattice import cover_range, grid_cells, prune_cover, shrink_cover
 from .riesz import (
     MarginCollapseError,
     Rational,
@@ -353,8 +356,9 @@ def epsilon_net(
     for e in elements:
         p, q, _ = cover_range(space, e)
         ranges[e] = (p, q)
-        grid, cells, joined, _ = cover_interval(space, e, Fraction(p), Fraction(q), w)
-        shrunk = shrink_cover(space, cells, joined)
+        values = space.value_ranges(e, None, w / 4)
+        grid, cells = grid_cells(space, e, p, q, w, values)
+        shrunk = shrink_cover(space, e, grid, cells, values)
         kept = prune_cover(space, cells, shrunk.r)
         per_elem.append([(grid[k], cells[k], t) for k, t in kept])
         shrink_info.append((shrunk.r, shrunk.multiplier))

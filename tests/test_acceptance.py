@@ -81,10 +81,10 @@ def test_criterion_02_cover_certificates():
         p, q, range_cert = cover_range(sp, a)
         assert range_cert.verify()
         width = F(1, 2) if i % 2 else F(1, 4)
-        _, cells, joined, cert = cover_interval(sp, a, F(p), F(q), width)
+        grid, cells, ranges, cert = cover_interval(sp, a, F(p), F(q), width)
         assert cert.multiplier >= 1
         assert cert.verify()
-        shrunk = shrink_cover(sp, cells, joined)
+        shrunk = shrink_cover(sp, a, grid, cells, ranges)
         assert shrunk.r > 0
         assert shrunk.cert.verify()
     elapsed = time.time() - t0

@@ -26,7 +26,13 @@ The ``net`` reports on a Qn, a PL, a rational and two irrational matrix
 inputs were recorded from the full-grid epsilon net, with each point's
 constraints and margin and each element's shrink radius and multiplier;
 all of them must stay byte-identical.  The irrational ones were
-re-recorded with the order reports above.
+re-recorded with the order reports above.  The cubic ``net`` and the
+cubic ``check-lattice`` shrink were re-recorded again when the shrink
+came to be read off the cells' one-variable profile in place of the
+loose dominance ceiling: r grew from 1/1024 to 1/128 (net) and from
+1/16384 to 1/512 (recipe), the larger r pruned the cell (19/8, 39/16),
+and the margins, which are cut witnesses at r/4, moved with r.  The
+lowered cover's certificate verified before each re-recording.
 """
 import json
 from fractions import Fraction
@@ -303,7 +309,7 @@ IRR_ORDER_GOLDEN = {
         "p": "-3",
         "q": "4",
         "rangeMultiplier": 1,
-        "shrink": {"multiplier": 16384, "r": "1/16384"},
+        "shrink": {"multiplier": 512, "r": "1/512"},
         "width": "1/64",
     },
 }
@@ -427,16 +433,15 @@ NET_GOLDEN = {
     },
     ("cubic", "1/16"): {
         "evals": [
-            "-211/128", "-211/128", "163/128", "163/128", "19/8", "19/8",
+            "-211/128", "-211/128", "163/128", "163/128", "19/8",
         ],
-        "shrink_info": [("1/1024", 1024)],
+        "shrink_info": [("1/128", 128)],
         "points": [
-            ("-27/16 -13/8", "444164711/17179869184"),
-            ("-53/32 -51/32", "21231553/4294967296"),
-            ("39/32 41/32", "123092543/17179869184"),
-            ("5/4 21/16", "101716513/4294967296"),
-            ("75/32 77/32", "495460775/17179869184"),
-            ("19/8 39/16", "8678305/4294967296"),
+            ("-27/16 -13/8", "6490831/268435456"),
+            ("-53/32 -51/32", "231321/67108864"),
+            ("39/32 41/32", "394975/67108864"),
+            ("5/4 21/16", "5944665/268435456"),
+            ("75/32 77/32", "7309255/268435456"),
         ],
     },
 }

@@ -5,8 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rieszspec import lattice
-from rieszspec.exact import RationalMatrix, interval_grid_window
+from rieszspec.exact import RatInterval, RationalMatrix, interval_grid_window
 from rieszspec.instances import HermSpace, PLSpace, QnSpace
 from rieszspec.lattice import (
     CoverCertificate,
@@ -186,11 +185,11 @@ class TestCoverInterval:
         # certifies the target, which is <= 0, and admits no shrink
         q1 = QnSpace(1)
         a = q1.element([F(1, 2)])
-        grid, cells, _, cert = cover_interval(q1, a, F(2), F(3), F(1, 2))
+        grid, cells, ranges, cert = cover_interval(q1, a, F(2), F(3), F(1, 2))
         assert grid == [] and cells == []
         assert cert.multiplier == 1 and cert.verify()
         with pytest.raises(CertificateError):
-            shrink_cover(q1, cells, q1.zero())
+            shrink_cover(q1, a, grid, cells, ranges)
 
     def test_tampered_certificate_fails(self):
         q1 = QnSpace(1)
@@ -210,32 +209,37 @@ class TestCoverInterval:
             certify_cover(q2, target, [part], part)
 
 
-def _shrink(space, cells):
-    return shrink_cover(space, cells, join_all(space, cells))
+def _shrink(space, a, intervals):
+    """shrink_cover on the cells of a on the given (lo, hi) intervals."""
+    grid = [RatInterval(F(lo), F(hi)) for lo, hi in intervals]
+    cells = [space.in_interval(a, iv.lo, iv.hi) for iv in grid]
+    return shrink_cover(space, a, grid, cells, space.value_ranges(a))
 
 
 class TestShrinkCover:
     def test_disjoint_projections(self):
         q2 = QnSpace(2)
-        res = _shrink(q2, [q2.element([F(1), F(0)]), q2.element([F(0), F(1)])])
+        # the cells (1, 0) and (0, 1)
+        res = _shrink(q2, q2.element([F(0), F(1)]), [(-1, 1), (0, 2)])
         assert res.r == F(1, 2)
         assert res.cert.verify()
 
     def test_quarter_unit(self):
         q1 = QnSpace(1)
-        res = _shrink(q1, [q1.element([F(1, 4)])])
+        res = _shrink(q1, q1.zero(), [(F(-1, 4), F(1, 4))])  # the cell 1/4
         assert res.r == F(1, 8)
         assert res.cert.verify()
 
     def test_unit_cell(self):
         q1 = QnSpace(1)
-        res = _shrink(q1, [q1.unit()])
+        res = _shrink(q1, q1.zero(), [(-1, 1)])  # the cell 1
         assert res.r == F(1, 2)
 
     def test_uncoverable_raises(self):
         q2 = QnSpace(2)
         with pytest.raises(CertificateError):
-            _shrink(q2, [q2.element([F(1), F(0)])])  # second coord uncovered
+            # the cell (1, 0): the second coordinate is uncovered
+            _shrink(q2, q2.element([F(0), F(1)]), [(-1, 1)])
 
     def test_uncoverable_fails_without_cut_queries(self):
         class CountingQn(QnSpace):
@@ -247,13 +251,13 @@ class TestShrinkCover:
 
         q2 = CountingQn(2)
         with pytest.raises(CertificateError):
-            _shrink(q2, [q2.element([F(1), F(0)])])
+            _shrink(q2, q2.element([F(0), F(1)]), [(-1, 1)])
         assert q2.cuts == 0
-        # err carrying Herm cells fail closed in the dominance ceiling
+        # err carrying Herm cells fail closed before any order test
         hs = HermSpace([RationalMatrix.diagonal([F(1), F(2)])])
-        cells = [hs.element(RationalMatrix.diagonal([F(2), F(3)]), err=F(1, 8))]
+        a = hs.element(RationalMatrix.diagonal([F(2), F(3)]), err=F(1, 8))
         with pytest.raises(ToleranceError):
-            _shrink(hs, cells)
+            _shrink(hs, a, [(1, 4)])
 
     def test_lowers_no_cell_until_parts_are_read(self):
         class CountingPL(PLSpace):
@@ -268,12 +272,12 @@ class TestShrinkCover:
         pls = CountingPL()
         a = rand_pl(pls, random.Random(67), 6)
         p, q, _ = cover_range(pls, a)
-        _, cells, joined, _ = cover_interval(pls, a, F(p), F(q), F(1, 4))
+        grid, cells, ranges, _ = cover_interval(pls, a, F(p), F(q), F(1, 4))
 
         def lowered():
             return sum(any(x is c for c in cells) for x in pls.added)
 
-        res = shrink_cover(pls, cells, joined)
+        res = shrink_cover(pls, a, grid, cells, ranges)
         assert len(cells) > 1 and lowered() == 0
         parts = res.parts
         assert lowered() == len(cells) == len(parts)
@@ -295,8 +299,8 @@ class TestShrinkCover:
             space = HermSpace([g])
             a = space.element(g)
         p, q, _ = cover_range(space, a)
-        _, cells, joined, _ = cover_interval(space, a, F(p), F(q), width)
-        res = shrink_cover(space, cells, joined)
+        grid, cells, ranges, _ = cover_interval(space, a, F(p), F(q), width)
+        res = shrink_cover(space, a, grid, cells, ranges)
         assert res.cert.parts == res.parts and res.cert.multiplier == res.multiplier
         assert res.cert.verify()
 
@@ -306,8 +310,8 @@ class TestShrinkCover:
         for _ in range(20):
             a = rand_pl(pls, rng, 5)
             p, q, _ = cover_range(pls, a)
-            grid, cells, joined, _ = cover_interval(pls, a, F(p), F(q), F(1, 2))
-            res = shrink_cover(pls, cells, joined)
+            grid, cells, ranges, _ = cover_interval(pls, a, F(p), F(q), F(1, 2))
+            res = shrink_cover(pls, a, grid, cells, ranges)
             assert res.r > 0
             assert res.cert.verify()
 
@@ -336,21 +340,6 @@ def _pl_family(draw):
     return pls, out
 
 
-def _one_join_route(space, target, cells):
-    joined = join_all(space, cells)
-    cert = certify_cover(space, target, cells, joined)
-    res = shrink_cover(space, cells, joined)
-    assert res.cert.verify()
-    return cert.multiplier, res.r, res.multiplier
-
-
-def _verdict(route, *args):
-    try:
-        return route(*args)
-    except CertificateError:
-        return "fails"
-
-
 class TestOneJoinPerCover:
     @settings(max_examples=120, deadline=None)
     @given(family=st.one_of(_qn_family(), _pl_family()), r=_radii)
@@ -361,15 +350,6 @@ class TestOneJoinPerCover:
         rhs = join_all(space, [space.join(space.add(c, shift), zero) for c in cells])
         assert lhs == rhs
 
-    @settings(max_examples=80, deadline=None)
-    @given(family=st.one_of(_qn_family(), _pl_family()))
-    def test_random_families_match_three_join_oracle(self, family):
-        space, elems = family
-        target, cells = elems[0], elems[1:]
-        assert _verdict(_one_join_route, space, target, cells) == _verdict(
-            oracles.shrink_cover_three_joins, space, target, cells
-        )
-
     def test_grid_covers_match_three_join_oracle(self):
         rng = random.Random(65)
         for k in range(24):
@@ -377,13 +357,13 @@ class TestOneJoinPerCover:
             a = rand_pl(space, rng, 6) if k % 2 else rand_qn(space, rng)
             p, q, _ = cover_range(space, a)
             width = F(1, 2) if k % 3 else F(1, 8)
-            _, cells, joined, cert = cover_interval(space, a, F(p), F(q), width)
-            res = shrink_cover(space, cells, joined)
+            grid, cells, ranges, cert = cover_interval(space, a, F(p), F(q), width)
+            res = shrink_cover(space, a, grid, cells, ranges)
             want = oracles.shrink_cover_three_joins(space, space.in_interval(a, p, q), cells)
             assert (cert.multiplier, res.r, res.multiplier) == want
             assert cert.verify() and res.cert.verify()
 
-    def test_net_joins_each_cell_once(self, monkeypatch):
+    def test_net_joins_no_cell(self, monkeypatch):
         class CountingPL(PLSpace):
             def __init__(self):
                 super().__init__()
@@ -400,14 +380,94 @@ class TestOneJoinPerCover:
             covers.append(cells)
             return grid, cells
 
-        monkeypatch.setattr(lattice, "grid_cells", recording)
+        monkeypatch.setattr("rieszspec.spectrum.grid_cells", recording)
         pls = CountingPL()
         rng = random.Random(66)
         elems = [rand_pl(pls, rng, 6) for _ in range(2)]
         epsilon_net(pls, elems, F(1, 4))
         assert len(covers) == 2 and all(len(cells) >= 2 for cells in covers)
         for cells in covers:
-            assert [sum(x is c for x in pls.operands) for c in cells] == [1] * len(cells)
+            assert [sum(x is c for x in pls.operands) for c in cells] == [0] * len(cells)
+
+
+_widths = st.sampled_from([F(1, 2), F(1, 4), F(1, 8), F(1, 16)])
+_coefs = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4]))
+
+# separating generators: rational spectra {3, -1} and {3, 1, -1}; the
+# golden ratio and a cubic with irreducible characteristic polynomial
+_RATIONAL_GENS = ([[1, 2], [2, 1]], [[2, 1, 0], [1, 2, 0], [0, 0, -1]])
+_IRRATIONAL_GENS = ([[1, 1], [1, 0]], [[2, 1, 0], [1, -1, 1], [0, 1, 1]])
+
+
+@st.composite
+def _qn_elem(draw):
+    space = QnSpace(draw(st.integers(1, 4)))
+    return space, space.element(draw(st.lists(_fracs, min_size=space.n, max_size=space.n)))
+
+
+@st.composite
+def _pl_elem(draw):
+    space, elems = draw(_pl_family())
+    return space, elems[0]
+
+
+def _herm_elem(gens):
+    @st.composite
+    def draw_elem(draw):
+        g = RationalMatrix.from_rows(draw(st.sampled_from(gens)))
+        space = HermSpace([g])
+        c0, c1 = draw(_coefs), draw(_coefs.filter(bool))
+        return space, space.add(space.scale(c0, space.unit()), space.scale(c1, space.element(g)))
+
+    return draw_elem()
+
+
+def _profile_and_oracle(space, a, width):
+    """(grid multiplier, r, multiplier) of shrink_cover on a's grid cover,
+    after its certificate verified, and the three-join oracle's."""
+    p, q, _ = cover_range(space, a)
+    grid, cells, ranges, cert = cover_interval(space, a, F(p), F(q), width)
+    res = shrink_cover(space, a, grid, cells, ranges)
+    assert res.cert.verify()
+    want = oracles.shrink_cover_three_joins(space, space.in_interval(a, p, q), cells)
+    return (cert.multiplier, res.r, res.multiplier), want
+
+
+class TestShrinkByProfile:
+    """The join-free shrink against the three-join oracle, per instance."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.one_of(_qn_elem(), _pl_elem(), _herm_elem(_RATIONAL_GENS)), width=_widths)
+    def test_exact_instances_match_three_join_oracle(self, case, width):
+        got, want = _profile_and_oracle(*case, width)
+        assert got == want
+
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(case=_herm_elem(_IRRATIONAL_GENS), width=_widths)
+    def test_irrational_herm_shrinks_no_less_than_oracle(self, case, width):
+        got, want = _profile_and_oracle(*case, width)
+        assert got[1] >= want[1]
+
+    def test_value_ranges_missing_the_top_fail_closed(self):
+        class TopDroppingPL(PLSpace):
+            def value_ranges(self, b, context=None, tol=F(1, 4)):
+                return [(lo, (lo + hi) / 2) for lo, hi in super().value_ranges(b, context, tol)]
+
+        pls = TopDroppingPL()
+        a = pls.element([(0, F(-1, 2)), (F(1, 4), F(3, 2)), (1, 1)])
+        with pytest.raises(CertificateError, match="shrunken cover"):
+            epsilon_net(pls, [a], F(1, 8))
+
+    def test_value_ranges_missing_a_coordinate_fail_closed(self):
+        class CoordDroppingQn(QnSpace):
+            def value_ranges(self, b, context=None, tol=F(1, 4)):
+                return [rng for rng in super().value_ranges(b, context, tol) if rng[0] != 0]
+
+        q3 = CoordDroppingQn(3)
+        # 0 falls in the gap between the components around -1 and 1
+        a = q3.element([F(-1), F(0), F(1)])
+        with pytest.raises(CertificateError, match="shrunken cover"):
+            epsilon_net(q3, [a], F(1, 8))
 
 
 def _kept(space, cells, r):
@@ -445,8 +505,8 @@ class TestPruneCover:
         for _ in range(10):
             a = rand_pl(pls, rng, 4)
             p, q, _ = cover_range(pls, a)
-            grid, cells, joined, _ = cover_interval(pls, a, F(p), F(q), F(1, 2))
-            res = shrink_cover(pls, cells, joined)
+            grid, cells, ranges, _ = cover_interval(pls, a, F(p), F(q), F(1, 2))
+            res = shrink_cover(pls, a, grid, cells, ranges)
             kept = _kept(pls, cells, res.r)
             assert kept, "a shrunken cover cannot be empty"
             shrunk_kept = [res.parts[k] for k in kept]

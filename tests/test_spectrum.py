@@ -10,15 +10,12 @@ from rieszspec import lattice, spectrum
 from rieszspec.instances import HermSpace, PLSpace, QnSpace
 from rieszspec.exact import RatInterval, RationalMatrix, interval_grid_window
 from rieszspec.lattice import (
-    certify_cover,
     cover_interval,
     cover_range,
     d_of,
     grid_cells,
-    join_all,
     precedes,
     prune_cover,
-    shrink_cover,
 )
 from rieszspec.riesz import MarginCollapseError
 from rieszspec.sampling import rand_pl, rand_qn
@@ -423,9 +420,11 @@ def _full_grid_net(space, elements, eps):
     """The epsilon net over every cell of the stepping grid.
 
     Cover, shrink and prune run on all cells of ``oracles.interval_grid``,
-    and the joint points come from the same depth first product as in
-    ``epsilon_net``.  Returns the cover multipliers, the shrink info and
-    each point's (constraints, margin).
+    the cover multiplier and the shrink coming from the three-join search
+    of ``oracles.shrink_cover_three_joins``, and the joint points come
+    from the same depth first product as in ``epsilon_net``.  Returns the
+    cover multipliers, the shrink info and each point's (constraints,
+    margin).
     """
     w = F(1)
     while w > eps:
@@ -435,12 +434,13 @@ def _full_grid_net(space, elements, eps):
         p, q, _ = cover_range(space, e)
         grid = oracles.interval_grid(F(p), F(q), w)
         cells = [space.in_interval(e, iv.lo, iv.hi) for iv in grid]
-        joined = join_all(space, cells)
-        mults.append(certify_cover(space, space.in_interval(e, p, q), cells, joined).multiplier)
-        shrunk = shrink_cover(space, cells, joined)
-        kept = prune_cover(space, cells, shrunk.r)
+        mult, r, shrink_mult = oracles.shrink_cover_three_joins(
+            space, space.in_interval(e, p, q), cells
+        )
+        mults.append(mult)
+        kept = prune_cover(space, cells, r)
         per_elem.append([(grid[k], cells[k]) for k, _ in kept])
-        shrink_info.append((shrunk.r, shrunk.multiplier))
+        shrink_info.append((r, shrink_mult))
     r_joint = min(r for r, _ in shrink_info)
     points = []
 
@@ -528,15 +528,20 @@ class TestNetOnCandidateCells:
         if gi < _RATIONAL_GENS:
             assert got == want
             return
-        # at an irrational character an enclosure is as tight as the root
-        # box that earlier sign tests left behind, and the full grid runs
-        # more of them: cover multipliers and margins may move within the
-        # query precision, cells and shrink radii may not
+        # at an irrational character the oracle's dominance ceiling reads
+        # x/y off loose enclosures, so its r may be smaller than the one
+        # min phi gives: r may grow, the lowered cover must re-check, and
+        # a larger r can only drop points
         (_, shrink, pts), (_, shrink_want, pts_want) = got, want
-        assert shrink == shrink_want
-        assert [c for c, _ in pts] == [c for c, _ in pts_want]
-        r = min(r for r, _ in shrink)
-        assert all(abs(m - m2) < r / 4 for (_, m), (_, m2) in zip(pts, pts_want))
+        assert all(r >= r2 for (r, _), (r2, _) in zip(shrink, shrink_want))
+        hs, elems = _herm_case(gi, c0, c1)
+        w = F(1, 1 << spectrum._dyadic_level(eps))
+        for (r, mult), e in zip(shrink, elems):
+            p, q, _ = cover_range(hs, e)
+            _, cells = grid_cells(hs, e, p, q, w)
+            assert lattice.ShrinkResult(r, mult, hs, tuple(cells)).cert.verify()
+        want_cells = [c for c, _ in pts_want]
+        assert all(c in want_cells for c, _ in pts)
 
     def test_points_reuse_the_net_ranges(self, monkeypatch):
         # each point is handed the (p, q) the net certified, so evaluating
