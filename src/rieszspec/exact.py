@@ -9,7 +9,10 @@ primitive that the rest of the package reduces order questions to.
 The two matrix hot paths run on integers: a matrix is put over the lcm of
 its entry denominators, products are integer dot products with one reduced
 ``Fraction`` built per output entry, and the psd test is fraction-free
-(Bareiss) elimination on that integer matrix.
+(Bareiss) elimination on that integer matrix.  That elimination is one
+private integer core, ``_psd_integer``: ``psd_check`` hands it
+``_integer_rows`` of its argument, and the f-algebra kernels, which hold
+their iterates as integer matrices over one denominator, hand it theirs.
 """
 from __future__ import annotations
 
@@ -337,7 +340,16 @@ def psd_check(m: RationalMatrix) -> bool:
     n = len(a)
     if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
         raise ValueError("psd_check requires a symmetric matrix")
-    active = list(range(n))
+    return _psd_integer(a)
+
+
+def _psd_integer(a: list[list[int]]) -> bool:
+    """Whether the symmetric integer matrix a is psd; a is overwritten.
+
+    The Bareiss elimination of ``psd_check``, which states why it decides
+    exactly; symmetry is the caller's to ensure.
+    """
+    active = list(range(len(a)))
     prev = 1
     while active:
         if any(a[i][i] < 0 for i in active):

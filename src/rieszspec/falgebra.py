@@ -8,7 +8,8 @@ at most one, the iteration
 
 increases to I - sqrt(A').  It runs on coefficient vectors over the
 algebra basis with all coefficients rounded down to a fixed dyadic grid,
-so iterates stay exactly representable and below the true orbit; a
+held as integers over that grid's one denominator, so iterates stay
+exactly representable and below the true orbit; a
 scalar majorant sequence r_{n+1} = (1 + r_n^2) / 2, rounded up and
 capped at one, dominates every iterate.  Termination never trusts the
 analysis: the result is accepted only when the exact positive
@@ -38,11 +39,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Sequence
 
-from .exact import RationalMatrix, psd_check, round_dyadic
+from .exact import RationalMatrix, _integer_rows, _psd_integer, psd_check
 from .instances.herm import HermElement, HermSpace
-from .riesz import CertificateError, Rational, ToleranceError
+from .riesz import CertificateError, Rational, SpaceMismatchError, ToleranceError
 
 __all__ = [
     "SqrtTrace",
@@ -104,25 +106,51 @@ def _check_schedule(n: int) -> bool:
     return n & (n - 1) == 0 or (n % 3 == 0 and (n // 3) & (n // 3 - 1) == 0)
 
 
+def _square(a: list[list[int]]) -> list[list[int]]:
+    """a @ a for a symmetric integer matrix a: each row is its column."""
+    n = len(a)
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(a):
+        for j in range(i, n):
+            out[i][j] = out[j][i] = sum(map(mul, row, a[j]))
+    return out
+
+
+def _rational(a: list[list[int]], den: int) -> RationalMatrix:
+    """The symmetric matrix a / den, one reduced Fraction per entry pair."""
+    n = len(a)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i, row in enumerate(a):
+        for j in range(i, n):
+            out[i][j] = out[j][i] = Fraction(row[j], den)
+    return RationalMatrix(tuple(map(tuple, out)))
+
+
+def _psd_minus(c: int, a: list[list[int]], f: int) -> bool:
+    """Whether c * I - f * a is psd, for a symmetric integer matrix a."""
+    return _psd_integer(
+        [[(c if i == j else 0) - f * x for j, x in enumerate(row)] for i, row in enumerate(a)]
+    )
+
+
 def _sqrt_core(
     space: HermSpace, amat: RationalMatrix, tol: Fraction
 ) -> tuple[RationalMatrix, SqrtTrace]:
     alg = space.algebra
-    eye = RationalMatrix.identity(space.dim)
     if amat.is_zero():
         trace = SqrtTrace(0, 0, (Fraction(0), Fraction(1, 2)), Fraction(2), tol, tol)
         return RationalMatrix.zeros(space.dim), trace
+    coords = alg.coords_of(amat)
+    if coords is None:
+        raise SpaceMismatchError("element outside the algebra")
+    arows, aden = _integer_rows(amat.entries)
 
     # smallest k with amat <= 4^k, decided exactly; keeps mu = 4^k with a
     # rational square root 2^k
     k = 0
-    while not psd_check(eye.scale(Fraction(1 << (2 * k))) - amat):
+    while not _psd_minus(aden << (2 * k), arows, 1):
         k += 1
-    mu = Fraction(1 << (2 * k))
-    coords = alg.coords_of(amat)
-    assert coords is not None
-    ap = [c / mu for c in coords]
-    size = alg.size
+    mu = 1 << (2 * k)
 
     theta = tol / mu
     need = -(-16 * theta.denominator // theta.numerator)
@@ -132,42 +160,69 @@ def _sqrt_core(
     ncap = m + 2
     rho_unit = max(alg.basis_norm_sum, Fraction(1))
     grid = max(8, _ceil_log2(8 * ncap * rho_unit * (1 << k) / tol))
-    g = Fraction(1, 1 << grid)
-    rho_step = round_dyadic(g * rho_unit, grid, "up")
-    shift = eye.scale(tol)
+    tn, td = tol.numerator, tol.denominator
 
-    b = [Fraction(0)] * size
-    rs = [Fraction(0)]
+    # Integers on the grid 2^-grid, w = 2^grid: the iterate b is the
+    # coordinate vector B / w and the majorant r_n is R_n / w.  amat / mu
+    # has coordinates cv / aps and the table is over tden, so w times the
+    # exact next iterate (e_0 - cv / aps + B*B / (w^2 tden)) / 2 is
+    # (const + aps * B*B) / step.  Rounding it down to the grid is one
+    # floor division, and the rounding moved something when a remainder
+    # is nonzero.  The recentring shift 2^-grid * rho_unit, rounded up, is
+    # ceil(rho_unit) / w, and min(1, (1 + r^2) / 2) rounded up is
+    # min(w, ceil((w^2 + R^2) / (2w))) / w.
+    w = 1 << grid
+    cden = math.lcm(*(c.denominator for c in coords))
+    cv = [c.numerator * (cden // c.denominator) for c in coords]
+    aps, tden = cden * mu, alg.table_den
+    const = [w * w * tden * ((aps if i == 0 else 0) - c) for i, c in enumerate(cv)]
+    step = 2 * w * tden * aps
+    rho_step = -(-rho_unit.numerator // rho_unit.denominator)
+    d, sden = space.dim, w * alg.basis_den
+
+    def majorant(r: int) -> int:
+        return min(w, -(-(w * w + r * r) // (2 * w)))
+
+    b = [0] * alg.size
+    rs = [0]
     n = 0
     while True:
         n += 1
-        sq = alg.mult_coeffs(b, b)
-        exact_next = [((1 if i == 0 else 0) - ap[i] + sq[i]) / 2 for i in range(size)]
-        b = [round_dyadic(c, grid, "down") for c in exact_next]
-        if b != exact_next:
+        sq = alg.square_coords(b)
+        moved = False
+        for i, (c, q) in enumerate(zip(const, sq)):
+            b[i], r = divmod(c + aps * q, step)
+            moved = moved or r != 0
+        if moved:
             # recenter only when rounding moved something, so clean inputs
             # (integer spectra on the grid) come out exactly
             b[0] -= rho_step
-        rs.append(min(Fraction(1), round_dyadic((1 + rs[-1] ** 2) / 2, grid, "up")))
-        majorant_fired = 2 * (rs[-1] - rs[-2]) * mu <= tol
+        rs.append(majorant(rs[-1]))
+        majorant_fired = 2 * (rs[-1] - rs[-2]) * mu * td <= tn * w
         if _check_schedule(n) or majorant_fired or n >= ncap:
-            smat = alg.mat_of(
-                [((1 if i == 0 else 0) - b[i]) * (1 << k) for i in range(size)]
-            )
-            resid = smat @ smat - amat
-            if psd_check(shift - resid) and psd_check(shift + resid):
+            # S = (I - b) * 2^k is s / sden over the integer basis rows and
+            # x = (S*S - A) * sden^2 * aden: the residual tests
+            # tol * I -+ (S*S - A) >= 0, times sden^2 * aden * td
+            coeffs = [(w if i == 0 else 0) - x for i, x in enumerate(b)]
+            flat = [v << k for v in alg.combine(coeffs)]
+            s = [flat[i : i + d] for i in range(0, d * d, d)]
+            ss, sd2 = _square(s), sden * sden
+            x = [[aden * u - sd2 * v for u, v in zip(ru, rv)] for ru, rv in zip(ss, arows)]
+            y = tn * sd2 * aden
+            if _psd_minus(y, x, td) and _psd_minus(y, x, -td):
                 break
             if n >= ncap:
                 raise CertificateError(
                     f"square root failed to certify within {ncap} iterations"
                 )
     while len(rs) < n + 2:
-        rs.append(min(Fraction(1), round_dyadic((1 + rs[-1] ** 2) / 2, grid, "up")))
+        rs.append(majorant(rs[-1]))
+    smat = alg.mat_of([Fraction(c << k, w) for c in coeffs])
     trace = SqrtTrace(
         scale_exp=k,
         iterations=n,
-        majorant=tuple(rs[: n + 2]),
-        majorant_bound=2 * (rs[n + 1] - rs[n]) * mu,
+        majorant=tuple(Fraction(r, w) for r in rs[: n + 2]),
+        majorant_bound=Fraction(2 * (rs[n + 1] - rs[n]) * mu, w),
         certified_residual=tol,
         certified_distance=None,
     )
@@ -303,9 +358,16 @@ def sum_of_squares(a: HermElement, tol: Rational, max_iter: int = 64) -> SumOfSq
     """Decompose 0 <= a <= 1 into squares by iterating M -> M - M*M.
 
     Each pass peels off one square exactly; the loop stops as soon as the
-    remainder is certified at most tol.  Iterate entries square at every
-    step, so callers should keep tolerances modest (the remainder norm
-    shrinks roughly like 1/n).
+    remainder is certified at most tol.  The remainder norm shrinks
+    roughly like 1/n, and the iterates are kept exact: M = A / D is one
+    integer matrix over one denominator, a step is A <- A*D - A*A and
+    D <- D**2 with the common content of D and A divided out, so the
+    denominators square and their bits about double at every step.  Keep
+    tolerances modest; ROADMAP item 2(a) plans a bit budget.  The stopping
+    test tol * I - M >= 0 is the integer test tol_num * D * I - tol_den * A
+    >= 0.  The identity a = sum of squares + remainder is checked again
+    from squares taken afresh, over one common denominator, and a
+    mismatch raises CertificateError.
     """
     _require_plain(a)
     if a.err:
@@ -319,29 +381,46 @@ def sum_of_squares(a: HermElement, tol: Rational, max_iter: int = 64) -> SumOfSq
         raise ValueError("element must be positive semidefinite")
     if not psd_check(eye - a.matrix):
         raise ValueError("element must be at most the unit")
-    parts: list[RationalMatrix] = []
-    m = a.matrix
+    tn, td = tol.numerator, tol.denominator
+    arows, aden = _integer_rows(a.matrix.entries)
+    parts: list[tuple[list[list[int]], int]] = []
+    m, den = arows, aden
     done = False
     for _ in range(max_iter):
-        if psd_check(eye.scale(tol) - m):
+        if _psd_minus(tn * den, m, td):
             done = True
             break
-        parts.append(m)
-        m = m - m @ m
-    if not done and not psd_check(eye.scale(tol) - m):
+        parts.append((m, den))
+        m = [[den * x - y for x, y in zip(rm, rs)] for rm, rs in zip(m, _square(m))]
+        # every prime of D divides a's denominator, so the content of D**2
+        # and the entries is 1 when a's denominator and the entries are
+        # coprime, a test of small gcds
+        if math.gcd(aden, *(x for row in m for x in row)) > 1:
+            g = math.gcd(den * den, *(x for row in m for x in row))
+            m = [[x // g for x in row] for row in m]
+            den = den * den // g
+        else:
+            den *= den
+    if not done and not _psd_minus(tn * den, m, td):
         raise ToleranceError(f"remainder above {tol} after {max_iter} iterations")
-    total = RationalMatrix.zeros(space.dim)
-    for p in parts:
-        total = total + p @ p
-    if total + m != a.matrix:  # pragma: no cover - identity holds by construction
+    # a = sum p_k**2 + m over the lcm of the squared part denominators and
+    # the remainder's (often the remainder's alone), from squares taken
+    # again, against a's integer rows
+    squares = [d * d for _, d in parts]
+    common = den if all(den % q == 0 for q in squares) else math.lcm(den, *squares)
+    total = [[x * (common // den) for x in row] for row in m]
+    for (p, _), q in zip(parts, squares):
+        f = common // q
+        total = [[t + f * y for t, y in zip(rt, rs)] for rt, rs in zip(total, _square(p))]
+    if any(t * aden != x * common for rt, ra in zip(total, arows) for t, x in zip(rt, ra)):
         raise CertificateError("sum of squares identity failed")
     bound = tol
     if parts:
         # the iterates also obey the a priori rate |remainder|^2 <= 1/n
         bound = min(bound, _sqrt_upper(Fraction(1, len(parts))))
     return SumOfSquares(
-        parts=tuple(HermElement(space, p, Fraction(0)) for p in parts),
-        remainder=HermElement(space, m, Fraction(0)),
+        parts=tuple(HermElement(space, _rational(p, d), Fraction(0)) for p, d in parts),
+        remainder=HermElement(space, _rational(m, den), Fraction(0)),
         steps=len(parts),
         bound=bound,
     )

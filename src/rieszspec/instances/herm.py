@@ -88,6 +88,7 @@ from ..polyroots import (
     refine_root,
 )
 from ..riesz import (
+    CertificateError,
     LocatedCut,
     Rational,
     RieszElement,
@@ -285,15 +286,25 @@ class CommutingAlgebra:
             Fraction(0),
         )
 
-        # Multiplication table in basis coordinates.
-        self._table: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+        # basis matrix k is _scaled[k] / basis_den, flattened
+        self.basis_den = math.lcm(*(r[piv] for r, piv in self._rows))
+        self._scaled = [[x * (self.basis_den // r[piv]) for x in r] for r, piv in self._rows]
+
+        # Multiplication table in basis coordinates, over one denominator:
+        # basis_i * basis_j = sum_k _table[(i, j)][k] / table_den * basis_k
+        products: dict[tuple[int, int], tuple[Fraction, ...]] = {}
         for i, (ri, pi) in enumerate(self._rows):
             for j in range(i, self.size):
                 rj, pj = self._rows[j]
                 coords = self._coords(_matmul(ri, rj, dim), ri[pi] * rj[pj])
                 if coords is None:
                     raise ValueError("algebra closure failed to capture a product")
-                self._table[(i, j)] = coords
+                products[(i, j)] = coords
+        self.table_den = math.lcm(*(c.denominator for t in products.values() for c in t))
+        self._table: dict[tuple[int, int], tuple[int, ...]] = {
+            key: tuple(c.numerator * (self.table_den // c.denominator) for c in t)
+            for key, t in products.items()
+        }
 
         # value polynomial per matrix, the oldest dropped past _VPOLY_CAP
         self._vpoly: dict[RationalMatrix, Poly] = {}
@@ -326,40 +337,39 @@ class CommutingAlgebra:
         return self._coords(*_flat(m))
 
     def mat_of(self, coords: Sequence[Rational]) -> RationalMatrix:
-        out = RationalMatrix.zeros(self.dim)
-        for c, e in zip(coords, self._basis):
+        v, den = _integers([Fraction(c) for c in coords])
+        return _matrix(self.combine(v), den * self.basis_den, self.dim)
+
+    def combine(self, v: Sequence[int]) -> list[int]:
+        """sum_k v[k] * basis_k, flattened, as integers over basis_den."""
+        out = [0] * (self.dim * self.dim)
+        for c, row in zip(v, self._scaled):
             if c:
-                out = out + e.scale(Fraction(c))
+                out = [x + c * y for x, y in zip(out, row)]
         return out
 
-    def mult_coeffs(
-        self, a: Sequence[Fraction], b: Sequence[Fraction]
-    ) -> tuple[Fraction, ...]:
-        """Coordinates of the product of two members given in coordinates."""
-        out = [Fraction(0)] * self.size
-        for i, ca in enumerate(a):
-            if not ca:
+    def square_coords(self, v: Sequence[int]) -> list[int]:
+        """Coordinates of the square of sum_k v[k] * basis_k, as integers
+        over table_den."""
+        out = [0] * self.size
+        for (i, j), t in self._table.items():
+            f = v[i] * v[j]
+            if not f:
                 continue
-            for j, cb in enumerate(b):
-                if not cb:
-                    continue
-                t = self._table[(i, j) if i <= j else (j, i)]
-                f = ca * cb
-                for k, ck in enumerate(t):
-                    if ck:
-                        out[k] += f * ck
-        return tuple(out)
+            if i != j:
+                f *= 2
+            for k, c in enumerate(t):
+                if c:
+                    out[k] += f * c
+        return out
 
     # -- characters ------------------------------------------------------
 
     def _init_characters(self) -> None:
-        s = self.size
-        # basis matrix k is scaled[k] / bden
-        bden = math.lcm(*(r[piv] for r, piv in self._rows))
-        scaled = [[x * (bden // r[piv]) for x in r] for r, piv in self._rows]
+        s, bden = self.size, self.basis_den
         for t in range(64):
             weights = [(t + 1) ** k for k in range(s)]
-            cand = [sum(map(mul, weights, col)) for col in zip(*scaled)]
+            cand = [sum(map(mul, weights, col)) for col in zip(*self._scaled)]
             mp, krylov = self._krylov_of(cand, bden)
             if len(mp) - 1 == s:
                 break
@@ -399,7 +409,8 @@ class CommutingAlgebra:
         power, pden, k = _eye(d), 1, 0
         while True:
             coords = self._coords(power, pden)
-            assert coords is not None
+            if coords is None:
+                raise CertificateError("a power of the separating member left the algebra")
             v, cden = _integers(coords)
             v += [cden if i == k else 0 for i in range(s + 1)]
             v = _reduce(rows, v, 1)[0]

@@ -159,6 +159,17 @@ def _check_sum_of_squares() -> str | None:
     total = sum(p.matrix.entries[0][0] ** 2 for p in out.parts)
     if total + out.remainder.matrix.entries[0][0] != F(1, 2):
         return "prefix identity"
+    # a generic 2x2 runs the kernel on every entry; RationalMatrix
+    # arithmetic re-derives the iterates and the identity
+    a = RationalMatrix.from_rows([[F(1, 3), F(1, 5)], [F(1, 5), F(1, 2)]])
+    out = sum_of_squares(HermSpace([a]).element(a), F(1, 8))
+    m, total = a, RationalMatrix.zeros(2)
+    for p in out.parts:
+        if p.matrix != m:
+            return "2x2 iterate differs from M - M*M"
+        total, m = total + m @ m, m - m @ m
+    if out.remainder.matrix != m or total + m != a:
+        return "2x2 identity"
     return None
 
 

@@ -676,3 +676,134 @@ def within_exact(x, target, err: Fraction) -> bool:
     d = sympy.simplify(x - target)
     e = sympy.Rational(err.numerator, err.denominator)
     return bool(sympy.simplify(e - d) >= 0) and bool(sympy.simplify(e + d) >= 0)
+
+
+# ----- Fraction references for the f-algebra iterations -----------------
+
+
+def _ceil_log2(x: Fraction) -> int:
+    e = 0
+    while Fraction(2) ** e < x:
+        e += 1
+    while Fraction(2) ** (e - 1) >= x:
+        e -= 1
+    return e
+
+
+def _round_grid(q: Fraction, k: int, up: bool) -> Fraction:
+    n, d = (q * (1 << k)).numerator, (q * (1 << k)).denominator
+    return Fraction(-(-n // d) if up else n // d, 1 << k)
+
+
+def sqrt_core_fraction(alg: "FractionAlgebra", amat: Mat, tol: Fraction):
+    """The square root iteration on Fraction coordinates: (S rows, trace).
+
+    ``falgebra._sqrt_core`` as the package ran it before its integer
+    kernel: products through the Fraction table, every iterate rounded
+    down to the grid one coordinate at a time, the majorant rounded up
+    one step at a time, and the residual tests by rational elimination on
+    the matrix built from the Fraction basis.
+    """
+    from rieszspec.falgebra import SqrtTrace
+    from rieszspec.riesz import CertificateError
+
+    n_dim = len(amat)
+    amat = [[Fraction(v) for v in row] for row in amat]
+    eye = [[Fraction(int(i == j)) for j in range(n_dim)] for i in range(n_dim)]
+    if not any(v for row in amat for v in row):
+        trace = SqrtTrace(0, 0, (Fraction(0), Fraction(1, 2)), Fraction(2), tol, tol)
+        return [[Fraction(0)] * n_dim for _ in range(n_dim)], trace
+    k = 0
+    while not psd_check_fraction(matsub([[v * (1 << (2 * k)) for v in r] for r in eye], amat)):
+        k += 1
+    mu = Fraction(1 << (2 * k))
+    ap = [c / mu for c in alg.coords_of(amat)]
+    size = alg.size
+    theta = tol / mu
+    need = -(-16 * theta.denominator // theta.numerator)
+    m = 0
+    while m * m < need:
+        m += 1
+    ncap = m + 2
+    rho_unit = max(alg.basis_norm_sum, Fraction(1))
+    grid = max(8, _ceil_log2(8 * ncap * rho_unit * (1 << k) / tol))
+    rho_step = _round_grid(rho_unit / (1 << grid), grid, True)
+
+    def mult(a, b):
+        out = [Fraction(0)] * size
+        for i in range(size):
+            for j in range(size):
+                t = alg.table[(i, j) if i <= j else (j, i)]
+                for c in range(size):
+                    out[c] += a[i] * b[j] * t[c]
+        return out
+
+    def mat_of(coords):
+        out = [[Fraction(0)] * n_dim for _ in range(n_dim)]
+        for c, e in zip(coords, alg.basis):
+            out = [[x + c * y for x, y in zip(ro, re)] for ro, re in zip(out, e)]
+        return out
+
+    b = [Fraction(0)] * size
+    rs = [Fraction(0)]
+    n = 0
+    while True:
+        n += 1
+        sq = mult(b, b)
+        exact_next = [((1 if i == 0 else 0) - ap[i] + sq[i]) / 2 for i in range(size)]
+        b = [_round_grid(c, grid, False) for c in exact_next]
+        if b != exact_next:
+            b[0] -= rho_step
+        rs.append(min(Fraction(1), _round_grid((1 + rs[-1] ** 2) / 2, grid, True)))
+        fired = 2 * (rs[-1] - rs[-2]) * mu <= tol
+        sched = n & (n - 1) == 0 or (n % 3 == 0 and (n // 3) & (n // 3 - 1) == 0)
+        if sched or fired or n >= ncap:
+            smat = mat_of([((1 if i == 0 else 0) - b[i]) * (1 << k) for i in range(size)])
+            resid = matsub(matmul(smat, smat), amat)
+            shift = [[tol * v for v in r] for r in eye]
+            plus = [[x + y for x, y in zip(rs_, rr)] for rs_, rr in zip(shift, resid)]
+            if psd_check_fraction(matsub(shift, resid)) and psd_check_fraction(plus):
+                break
+            if n >= ncap:
+                raise CertificateError(f"square root failed to certify within {ncap} iterations")
+    while len(rs) < n + 2:
+        rs.append(min(Fraction(1), _round_grid((1 + rs[-1] ** 2) / 2, grid, True)))
+    trace = SqrtTrace(
+        scale_exp=k,
+        iterations=n,
+        majorant=tuple(rs[: n + 2]),
+        majorant_bound=2 * (rs[n + 1] - rs[n]) * mu,
+        certified_residual=tol,
+        certified_distance=None,
+    )
+    return smat, trace
+
+
+def sum_of_squares_fraction(a: Mat, tol: Fraction, max_iter: int = 64):
+    """(parts, remainder, steps, bound) of M -> M - M*M on Fraction rows.
+
+    ``falgebra.sum_of_squares`` as the package ran it before its integer
+    kernel, with rational elimination for the stopping test; None where
+    the remainder stays above tol after max_iter steps.
+    """
+    n_dim = len(a)
+    m = [[Fraction(v) for v in row] for row in a]
+    eye = [[Fraction(int(i == j)) for j in range(n_dim)] for i in range(n_dim)]
+    shift = [[tol * v for v in r] for r in eye]
+    parts = []
+    for _ in range(max_iter):
+        if psd_check_fraction(matsub(shift, m)):
+            break
+        parts.append(m)
+        m = matsub(m, matmul(m, m))
+    else:
+        if not psd_check_fraction(matsub(shift, m)):
+            return None
+    bound = tol
+    if parts:
+        # the smallest dyadic 2**-j with (2**-j)**2 >= 1/n
+        j = 0
+        while Fraction(1, 1 << (2 * (j + 1))) >= Fraction(1, len(parts)):
+            j += 1
+        bound = min(bound, Fraction(1, 1 << j))
+    return parts, m, len(parts), bound

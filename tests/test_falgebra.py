@@ -8,7 +8,9 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from rieszspec.exact import RationalMatrix, psd_check, round_dyadic
+from rieszspec import falgebra
 from rieszspec.falgebra import (
+    _sqrt_core,
     abs_element,
     abs_pos_join,
     gelfand_check,
@@ -754,3 +756,130 @@ class TestGelfand:
         fuzzy = hs.element(_diag(1, 2), err=F(1, 16))
         with pytest.raises(ToleranceError):
             gelfand_check(hs, [fuzzy, hs.unit()], F(1, 8))
+
+
+# ----- integer kernels against their Fraction references ----------------
+
+SQUARE_PALETTE = [F(0), F(1, 4), F(1), F(9, 4), F(4), F(25, 4), F(1, 2), F(3)]
+UNIT_PALETTE = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1), F(1, 3)]
+
+
+@st.composite
+def generic_2x2(draw, unit_interval):
+    """A symmetric 2x2 as the bench draws it: generically an irrational
+    spectrum, psd, and at most the unit when unit_interval is set."""
+    while True:
+        p = F(draw(st.integers(1, 6)), 7)
+        q = F(draw(st.integers(1, 4)), 5)
+        r = F(draw(st.sampled_from([-1, 1])), draw(st.integers(3, 9)))
+        rows = [[p, r], [r, q]]
+        m = RationalMatrix.from_rows(rows)
+        eye = RationalMatrix.identity(2)
+        if psd_check(m) and (not unit_interval or psd_check(eye - m)):
+            return rows
+
+
+@st.composite
+def kernel_inputs(draw, palette, max_dim, unit_interval):
+    """Generators and the input matrix: a member of a random rational
+    frame with a spectrum from the palette, or a generic 2x2."""
+    if draw(st.booleans()):
+        rows = draw(generic_2x2(unit_interval))
+        return [rows], rows
+    dim = draw(st.integers(1, max_dim))
+    spectra = [draw(st.lists(st.sampled_from(palette), min_size=dim, max_size=dim))]
+    if draw(st.booleans()):
+        spectra.append(draw(st.lists(st.sampled_from(palette), min_size=dim, max_size=dim)))
+    fam = _family(draw(st.integers(0, 10_000)), *spectra)[0]
+    gens = [[list(r) for r in m.entries] for m in fam.members]
+    return gens, gens[0]
+
+
+class TestIntegerKernels:
+    """The integer iterations give what the Fraction loops gave."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=kernel_inputs(SQUARE_PALETTE, 4, unit_interval=False),
+        bits=st.sampled_from([2, 4, 6, 8, 10]),
+    )
+    # singular: 0 in the spectrum, the iteration's slow case
+    @example(case=([[[1, 1], [1, 1]]], [[1, 1], [1, 1]]), bits=10)
+    def test_sqrt_core_matches_fraction_loop(self, case, bits):
+        gens, rows = case
+        tol = F(1, 1 << bits)
+        hs = HermSpace([RationalMatrix.from_rows(g) for g in gens])
+        amat = RationalMatrix.from_rows(rows)
+        smat, trace = _sqrt_core(hs, amat, tol)
+        ref = oracles.FractionAlgebra(gens, len(rows))
+        want, want_trace = oracles.sqrt_core_fraction(ref, rows, tol)
+        assert smat.entries == tuple(map(tuple, want))
+        assert trace == want_trace
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=kernel_inputs(UNIT_PALETTE, 3, unit_interval=True),
+        bits=st.sampled_from([2, 3, 4]),
+        max_iter=st.sampled_from([3, 64]),
+    )
+    @example(case=([[[F(1, 3), F(1, 5)], [F(1, 5), F(1, 2)]]], [[F(1, 3), F(1, 5)], [F(1, 5), F(1, 2)]]),
+             bits=4, max_iter=64)
+    def test_sum_of_squares_matches_fraction_loop(self, case, bits, max_iter):
+        gens, rows = case
+        tol = F(1, 1 << bits)
+        hs = HermSpace([RationalMatrix.from_rows(g) for g in gens])
+        a = hs.element(RationalMatrix.from_rows(rows))
+        want = oracles.sum_of_squares_fraction(rows, tol, max_iter)
+        if want is None:
+            with pytest.raises(ToleranceError):
+                sum_of_squares(a, tol, max_iter)
+            return
+        out = sum_of_squares(a, tol, max_iter)
+        parts, rem, steps, bound = want
+        assert [p.matrix.entries for p in out.parts] == [tuple(map(tuple, p)) for p in parts]
+        assert out.remainder.matrix.entries == tuple(map(tuple, rem))
+        assert (out.steps, out.bound) == (steps, bound)
+        assert all(p.err == 0 for p in out.parts) and out.remainder.err == 0
+
+
+class TestKernelsFailClosed:
+    def test_corrupt_table_fails_to_certify(self):
+        # the iteration squares through the table, the residual test uses
+        # the basis rows: a wrong table entry never certifies.  The basis
+        # is I, diag(0, 1); dropping diag(0, 1)**2 = diag(0, 1) from the
+        # table keeps the iterates bounded and wrong at the second character
+        hs = _space([[1, 0], [0, 4]])
+        a = _elem(hs, [[1, 0], [0, 4]])
+        alg = hs.algebra
+        assert alg._table[(1, 1)] == (0, alg.table_den)
+        alg._table[(1, 1)] = (0, 0)
+        with pytest.raises(CertificateError, match="failed to certify within"):
+            sqrt_psd(a, F(1, 64))
+
+    def test_one_wrong_square_fails_the_identity(self, monkeypatch):
+        hs = _space([[F(1, 3), F(1, 5)], [F(1, 5), F(1, 2)]])
+        a = _elem(hs, [[F(1, 3), F(1, 5)], [F(1, 5), F(1, 2)]])
+        real = falgebra._square
+        calls = []
+        monkeypatch.setattr(falgebra, "_square", lambda m: calls.append(1) or real(m))
+        sum_of_squares(a, F(1, 8))
+        last = len(calls)  # the loop's squares, then the identity's
+
+        def wrong_last(m):
+            calls.append(1)
+            out = real(m)
+            if len(calls) == last:
+                out[0][0] += 1
+            return out
+
+        calls.clear()
+        monkeypatch.setattr(falgebra, "_square", wrong_last)
+        with pytest.raises(CertificateError, match="identity"):
+            sum_of_squares(a, F(1, 8))
+
+    def test_element_outside_the_algebra(self):
+        # HermElement skips the membership test that HermSpace.element makes
+        hs = HermSpace([_diag(1, 2)])
+        outside = HermElement(hs, RationalMatrix.from_rows([[2, 1], [1, 2]]), F(0))
+        with pytest.raises(ValueError, match="element outside the algebra"):
+            sqrt_psd(outside, F(1, 64))

@@ -14,7 +14,7 @@ from rieszspec.instances import CommutingAlgebra, HermSpace, herm
 from rieszspec.instances.herm import HermElement
 from rieszspec.lattice import cover_interval, cover_range
 from rieszspec.polyroots import _sturm_ints, isolate_real_roots, poly_eval_interval, poly_gcd
-from rieszspec.riesz import SpaceMismatchError, ToleranceError, norm_cut
+from rieszspec.riesz import CertificateError, SpaceMismatchError, ToleranceError, norm_cut
 from rieszspec.sampling import rand_diagonal_family, rand_orthogonal
 from rieszspec.spectrum import epsilon_net, pos_or_below, stone_yosida_check
 
@@ -129,7 +129,9 @@ class TestIntegerAlgebraAgainstFractionOracle:
         alg = CommutingAlgebra([_mat(g) for g in gens], dim=n)
         ref = oracles.FractionAlgebra(gens, n)
         assert [b.entries for b in alg._basis] == [tuple(map(tuple, b)) for b in ref.basis]
-        assert alg._table == ref.table
+        assert {
+            key: tuple(F(x, alg.table_den) for x in t) for key, t in alg._table.items()
+        } == ref.table
         assert alg._sep.entries == tuple(map(tuple, ref.sep))
         assert alg._minpoly == ref.minpoly
         assert alg.basis_norm_sum == ref.basis_norm_sum
@@ -139,6 +141,12 @@ class TestIntegerAlgebraAgainstFractionOracle:
         # each generator, a member and its square, and a symmetric matrix
         # that for n > 1 usually lies outside the algebra
         combo = alg.mat_of(coeffs[: alg.size])
+        # the integer square through the table is the square of the member
+        den = math.lcm(*(c.denominator for c in coeffs[: alg.size]))
+        ints = [int(c * den) for c in coeffs[: alg.size]]
+        got = tuple(F(x, alg.table_den * den * den) for x in alg.square_coords(ints))
+        rows = [list(r) for r in combo.entries]
+        assert got == ref.coords_of(oracles.matmul(rows, rows))
         free = [[other[4 * min(i, j) + max(i, j)] for j in range(n)] for i in range(n)]
         probes = [_mat(g) for g in gens] + [combo, combo @ combo, _mat(free)]
         for m in probes:
@@ -854,3 +862,11 @@ class TestHistoryFreeEnclosures:
         assert all(hs.algebra.rational_root(j) is None for j in range(hs.algebra.char_count))
         self._history(hs, m, seed)
         assert self._answers(hs, m) == fresh
+
+
+def test_krylov_power_outside_the_algebra_fails_closed():
+    # a member whose powers leave the algebra breaks an internal invariant;
+    # it raises CertificateError, also under python -O
+    alg = CommutingAlgebra([_mat([[1, 0], [0, 2]])])
+    with pytest.raises(CertificateError, match="left the algebra"):
+        alg._krylov_of([0, 1, 1, 0], 1)
