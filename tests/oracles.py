@@ -14,7 +14,9 @@ three-join cover route is the one the package ran before it joined each
 cover once, and the point evaluation that queries every grid cell is
 ``PointState.eval`` without its candidate filters and skip bound; the
 norm audit that evaluates every net point is ``stone_yosida_check``
-without its branch and bound.  Tests that compare a package result against
+without its branch and bound.  The square root and sum of squares loops
+on ``Fraction`` entries are ``_sqrt_core`` and ``sum_of_squares`` as the
+package ran them before its integer kernels.  Tests that compare a package result against
 one of these functions are exercising two genuinely different routes to
 the same value.
 """
