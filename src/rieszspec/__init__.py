@@ -24,9 +24,7 @@ from .falgebra import (
     SqrtTrace,
     SumOfSquares,
     abs_element,
-    abs_pos_join,
     gelfand_check,
-    pos_part,
     product_positive,
     sqrt_psd,
     sum_of_squares,
@@ -75,7 +73,6 @@ from .spectrum import (
     epsilon_net,
     point_new,
     pos_or_below,
-    pseudo_dist,
     stone_yosida_check,
     sup_approx,
 )
@@ -102,11 +99,11 @@ __all__ = [
     "shrink_cover", "prune_cover",
     # spectrum
     "Pos", "Below", "pos_or_below", "sup_approx",
-    "PointState", "point_new", "pseudo_dist",
+    "PointState", "point_new",
     "SpectrumNet", "epsilon_net",
     "StoneYosidaReport", "stone_yosida_check",
     # f-algebra
     "SqrtTrace", "SumOfSquares", "GelfandReport",
-    "sqrt_psd", "abs_element", "pos_part", "abs_pos_join",
+    "sqrt_psd", "abs_element",
     "product_positive", "sum_of_squares", "gelfand_check",
 ]

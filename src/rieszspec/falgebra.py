@@ -19,9 +19,9 @@ by tS + A - S*S >= 0 and (S + tI)^2 - A >= 0 (S*S - A <= tS forces
 S - sqrt(A) <= t on each joint eigenvalue, and (S + t)^2 >= A forces
 sqrt(A) <= S + t).
 
-Beside the square root sit materialized absolute values, positive
-parts, joins and meets, a sum of squares decomposition for elements
-between 0 and 1, and a multiplicativity check for point evaluations.
+Beside the square root sit a materialized absolute value, a sum of
+squares decomposition for elements between 0 and 1, and a
+multiplicativity check for point evaluations.
 
 The absolute value has one route, on every spectrum: |a| is the join of
 a and -a, materialized by ``HermSpace.materialize`` as the polynomial in
@@ -52,8 +52,6 @@ __all__ = [
     "GelfandReport",
     "sqrt_psd",
     "abs_element",
-    "pos_part",
-    "abs_pos_join",
     "product_positive",
     "sum_of_squares",
     "gelfand_check",
@@ -230,8 +228,8 @@ def _sqrt_core(
 
 
 def _require_plain(a: HermElement) -> None:
-    if a.formula is not None:
-        raise TypeError("materialize lattice formulas before this operation")
+    if a.matrix is None:
+        raise TypeError("materialize lattice results before this operation")
 
 
 def sqrt_psd(a: HermElement, tol: Rational) -> tuple[HermElement, SqrtTrace]:
@@ -303,34 +301,6 @@ def abs_element(a: HermElement, tol: Rational) -> HermElement:
     ):
         raise CertificateError("absolute value failed its certificate")
     return HermElement(space, m, a.err + 2 * t)
-
-
-def pos_part(a: HermElement, tol: Rational) -> HermElement:
-    """Materialized positive part (a + |a|) / 2, with err at most
-    a.err + tol/2: half the err of abs_element's result plus a.err / 2."""
-    space = a.space
-    return space.scale(Fraction(1, 2), space.add(a, abs_element(a, tol)))
-
-
-def abs_pos_join(
-    kind: str,
-    a: HermElement,
-    b: HermElement | None = None,
-    tol: Rational | None = None,
-) -> HermElement:
-    """Dispatch materialized lattice operations by name."""
-    space = a.space
-    tol = Fraction(tol if tol is not None else space.lattice_tol)
-    if kind == "abs":
-        return abs_element(a, tol)
-    if kind == "pos":
-        return pos_part(a, tol)
-    if kind in ("join", "meet"):
-        if b is None:
-            raise ValueError(f"{kind} needs two elements")
-        node = space.join(a, b) if kind == "join" else space.meet(a, b)
-        return space.materialize(node, tol)
-    raise ValueError(f"unknown lattice operation {kind!r}")
 
 
 def product_positive(a: HermElement, b: HermElement) -> bool:

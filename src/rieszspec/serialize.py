@@ -49,7 +49,7 @@ def element_to_json(elem: RieszElement) -> dict:
         }
     if isinstance(elem, HermElement):
         if elem.matrix is None:
-            raise ValueError("materialize lattice formulas before serializing")
+            raise ValueError("materialize lattice results before serializing")
         out = {
             "space": "herm",
             "matrix": elem.matrix.to_json(),

@@ -59,7 +59,6 @@ __all__ = [
     "sup_approx",
     "PointState",
     "point_new",
-    "pseudo_dist",
     "SpectrumNet",
     "epsilon_net",
     "StoneYosidaReport",
@@ -289,31 +288,6 @@ def point_new(
     if margin <= 0:
         raise MarginCollapseError("constraints do not certify a point")
     return PointState(space, cs, margin, m, ident)
-
-
-def pseudo_dist(
-    p1: PointState,
-    p2: PointState,
-    elements: Sequence[RieszElement],
-    eps: Rational,
-) -> Fraction:
-    """Weighted evaluation gap sum(2^-n * |p1(a_n) - p2(a_n)|) within 3*eps.
-
-    Callers normalize the family into the unit ball so each gap is at
-    most 2; the sum is truncated once the geometric tail drops under
-    eps, and each retained term is evaluated at eps/4.
-    """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    ncut = max(1, _dyadic_level(eps / 2))  # least ncut >= 1 with 2^(1-ncut) <= eps
-    total = Fraction(0)
-    for n, e in enumerate(elements):
-        if n > ncut:
-            break
-        gap = abs(p1.eval(e, eps / 4) - p2.eval(e, eps / 4))
-        total += Fraction(1, 1 << n) * gap
-    return total
 
 
 @dataclass(frozen=True)

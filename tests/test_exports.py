@@ -2,11 +2,12 @@
 
 A module-level function or class, or a method that is not a dunder, must
 be named in ``src/`` outside its own definition: called, read as an
-attribute, imported, or given as a string (an ``__all__`` entry, an
-attribute looked up by name).  Defining the same name again does not
-count: an interface method that only instances implement and nothing
-calls is unused too.  A name that only tests use is an export nothing
-needs, and is removed rather than kept.
+attribute, imported, or given as a string (an attribute looked up by
+name).  Listing a name does not count: an ``__all__`` entry and a
+re-export in a package's ``__init__.py`` only publish it.  Defining the
+same name again does not count either: an interface method that only
+instances implement and nothing calls is unused too.  A name that only
+tests use is an export nothing needs, and is removed rather than kept.
 """
 from __future__ import annotations
 
@@ -16,10 +17,24 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "rieszspec"
 
 
-def _mentions(node: ast.AST) -> list[str]:
-    """Every name a subtree mentions; the names it defines do not count."""
+def _listing(n: ast.AST, package: bool) -> bool:
+    """Whether n only publishes names: an ``__all__`` assignment, or an
+    import in a package's ``__init__.py``."""
+    if isinstance(n, ast.Assign):
+        return any(isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets)
+    return package and isinstance(n, (ast.Import, ast.ImportFrom))
+
+
+def _mentions(node: ast.AST, package: bool = False) -> list[str]:
+    """Every name a subtree mentions; the names it defines and the names
+    it only lists (see _listing) do not count."""
     out: list[str] = []
-    for n in ast.walk(node):
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if _listing(n, package):
+            continue
+        stack.extend(ast.iter_child_nodes(n))
         if isinstance(n, ast.Name):
             out.append(n.id)
         elif isinstance(n, ast.Attribute):
@@ -52,8 +67,8 @@ def unused_definitions(root: Path = SRC) -> list[str]:
         for p in sorted(root.rglob("*.py"))
     }
     counts: dict[str, int] = {}
-    for tree in trees.values():
-        for name in _mentions(tree):
+    for path, tree in trees.items():
+        for name in _mentions(tree, path.endswith("__init__.py")):
             counts[name] = counts.get(name, 0) + 1
     unused = []
     for path, tree in trees.items():
@@ -69,9 +84,11 @@ def test_every_definition_is_used_in_src():
 
 
 def test_a_definition_named_only_by_itself_is_flagged(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .m import reexported\n")
     (tmp_path / "m.py").write_text(
         "__all__ = ['listed']\n"
         "def listed():\n    return helper()\n"
+        "def reexported():\n    return 0\n"
         "def helper():\n    return 1\n"
         "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
         "class Base:\n"
@@ -84,7 +101,8 @@ def test_a_definition_named_only_by_itself_is_flagged(tmp_path):
         "    def looked_up(self):\n        return 2\n"
     )
     assert unused_definitions(tmp_path) == [
-        "m.py:recursive", "m.py:Base.hook", "m.py:Base.idle", "m.py:Impl", "m.py:Impl.hook"
+        "m.py:listed", "m.py:reexported", "m.py:recursive",
+        "m.py:Base.hook", "m.py:Base.idle", "m.py:Impl", "m.py:Impl.hook",
     ]
 
 

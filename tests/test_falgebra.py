@@ -12,9 +12,7 @@ from rieszspec import falgebra
 from rieszspec.falgebra import (
     _sqrt_core,
     abs_element,
-    abs_pos_join,
     gelfand_check,
-    pos_part,
     product_positive,
     sqrt_psd,
     sum_of_squares,
@@ -158,7 +156,7 @@ class TestAbsPosJoin:
         ab = abs_element(a, tol)
         d = oracles.matsub(ab.matrix.entries, _diag(1, 2).entries)
         assert oracles.operator_norm_exact(d) <= ab.err
-        p = pos_part(a, tol)
+        p = hs.materialize(hs.join(a, hs.zero()), tol)
         d = oracles.matsub(p.matrix.entries, _diag(1, 0).entries)
         assert oracles.operator_norm_exact(d) <= p.err
         assert p.err <= tol
@@ -166,10 +164,10 @@ class TestAbsPosJoin:
     def test_join_of_disjoint_projections(self):
         hs = HermSpace([_diag(1, 0), _diag(0, 1)])
         a, b = hs.element(_diag(1, 0)), hs.element(_diag(0, 1))
-        j = abs_pos_join("join", a, b, F(1, 256))
+        j = hs.materialize(hs.join(a, b), F(1, 256))
         d = oracles.matsub(j.matrix.entries, _diag(1, 1).entries)
         assert oracles.operator_norm_exact(d) <= j.err
-        m = abs_pos_join("meet", a, b, F(1, 256))
+        m = hs.materialize(hs.meet(a, b), F(1, 256))
         assert oracles.operator_norm_exact(m.matrix.entries) <= m.err
 
     def test_abs_of_negation_matches(self):
@@ -182,15 +180,6 @@ class TestAbsPosJoin:
             oracles.matsub(p.matrix.entries, q.matrix.entries)
         )
         assert d <= 2 * tol
-
-    def test_dispatch_and_default_tol(self):
-        hs = _space([[1, 0], [0, -2]])
-        a = _elem(hs, [[1, 0], [0, -2]])
-        assert abs_pos_join("abs", a).err <= hs.lattice_tol
-        with pytest.raises(ValueError):
-            abs_pos_join("join", a)
-        with pytest.raises(ValueError):
-            abs_pos_join("frobnicate", a)
 
 
 # Rational spectra for the exact absolute value: 0 makes |.| singular,
@@ -262,19 +251,6 @@ class TestSpectralAbs:
     @settings(max_examples=25, deadline=None)
     @given(rational_cases())
     @_examples
-    def test_pos_part_is_exact_and_near_iteration(self, case):
-        seed, sa, _, err = case
-        fam, hs = _family(seed, sa)
-        a = hs.element(fam.members[0], err)
-        got = pos_part(a, TOL)
-        assert got.matrix == _conj(fam, [max(v, 0) for v in sa])
-        assert got.err == err
-        it = _iteration_abs(hs, a.matrix)
-        assert _dist(fam, got.matrix, (a.matrix + it.matrix).scale(F(1, 2))) <= it.err / 2
-
-    @settings(max_examples=25, deadline=None)
-    @given(rational_cases())
-    @_examples
     def test_join_meet_are_exact_and_near_iteration(self, case):
         # with err > 0 the result is the midpoint of the image of the two
         # balls at each character, which is the join or meet of the centres
@@ -284,8 +260,8 @@ class TestSpectralAbs:
         a = hs.element(fam.members[0], err)
         b = hs.element(fam.members[1])
         d = _iteration_abs(hs, a.matrix - b.matrix)
-        for kind, pick, sign in (("join", max, 1), ("meet", min, -1)):
-            got = abs_pos_join(kind, a, b, TOL)
+        for op, pick, sign in ((hs.join, max, 1), (hs.meet, min, -1)):
+            got = hs.materialize(op(a, b), TOL)
             mid = [(pick(u - err, v) + pick(u + err, v)) / 2 for u, v in zip(sa, sb)]
             assert got.matrix == _conj(fam, mid)
             assert got.err == err
@@ -372,8 +348,6 @@ class TestIterationRoute:
                 assert oracles.within_exact(v, 0, got.err - err + it.err)
             for lam, v in oracles.eigen_values_of(gen.entries, got.matrix.entries):
                 assert oracles.within_exact(v, abs(lam), got.err - err)
-            pos = pos_part(a, TOL)
-            assert err <= pos.err <= err + TOL / 2
 
     def test_mixed_algebra_has_a_rational_character(self):
         alg = _space(MIXED).algebra
@@ -546,7 +520,8 @@ class TestMaterializeErr:
         sy = {c: errb * k / 4 for c, k in zip(chars, steps[4:])}
         a = hs.element(fam.members[0], erra)
         b = hs.element(fam.members[1], errb)
-        got = abs_pos_join(kind, a, b, TOL)
+        node = hs.join(a, b) if kind == "join" else hs.meet(a, b)
+        got = hs.materialize(node, TOL)
         assert got.err == max(erra, errb)
         xs = [x + sx[x, y] for x, y in zip(sa, sb)]
         ys = [y + sy[x, y] for x, y in zip(sa, sb)]

@@ -447,7 +447,7 @@ class TestFormulasAndMaterialize:
         d2 = RationalMatrix.diagonal([F(3), F(2)])
         hs = HermSpace([d1, d2])
         j = hs.join(hs.element(d1), hs.element(d2))
-        assert j.formula is not None and j.matrix is None
+        assert j.matrix is None and len(j.vals) == 2
         vals = sorted(lo for lo, hi in hs.value_ranges(j, tol=F(1, 1 << 20)))
         # pointwise maxima on the two characters: 3 and 4
         assert vals[0] <= F(3) <= vals[0] + F(1, 1 << 19)
@@ -594,7 +594,7 @@ class TestExactRouteAgainstEigenvalues:
             ]
             got = set()
             for j in range(hs.algebra.char_count):
-                row = tuple(hs._bounds(e, j)[0] for e in elems)
+                row = tuple(hs._values(e)[j][0] for e in elems)
                 assert all(isinstance(v, F) for v in row)
                 for e, v in zip(elems, row):
                     assert hs.value_ranges(e, tol=F(1, 4))[j] == (v, v)
@@ -784,7 +784,7 @@ class TestIrrationalCharacters:
         )
         signs = []
         for j in range(4):
-            v = hs._bounds(z, j)[0]
+            v = hs._values(z)[j][0]
             lo, hi = alg.root_box(j, F(1, 4))
             vlo, vhi = poly_eval_interval(v, lo, hi)
             before = len(calls)
@@ -809,6 +809,29 @@ class TestIrrationalCharacters:
         del e
         gc.collect()
         assert ref() is None
+
+    def test_join_does_not_hold_its_operands(self):
+        # a join holds its values at the characters, not its operands:
+        # they are freed, and the join answers as it did while they lived
+        hs, a, b, _ = self._cubic()
+        b = hs.element(b.matrix, F(1, 64))
+        j = hs.join(a, b)
+        three = hs.scale(3, hs.unit())
+
+        def answers():
+            return (
+                hs.value_ranges(j, tol=F(1, 1024)),
+                hs.leq(j, three),
+                hs.leq(hs.unit(), j),
+                hs.materialize(j, F(1, 256)),
+            )
+
+        before = answers()
+        refs = [weakref.ref(a), weakref.ref(b)]
+        del a, b
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+        assert answers() == before
 
 
 class TestHistoryFreeEnclosures:

@@ -25,7 +25,6 @@ from rieszspec.spectrum import (
     epsilon_net,
     point_new,
     pos_or_below,
-    pseudo_dist,
     stone_yosida_check,
     sup_approx,
 )
@@ -282,35 +281,6 @@ class TestPointState:
         pt = _point_from_pos(hs, a, eps)
         v = pt.eval(a, eps)
         assert min(abs(v - F(1, 4)), abs(v - F(3, 4))) <= eps
-
-
-class TestPseudoDist:
-    def test_empty_family_is_zero(self):
-        q2 = QnSpace(2)
-        p1 = _point_from_pos(q2, q2.element([1, 0]), F(1, 8))
-        p2 = _point_from_pos(q2, q2.element([0, 1]), F(1, 8))
-        assert pseudo_dist(p1, p2, [], F(1, 8)) == 0
-
-    def test_same_point_is_small(self):
-        q2 = QnSpace(2)
-        eps = F(1, 16)
-        pt = _point_from_pos(q2, q2.element([0, 1]), eps)
-        d = pseudo_dist(pt, pt, [q2.element([1, 0]), q2.unit()], eps)
-        assert d <= eps
-
-    def test_separated_projections(self):
-        q2 = QnSpace(2)
-        eps = F(1, 16)
-        p1 = _point_from_pos(q2, q2.element([1, 0]), eps)
-        p2 = _point_from_pos(q2, q2.element([0, 1]), eps)
-        d = pseudo_dist(p1, p2, [q2.element([1, 0])], eps)
-        assert abs(d - 1) <= 2 * eps
-
-    def test_rejects_nonpositive_eps(self):
-        q2 = QnSpace(2)
-        pt = _point_from_pos(q2, q2.element([0, 1]), F(1, 8))
-        with pytest.raises(ValueError):
-            pseudo_dist(pt, pt, [q2.unit()], 0)
 
 
 class TestEpsilonNet:
@@ -639,20 +609,11 @@ def _level_loop(eps):
     return level
 
 
-def _ncut_loop(eps):
-    ncut = 1
-    while F(2, 1 << ncut) > eps:
-        ncut += 1
-    return ncut
-
-
 @settings(max_examples=300, deadline=None)
 @given(eps=_eps_any)
 def test_dyadic_levels_match_the_loops(eps):
-    # the net and eval level, and pseudo_dist's truncation point, against
-    # the loops they replaced; eps >= 1 included
+    # the net and eval level against the loop it replaced; eps >= 1 included
     assert spectrum._dyadic_level(eps) == _level_loop(eps)
-    assert max(1, spectrum._dyadic_level(eps / 2)) == _ncut_loop(eps)
 
 
 def _excluded_cells(space, b, context, w):
