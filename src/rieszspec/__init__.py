@@ -12,12 +12,9 @@ from .exact import (
     RatInterval,
     Rational,
     RationalMatrix,
-    interval_combine,
-    interval_distance,
     parse_rational,
     format_rational,
     psd_check,
-    round_dyadic,
 )
 from .falgebra import (
     GelfandReport,
@@ -83,7 +80,7 @@ __all__ = [
     "__version__",
     # numerics
     "Rational", "RatInterval", "RationalMatrix",
-    "interval_combine", "interval_distance", "psd_check", "round_dyadic",
+    "psd_check",
     "parse_rational", "format_rational",
     # contract
     "RieszSpace", "RieszElement", "LocatedCut",

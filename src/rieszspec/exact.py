@@ -1,26 +1,30 @@
-"""Exact rational substrate: intervals, dyadic rounding, and symmetric matrices.
+"""Exact rational substrate: intervals, grid windows, and square matrices.
 
 Everything in this module is float free.  Rationals are stdlib ``Fraction``
 values (arbitrary precision, canonical lowest terms, positive denominator),
-matrices are immutable tuples of tuples, and every decision procedure is an
-exact computation.  The positive semidefinite test is the single trusted
-primitive that the rest of the package reduces order questions to.
+and every decision procedure is an exact computation.  The positive
+semidefinite test is the single trusted primitive that the rest of the
+package reduces order questions to.
 
-The two matrix hot paths run on integers: a matrix is put over the lcm of
-its entry denominators, products are integer dot products with one reduced
-``Fraction`` built per output entry, and the psd test is fraction-free
-(Bareiss) elimination on that integer matrix.  That elimination is one
-private integer core, ``_psd_integer``: ``psd_check`` hands it
-``_integer_rows`` of its argument, and the f-algebra kernels, which hold
-their iterates as integer matrices over one denominator, hand it theirs.
+A ``RationalMatrix`` is integer ``rows`` over one denominator ``den``, in
+canonical form: den > 0 and gcd(den, every entry) = 1.  Every rational
+matrix has exactly one such form, so equal matrices have equal fields and
+equal hashes.  Each operation is an integer loop: operands over different
+denominators are put over their lcm, and one gcd puts the result back in
+canonical form.  Other modules read ``rows`` and ``den`` and build their
+results through the constructor; ``entries`` gives the ``Fraction``
+entries.  The psd test is fraction-free (Bareiss) elimination on the
+integer rows, one private core, ``_psd_integer``, that the f-algebra
+kernels also hand their integer iterates.
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from itertools import chain
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -30,10 +34,7 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "RenderError",
-    "round_dyadic",
     "RatInterval",
-    "interval_combine",
-    "interval_distance",
     "interval_grid_window",
     "RationalMatrix",
     "psd_check",
@@ -65,20 +66,6 @@ def format_rational(q: Fraction) -> str:
         raise RenderError(f"a rational has more than {limit} digits; not rendered") from exc
 
 
-def round_dyadic(q: Fraction, k: int, mode: str = "down") -> Fraction:
-    """Round to the dyadic grid 2**-k, toward -inf ("down") or +inf ("up")."""
-    if k < 0:
-        raise ValueError("grid exponent must be nonnegative")
-    scaled = Fraction(q) * (1 << k)
-    if mode == "down":
-        n = scaled.numerator // scaled.denominator
-    elif mode == "up":
-        n = -((-scaled.numerator) // scaled.denominator)
-    else:
-        raise ValueError(f"mode must be 'down' or 'up', got {mode!r}")
-    return Fraction(n, 1 << k)
-
-
 @dataclass(frozen=True)
 class RatInterval:
     """Open interval (lo, hi) with rational endpoints, lo < hi."""
@@ -100,20 +87,6 @@ class RatInterval:
 
     def __repr__(self) -> str:
         return f"({self.lo}, {self.hi})"
-
-
-def interval_combine(i: RatInterval, j: RatInterval, mode: str) -> RatInterval:
-    """Endpointwise sum or join of open intervals."""
-    if mode == "sum":
-        return RatInterval(i.lo + j.lo, i.hi + j.hi)
-    if mode == "join":
-        return RatInterval(max(i.lo, j.lo), max(i.hi, j.hi))
-    raise ValueError(f"mode must be 'sum' or 'join', got {mode!r}")
-
-
-def interval_distance(i: RatInterval, j: RatInterval) -> Fraction:
-    """Gap between two open intervals; 0 exactly when they overlap."""
-    return max(j.lo - i.hi, i.lo - j.hi, Fraction(0))
 
 
 def interval_grid_window(
@@ -174,128 +147,118 @@ def interval_grid_window(
     return den, out
 
 
-def _integer_rows(
-    entries: tuple[tuple[Fraction, ...], ...]
-) -> tuple[list[list[int]], int]:
-    """(rows, den) with entries[i][j] == rows[i][j] / den, den the lcm of the denominators."""
-    den = lcm(*(v.denominator for row in entries for v in row))
-    if den == 1:
-        return [[v.numerator for v in row] for row in entries], 1
-    return [[v.numerator * (den // v.denominator) for v in row] for row in entries], den
-
-
-def _as_fraction_rows(rows: Iterable[Iterable[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
-
-
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Immutable square matrix with exact rational entries."""
+    """Immutable square matrix with exact rational entries.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    Entry (i, j) is rows[i][j] / den, in the canonical form of the module
+    docstring; the constructor puts any integer rows over any nonzero
+    den into it.  ``entries`` gives the entries as ``Fraction`` values.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    den: int
 
     def __post_init__(self) -> None:
-        n = len(self.entries)
-        if n == 0:
+        rows, den = tuple(map(tuple, self.rows)), self.den
+        if not rows:
             raise ValueError("empty matrix")
-        if any(len(row) != n for row in self.entries):
+        if set(map(len, rows)) != {len(rows)}:
             raise ValueError("matrix must be square")
-
-    def __hash__(self) -> int:
-        # entry hashing is the hot path in caches keyed by matrices
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self.entries)
-            object.__setattr__(self, "_hash", h)
-        return h
+        if den != 1:
+            if den == 0:
+                raise ZeroDivisionError("matrix denominator is zero")
+            g = gcd(den, *chain.from_iterable(rows))
+            if den < 0:
+                g = -g
+            if g != 1:
+                rows, den = tuple(tuple(x // g for x in row) for row in rows), den // g
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Fraction]]) -> "RationalMatrix":
-        return cls(_as_fraction_rows(rows))
+        """The matrix of any values ``Fraction`` accepts."""
+        fracs = [[Fraction(v) for v in row] for row in rows]
+        den = lcm(*(v.denominator for row in fracs for v in row))
+        return cls([[v.numerator * (den // v.denominator) for v in row] for row in fracs], den)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @classmethod
     def zeros(cls, n: int) -> "RationalMatrix":
-        zero = Fraction(0)
-        return cls(tuple(tuple(zero for _ in range(n)) for _ in range(n)))
+        return cls([[0] * n for _ in range(n)], 1)
 
     @classmethod
     def diagonal(cls, values: Sequence[Fraction]) -> "RationalMatrix":
-        vals = [Fraction(v) for v in values]
-        zero = Fraction(0)
-        n = len(vals)
-        return cls(tuple(tuple(vals[i] if i == j else zero for j in range(n)) for i in range(n)))
+        n = len(values)
+        return cls.from_rows([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
-    def get(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.rows)
+
+    def _common(self, other: "RationalMatrix") -> tuple[Sequence, Sequence, int]:
+        """The rows of self and other over one denominator."""
+        self._check_dim(other)
+        da, db = self.den, other.den
+        if da == db:
+            return self.rows, other.rows, da
+        d = lcm(da, db)
+        fa, fb = d // da, d // db
+        return (
+            [[x * fa for x in row] for row in self.rows],
+            [[x * fb for x in row] for row in other.rows],
+            d,
+        )
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_dim(other)
-        return RationalMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        a, b, d = self._common(other)
+        return RationalMatrix([list(map(add, ra, rb)) for ra, rb in zip(a, b)], d)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_dim(other)
-        return RationalMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        a, b, d = self._common(other)
+        return RationalMatrix([list(map(sub, ra, rb)) for ra, rb in zip(a, b)], d)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(tuple(-a for a in row) for row in self.entries))
+        return RationalMatrix([[-x for x in row] for row in self.rows], self.den)
 
     def scale(self, c: Fraction) -> "RationalMatrix":
         c = Fraction(c)
-        return RationalMatrix(tuple(tuple(c * a for a in row) for row in self.entries))
+        cn = c.numerator
+        return RationalMatrix([[cn * x for x in row] for row in self.rows], c.denominator * self.den)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        # integer dot products over da * db, one reduction per output entry
+        # integer dot products over the product of the denominators
         self._check_dim(other)
-        a, da = _integer_rows(self.entries)
-        b, db = (a, da) if other is self else _integer_rows(other.entries)
-        den = da * db
-        cols = tuple(zip(*b))
+        cols = tuple(zip(*other.rows))
         return RationalMatrix(
-            tuple(
-                tuple(Fraction(sum(map(mul, row, col)), den) for col in cols)
-                for row in a
-            )
+            [[sum(map(mul, row, col)) for col in cols] for row in self.rows],
+            self.den * other.den,
         )
 
     def transpose(self) -> "RationalMatrix":
-        n = self.dim
-        return RationalMatrix(tuple(tuple(self.entries[j][i] for j in range(n)) for i in range(n)))
-
-    def trace(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(self.dim)), Fraction(0))
+        return RationalMatrix(tuple(zip(*self.rows)), self.den)
 
     def is_symmetric(self) -> bool:
-        n = self.dim
-        return all(self.entries[i][j] == self.entries[j][i] for i in range(n) for j in range(i))
+        return self.rows == tuple(zip(*self.rows))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
+        return not any(map(any, self.rows))
 
     def commutator(self, other: "RationalMatrix") -> "RationalMatrix":
         return self @ other - other @ self
 
     def row_sum_bound(self) -> Fraction:
         """Max absolute row sum; an upper bound for the operator norm."""
-        return max(sum((abs(v) for v in row), Fraction(0)) for row in self.entries)
+        return Fraction(max(sum(map(abs, row)) for row in self.rows), self.den)
 
     def _check_dim(self, other: "RationalMatrix") -> None:
         if self.dim != other.dim:
@@ -336,11 +299,9 @@ def psd_check(m: RationalMatrix) -> bool:
     So every diagonal sign, every zero residual row, and hence every pivot
     choice and the answer are those of the rational elimination.
     """
-    a, _ = _integer_rows(m.entries)
-    n = len(a)
-    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+    if not m.is_symmetric():
         raise ValueError("psd_check requires a symmetric matrix")
-    return _psd_integer(a)
+    return _psd_integer([list(row) for row in m.rows])
 
 
 def _psd_integer(a: list[list[int]]) -> bool:

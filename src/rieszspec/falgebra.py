@@ -11,7 +11,9 @@ algebra basis with all coefficients rounded down to a fixed dyadic grid,
 held as integers over that grid's one denominator, so iterates stay
 exactly representable and below the true orbit; a
 scalar majorant sequence r_{n+1} = (1 + r_n^2) / 2, rounded up and
-capped at one, dominates every iterate.  Termination never trusts the
+capped at one, dominates every iterate.  Each scheduled check tests that
+bound, B_n <= r_n * I, exactly, so an iterate that breaks it (only
+corrupted state can) fails closed at once.  Termination never trusts the
 analysis: the result is accepted only when the exact positive
 semidefiniteness certificates |S*S - A| <= tol * I pass.  ``sqrt_psd``
 then certifies S within an operator distance t of the true square root
@@ -22,6 +24,12 @@ sqrt(A) <= S + t).
 Beside the square root sit a materialized absolute value, a sum of
 squares decomposition for elements between 0 and 1, and a
 multiplicativity check for point evaluations.
+
+The kernels read a matrix's integer ``rows`` over its ``den`` (the one
+form of ``exact.RationalMatrix``) as they are, and hand their integer
+results to its constructor, which reduces them; the distance and
+absolute value certificates are matrix sums and products on the same
+integers.
 
 The absolute value has one route, on every spectrum: |a| is the join of
 a and -a, materialized by ``HermSpace.materialize`` as the polynomial in
@@ -42,7 +50,7 @@ from itertools import combinations
 from operator import mul
 from typing import Sequence
 
-from .exact import RationalMatrix, _integer_rows, _psd_integer, psd_check
+from .exact import RationalMatrix, _psd_integer, psd_check
 from .instances.herm import HermElement, HermSpace
 from .riesz import CertificateError, Rational, SpaceMismatchError, ToleranceError
 
@@ -114,16 +122,6 @@ def _square(a: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _rational(a: list[list[int]], den: int) -> RationalMatrix:
-    """The symmetric matrix a / den, one reduced Fraction per entry pair."""
-    n = len(a)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i, row in enumerate(a):
-        for j in range(i, n):
-            out[i][j] = out[j][i] = Fraction(row[j], den)
-    return RationalMatrix(tuple(map(tuple, out)))
-
-
 def _psd_minus(c: int, a: list[list[int]], f: int) -> bool:
     """Whether c * I - f * a is psd, for a symmetric integer matrix a."""
     return _psd_integer(
@@ -141,7 +139,7 @@ def _sqrt_core(
     coords = alg.coords_of(amat)
     if coords is None:
         raise SpaceMismatchError("element outside the algebra")
-    arows, aden = _integer_rows(amat.entries)
+    arows, aden = amat.rows, amat.den
 
     # smallest k with amat <= 4^k, decided exactly; keeps mu = 4^k with a
     # rational square root 2^k
@@ -176,7 +174,7 @@ def _sqrt_core(
     const = [w * w * tden * ((aps if i == 0 else 0) - c) for i, c in enumerate(cv)]
     step = 2 * w * tden * aps
     rho_step = -(-rho_unit.numerator // rho_unit.denominator)
-    d, sden = space.dim, w * alg.basis_den
+    sden = w * alg.basis_den
 
     def majorant(r: int) -> int:
         return min(w, -(-(w * w + r * r) // (2 * w)))
@@ -198,12 +196,16 @@ def _sqrt_core(
         rs.append(majorant(rs[-1]))
         majorant_fired = 2 * (rs[-1] - rs[-2]) * mu * td <= tn * w
         if _check_schedule(n) or majorant_fired or n >= ncap:
+            # B_n <= r_n * I holds for every iterate (SqrtTrace), times
+            # sden: an iterate past it means corrupted state, and failing
+            # here stops it before its bits double for ncap steps
+            if not _psd_minus(rs[-1] * alg.basis_den, alg.combine(b), 1):
+                raise CertificateError(f"square root iterate {n} exceeds its majorant")
             # S = (I - b) * 2^k is s / sden over the integer basis rows and
             # x = (S*S - A) * sden^2 * aden: the residual tests
             # tol * I -+ (S*S - A) >= 0, times sden^2 * aden * td
             coeffs = [(w if i == 0 else 0) - x for i, x in enumerate(b)]
-            flat = [v << k for v in alg.combine(coeffs)]
-            s = [flat[i : i + d] for i in range(0, d * d, d)]
+            s = [[v << k for v in row] for row in alg.combine(coeffs)]
             ss, sd2 = _square(s), sden * sden
             x = [[aden * u - sd2 * v for u, v in zip(ru, rv)] for ru, rv in zip(ss, arows)]
             y = tn * sd2 * aden
@@ -352,7 +354,7 @@ def sum_of_squares(a: HermElement, tol: Rational, max_iter: int = 64) -> SumOfSq
     if not psd_check(eye - a.matrix):
         raise ValueError("element must be at most the unit")
     tn, td = tol.numerator, tol.denominator
-    arows, aden = _integer_rows(a.matrix.entries)
+    arows, aden = a.matrix.rows, a.matrix.den
     parts: list[tuple[list[list[int]], int]] = []
     m, den = arows, aden
     done = False
@@ -389,8 +391,8 @@ def sum_of_squares(a: HermElement, tol: Rational, max_iter: int = 64) -> SumOfSq
         # the iterates also obey the a priori rate |remainder|^2 <= 1/n
         bound = min(bound, _sqrt_upper(Fraction(1, len(parts))))
     return SumOfSquares(
-        parts=tuple(HermElement(space, _rational(p, d), Fraction(0)) for p, d in parts),
-        remainder=HermElement(space, _rational(m, den), Fraction(0)),
+        parts=tuple(HermElement(space, RationalMatrix(p, d), Fraction(0)) for p, d in parts),
+        remainder=HermElement(space, RationalMatrix(m, den), Fraction(0)),
         steps=len(parts),
         bound=bound,
     )

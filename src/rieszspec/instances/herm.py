@@ -15,8 +15,9 @@ polynomial).  A rational root is held exactly, and the values of err
 free elements at its character are exact rationals; an irrational root
 stays isolated by Sturm sequences.
 
-The algebra is built without ``Fraction`` elimination.  Matrices are
-flattened over one common denominator, and each echelon row is a
+The algebra is built without ``Fraction`` elimination.  A matrix is read
+in its one integer form, rows over one denominator (see ``exact``), with
+the rows laid end to end as one integer vector.  Each echelon row is a
 primitive integer vector whose pivot entry is its denominator, so a
 reduction step is p*v - a*r followed by one gcd.  The product closure,
 the multiplication table and the separating candidates run on these
@@ -149,11 +150,6 @@ def _integers(vals: Sequence[Fraction]) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in vals], den
 
 
-def _flat(m: RationalMatrix) -> tuple[list[int], int]:
-    """m flattened row by row, as (v, den) from _integers."""
-    return _integers([c for row in m.entries for c in row])
-
-
 def _matmul(a: list[int], b: list[int], d: int) -> list[int]:
     """Product of two flattened integer d x d matrices."""
     cols = [b[j::d] for j in range(d)]
@@ -162,13 +158,6 @@ def _matmul(a: list[int], b: list[int], d: int) -> list[int]:
 
 def _eye(d: int) -> list[int]:
     return [int(i == j) for i in range(d) for j in range(d)]
-
-
-def _matrix(v: list[int], den: int, d: int) -> RationalMatrix:
-    """The matrix whose flattened entries are v / den."""
-    return RationalMatrix(
-        tuple(tuple(Fraction(x, den) for x in v[i : i + d]) for i in range(0, d * d, d))
-    )
 
 
 def _row(v: list[int], piv: int) -> list[int]:
@@ -244,7 +233,7 @@ class CommutingAlgebra:
                         (r, s)
                         for r in range(dim)
                         for s in range(dim)
-                        if c.entries[r][s] != 0
+                        if c.rows[r][s]
                     )
                     raise ValueError(
                         f"generators {i} and {j} fail to commute: "
@@ -258,8 +247,7 @@ class CommutingAlgebra:
         # integer row (see _reduce) and basis matrix k is row k over its
         # pivot entry.
         self._rows: list[tuple[list[int], int]] = []
-        self._basis: list[RationalMatrix] = []
-        ints = [_flat(g)[0] for g in gens]
+        ints = [[x for row in g.rows for x in row] for g in gens]
         self._insert(_eye(dim))
         for g in ints:
             self._insert(g)
@@ -269,7 +257,7 @@ class CommutingAlgebra:
             for g in ints:
                 if self._insert(_matmul(m, g, dim)):
                     queue.append(self._rows[-1][0])
-        self.size = len(self._basis)
+        self.size = len(self._rows)
         # max absolute row sum of each basis matrix, summed
         self.basis_norm_sum: Fraction = sum(
             (
@@ -313,9 +301,7 @@ class CommutingAlgebra:
         piv = next((k for k, x in enumerate(v) if x), None)
         if piv is None:
             return False
-        v = _row(v, piv)
-        self._rows.append((v, piv))
-        self._basis.append(_matrix(v, v[piv], self.dim))
+        self._rows.append((_row(v, piv), piv))
         return True
 
     def _coords(self, v: list[int], den: int) -> tuple[Fraction, ...] | None:
@@ -327,19 +313,20 @@ class CommutingAlgebra:
 
     def coords_of(self, m: RationalMatrix) -> tuple[Fraction, ...] | None:
         """Coordinates of m in the reduced basis, or None if outside the span."""
-        return self._coords(*_flat(m))
+        return self._coords([x for row in m.rows for x in row], m.den)
 
     def mat_of(self, coords: Sequence[Rational]) -> RationalMatrix:
         v, den = _integers([Fraction(c) for c in coords])
-        return _matrix(self.combine(v), den * self.basis_den, self.dim)
+        return RationalMatrix(self.combine(v), den * self.basis_den)
 
-    def combine(self, v: Sequence[int]) -> list[int]:
-        """sum_k v[k] * basis_k, flattened, as integers over basis_den."""
-        out = [0] * (self.dim * self.dim)
+    def combine(self, v: Sequence[int]) -> list[list[int]]:
+        """sum_k v[k] * basis_k, as integer rows over basis_den."""
+        d = self.dim
+        out = [0] * (d * d)
         for c, row in zip(v, self._scaled):
             if c:
                 out = [x + c * y for x, y in zip(out, row)]
-        return out
+        return [out[i : i + d] for i in range(0, d * d, d)]
 
     def square_coords(self, v: Sequence[int]) -> list[int]:
         """Coordinates of the square of sum_k v[k] * basis_k, as integers
@@ -359,18 +346,17 @@ class CommutingAlgebra:
     # -- characters ------------------------------------------------------
 
     def _init_characters(self) -> None:
-        s, bden = self.size, self.basis_den
+        s = self.size
         for t in range(64):
-            weights = [(t + 1) ** k for k in range(s)]
-            cand = [sum(map(mul, weights, col)) for col in zip(*self._scaled)]
-            mp, krylov = self._krylov_of(cand, bden)
+            sep = RationalMatrix(self.combine([(t + 1) ** k for k in range(s)]), self.basis_den)
+            mp, krylov = self._krylov_of([x for row in sep.rows for x in row], sep.den)
             if len(mp) - 1 == s:
                 break
         else:  # pragma: no cover - generic weights always separate
             raise ValueError("no separating combination found in the algebra")
         self._minpoly = mp
         self._krylov = krylov
-        self._sep = _matrix(cand, bden, self.dim)
+        self._sep = sep
         roots = isolate_real_roots(self._minpoly)
         if len(roots) != s:  # pragma: no cover - spectra here are always real
             raise ValueError("separating member has unexpected complex spectrum")

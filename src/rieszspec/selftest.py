@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from typing import Callable
 
-from .exact import RatInterval, RationalMatrix, interval_combine, interval_distance, psd_check, round_dyadic
+from .exact import RatInterval, RationalMatrix, interval_grid_window, psd_check
 from .falgebra import gelfand_check, product_positive, sqrt_psd, sum_of_squares
 from .instances import HermSpace, PLSpace, QnSpace
 from .lattice import cover_interval, cover_range, d_of, precedes, shrink_cover
@@ -27,19 +27,12 @@ F = Fraction
 
 
 def _check_exact_kernel() -> str | None:
-    i, j = RatInterval(F(0), F(1)), RatInterval(F(2), F(3))
-    if interval_combine(i, j, "sum") != RatInterval(F(2), F(4)):
-        return "interval sum"
-    if interval_combine(i, j, "join") != RatInterval(F(2), F(3)):
-        return "interval join"
-    if interval_distance(i, j) != 1 or interval_distance(j, i) != 1:
-        return "interval distance"
-    if interval_distance(RatInterval(F(0), F(2)), RatInterval(F(1), F(3))) != 0:
-        return "overlapping distance"
-    if round_dyadic(F(1, 3), 3, "down") != F(1, 4):
-        return "round down"
-    if round_dyadic(F(1, 3), 3, "up") != F(3, 8):
-        return "round up"
+    # width 1/2 over (0, 1): cells (0, 1/2), (1/4, 3/4), (1/2, 1), over 4
+    full = [(F(0), F(1))]
+    if interval_grid_window(F(0), F(1), F(1, 2), full) != (4, [(0, 0, 2), (1, 1, 3), (2, 2, 4)]):
+        return "grid window"
+    if interval_grid_window(F(0), F(1), F(1, 2), full, (F(3, 4), F(1))) != (4, [(2, 2, 4)]):
+        return "grid window clipped"
     if not psd_check(RationalMatrix.from_rows([[2, 1], [1, 2]])):
         return "psd accept"
     if psd_check(RationalMatrix.from_rows([[1, 2], [2, 1]])):
@@ -266,10 +259,10 @@ def _check_herm_irrational() -> str | None:
     return None
 
 
-def _check_deep_formula_net() -> str | None:
+def _check_deep_join_chain() -> str | None:
     # a left-folded join chain deeper than the interpreter's recursion
     # limit: nets and points key their state by element, so hashing and
-    # evaluating the chain must not recurse per formula level
+    # evaluating the chain must not recurse per join
     depth = sys.getrecursionlimit() + 100
     m = RationalMatrix.from_rows([[1, 0], [0, -2]])
     space = HermSpace([m])
@@ -392,7 +385,7 @@ CHECKS_FULL: list[tuple[str, CheckFn]] = CHECKS_QUICK + [
     ("stone-yosida", _check_stone_yosida),
     ("herm-irrational", _check_herm_irrational),
     ("net-history", _check_net_history),
-    ("deep-formula-net", _check_deep_formula_net),
+    ("deep-join-chain", _check_deep_join_chain),
     ("sqrt-oracle", _check_sqrt_oracle),
     ("gelfand", _check_gelfand),
     ("representation-contract", _check_representation_contract),

@@ -111,8 +111,16 @@ def matmul(a: Mat, b: Mat) -> list[list[Fraction]]:
     return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
+def matadd(a: Mat, b: Mat) -> list[list[Fraction]]:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def matsub(a: Mat, b: Mat) -> list[list[Fraction]]:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def matscale(c: Fraction, a: Mat) -> list[list[Fraction]]:
+    return [[c * x for x in row] for row in a]
 
 
 def transpose(a: Mat) -> list[list[Fraction]]:

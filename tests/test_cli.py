@@ -308,8 +308,8 @@ class TestSelftest:
         assert selftest._check_herm_irrational() is None
         assert ("net-history", selftest._check_net_history) in selftest.CHECKS_FULL
         assert selftest._check_net_history() is None
-        assert ("deep-formula-net", selftest._check_deep_formula_net) in selftest.CHECKS_FULL
-        assert selftest._check_deep_formula_net() is None
+        assert ("deep-join-chain", selftest._check_deep_join_chain) in selftest.CHECKS_FULL
+        assert selftest._check_deep_join_chain() is None
 
     def test_bad_level(self, capsys):
         code, _ = run_json(capsys, "selftest", "sideways")

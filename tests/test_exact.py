@@ -10,13 +10,10 @@ from rieszspec.exact import (
     RatInterval,
     RationalMatrix,
     format_rational,
-    interval_combine,
-    interval_distance,
     interval_grid_window,
     invert,
     parse_rational,
     psd_check,
-    round_dyadic,
 )
 
 import oracles
@@ -48,30 +45,26 @@ class TestParseRational:
 
 
 class TestRoundDyadic:
+    """The oracles' grid rounding, which the majorant checks rely on."""
+
     def test_down_below_up_above(self):
         rng = random.Random(1)
         for _ in range(300):
             q = F(rng.randint(-4000, 4000), rng.randint(1, 64))
             k = rng.randint(0, 12)
-            lo = round_dyadic(q, k, "down")
-            hi = round_dyadic(q, k, "up")
+            lo = oracles._round_grid(q, k, False)
+            hi = oracles._round_grid(q, k, True)
             assert lo <= q <= hi
             assert hi - lo <= F(1, 1 << k)
             assert (lo * (1 << k)).denominator == 1
             assert (hi * (1 << k)).denominator == 1
 
     def test_exact_on_grid(self):
-        assert round_dyadic(F(3, 8), 3, "down") == F(3, 8)
-        assert round_dyadic(F(3, 8), 3, "up") == F(3, 8)
-        assert round_dyadic(F(3, 8), 2, "down") == F(1, 4)
-        assert round_dyadic(F(3, 8), 2, "up") == F(1, 2)
-        assert round_dyadic(F(-3, 8), 2, "down") == F(-1, 2)
-
-    def test_rejects(self):
-        with pytest.raises(ValueError):
-            round_dyadic(F(1), -1)
-        with pytest.raises(ValueError):
-            round_dyadic(F(1), 2, "nearest")
+        assert oracles._round_grid(F(3, 8), 3, False) == F(3, 8)
+        assert oracles._round_grid(F(3, 8), 3, True) == F(3, 8)
+        assert oracles._round_grid(F(3, 8), 2, False) == F(1, 4)
+        assert oracles._round_grid(F(3, 8), 2, True) == F(1, 2)
+        assert oracles._round_grid(F(-3, 8), 2, False) == F(-1, 2)
 
 
 class TestRatInterval:
@@ -94,19 +87,6 @@ class TestRatInterval:
         assert not (a.lo < b.hi and b.lo < a.hi)  # touching ones do not
         assert a.lo < c.hi and c.lo < a.hi
         assert c.lo < b.hi and b.lo < c.hi
-
-    def test_combine_and_distance(self):
-        a = RatInterval(F(0), F(1))
-        b = RatInterval(F(2), F(4))
-        s = interval_combine(a, b, "sum")
-        assert (s.lo, s.hi) == (F(2), F(5))
-        j = interval_combine(a, b, "join")
-        assert (j.lo, j.hi) == (F(2), F(4))
-        assert interval_distance(a, b) == F(1)
-        assert interval_distance(b, a) == F(1)
-        assert interval_distance(a, RatInterval(F(1, 2), F(3))) == 0
-        with pytest.raises(ValueError):
-            interval_combine(a, b, "meet")
 
 
 def _window(p, q, w, ranges, window=None):
@@ -213,14 +193,13 @@ class TestRationalMatrix:
     def test_algebra_ops(self):
         a = RationalMatrix.from_rows([[F(1), F(2)], [F(3), F(4)]])
         b = RationalMatrix.identity(2)
-        assert (a + b).get(0, 0) == F(2)
+        assert (a + b).entries[0][0] == F(2)
         assert (a - a).is_zero()
         assert (a @ b).entries == a.entries
-        assert a.scale(F(1, 2)).get(1, 0) == F(3, 2)
-        assert (-a).get(0, 1) == F(-2)
-        assert a.transpose().get(0, 1) == F(3)
-        assert a.trace() == F(5)
-        assert RationalMatrix.diagonal([F(1), F(2)]).get(1, 1) == F(2)
+        assert a.scale(F(1, 2)).entries[1][0] == F(3, 2)
+        assert (-a).entries[0][1] == F(-2)
+        assert a.transpose().entries[0][1] == F(3)
+        assert RationalMatrix.diagonal([F(1), F(2)]).entries[1][1] == F(2)
 
     def test_commutator(self):
         a = RationalMatrix.from_rows([[F(0), F(1)], [F(1), F(0)]])
@@ -365,14 +344,43 @@ class TestIntegerKernels:
         assert got == psd_by_minors(rows)
         assert got == oracles.psd_check_fraction(rows)
 
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 5))
-    def test_matmul_against_fraction_rows(self, data, n):
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5), c=_entry, k=st.integers(-6, 6).filter(bool))
+    def test_operators_against_fraction_rows(self, data, n, c, k):
         a = _square(data.draw, n)
         b = _square(data.draw, n)
         ma, mb = RationalMatrix.from_rows(a), RationalMatrix.from_rows(b)
-        assert (ma @ mb).entries == tuple(map(tuple, oracles.matmul(a, b)))
-        assert (ma @ ma).entries == tuple(map(tuple, oracles.matmul(a, a)))
+
+        def same(m, rows):
+            # the canonical form, the reference's entries, and the same
+            # value and hash as the matrix built from those entries
+            assert m.den > 0 and math.gcd(m.den, *(x for r in m.rows for x in r)) == 1
+            assert m.entries == tuple(map(tuple, rows))
+            ref = RationalMatrix.from_rows(rows)
+            assert m == ref and hash(m) == hash(ref)
+
+        same(ma, a)
+        same(ma + mb, oracles.matadd(a, b))
+        same(ma - mb, oracles.matsub(a, b))
+        same(-ma, oracles.matscale(F(-1), a))
+        same(ma.scale(c), oracles.matscale(c, a))
+        same(ma @ mb, oracles.matmul(a, b))
+        same(ma @ ma, oracles.matmul(a, a))
+        same(ma.transpose(), oracles.transpose(a))
+        # the constructor takes any integer form, a negative den included
+        same(RationalMatrix([[k * x for x in r] for r in ma.rows], k * ma.den), a)
+        # one matrix by several routes
+        double = oracles.matscale(F(2), a)
+        for m in (ma.scale(2), ma + ma, ma @ RationalMatrix.identity(n).scale(2), -(-ma - ma)):
+            same(m, double)
+        assert ma.is_symmetric() == (a == oracles.transpose(a))
+        assert ma.is_zero() == all(v == 0 for r in a for v in r)
+        assert (ma - ma).is_zero()
+        assert ma.row_sum_bound() == max(sum(abs(v) for v in r) for r in a)
+        assert ma.to_json() == {"dim": n, "entries": [[str(v) for v in r] for r in a]}
+        sym = oracles.matadd(a, oracles.transpose(a))
+        msym = RationalMatrix.from_rows(sym)
+        assert msym.is_symmetric() and psd_check(msym) == oracles.psd_check_fraction(sym)
 
 
 class TestKernelInvert:

@@ -135,3 +135,21 @@ def test_import_scan_sees_local_and_relative_imports():
         "from .. import spectrum\n"
     )
     assert _imported_modules(tree) == {"exact", "falgebra", "lattice", "spectrum"}
+
+
+def test_only_exact_knows_the_matrix_format():
+    # a RationalMatrix is integer rows over one canonical denominator; other
+    # modules read rows and den and build through the constructor, so the
+    # only private name of exact they take is the shared psd core
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "exact.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.ImportFrom) and (n.module or "").rsplit(".", 1)[-1] == "exact":
+                found += [
+                    f"{path.relative_to(SRC).as_posix()}:{a.name}"
+                    for a in n.names
+                    if a.name.startswith("_") and a.name != "_psd_integer"
+                ]
+    assert found == []

@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from rieszspec.exact import RationalMatrix, psd_check, round_dyadic
+from rieszspec.exact import RationalMatrix, psd_check
 from rieszspec import falgebra
 from rieszspec.falgebra import (
     _sqrt_core,
@@ -128,7 +128,7 @@ class TestSqrtPsd:
                 n += 1
             r = F(0)
             for _ in range(n):
-                r = round_dyadic((1 + r * r) / 2, 64, "down")
+                r = oracles._round_grid((1 + r * r) / 2, 64, False)
             assert 1 - r <= e
 
     def test_zero_matrix(self):
@@ -830,6 +830,18 @@ class TestKernelsFailClosed:
         alg._table[(1, 1)] = (0, 0)
         with pytest.raises(CertificateError, match="failed to certify within"):
             sqrt_psd(a, F(1, 64))
+
+    def test_diverging_iterate_fails_at_its_majorant(self):
+        # a doubled I*I entry makes the iterates grow past r_n * I, their
+        # bits doubling each step; the majorant test stops them at once
+        hs = _space([[1, 0], [0, 4]])
+        a = _elem(hs, [[1, 0], [0, 4]])
+        alg = hs.algebra
+        alg._table[(0, 0)] = tuple(2 * c for c in alg._table[(0, 0)])
+        t0 = time.perf_counter()
+        with pytest.raises(CertificateError, match="exceeds its majorant"):
+            sqrt_psd(a, F(1, 64))
+        assert time.perf_counter() - t0 < 1
 
     def test_one_wrong_square_fails_the_identity(self, monkeypatch):
         hs = _space([[F(1, 3), F(1, 5)], [F(1, 5), F(1, 2)]])

@@ -128,7 +128,8 @@ class TestIntegerAlgebraAgainstFractionOracle:
         gens, n = fam
         alg = CommutingAlgebra([_mat(g) for g in gens], dim=n)
         ref = oracles.FractionAlgebra(gens, n)
-        assert [b.entries for b in alg._basis] == [tuple(map(tuple, b)) for b in ref.basis]
+        basis = [alg.mat_of([int(i == k) for i in range(alg.size)]) for k in range(alg.size)]
+        assert [b.entries for b in basis] == [tuple(map(tuple, b)) for b in ref.basis]
         assert {
             key: tuple(F(x, alg.table_den) for x in t) for key, t in alg._table.items()
         } == ref.table
