@@ -335,7 +335,7 @@ def sum_of_squares(a: HermElement, tol: Rational, max_iter: int = 64) -> SumOfSq
     integer matrix over one denominator, a step is A <- A*D - A*A and
     D <- D**2 with the common content of D and A divided out, so the
     denominators square and their bits about double at every step.  Keep
-    tolerances modest; ROADMAP item 2(a) plans a bit budget.  The stopping
+    tolerances modest; ROADMAP item 1(a) plans a bit budget.  The stopping
     test tol * I - M >= 0 is the integer test tol_num * D * I - tol_den * A
     >= 0.  The identity a = sum of squares + remainder is checked again
     from squares taken afresh, over one common denominator, and a

@@ -80,14 +80,10 @@ from ..polyroots import (
     Poly,
     count_roots,
     isolate_real_roots,
-    poly_add,
     poly_eval,
     poly_eval_interval,
     poly_gcd,
     poly_interpolate,
-    poly_normalize,
-    poly_scale,
-    poly_sub,
     refine_root,
 )
 from ..riesz import (
@@ -115,16 +111,12 @@ def _as_matrix(m: RationalMatrix | Sequence[Sequence[object]]) -> RationalMatrix
 Value = Poly | Fraction
 
 
-def _plus(x: Value, y: Value) -> Value:
-    return x + y if isinstance(x, Fraction) else poly_add(x, y)
-
-
 def _shift(x: Value, c: Fraction) -> Value:
-    return x + c if isinstance(x, Fraction) else poly_add(x, (c,))
+    return x + c if isinstance(x, Fraction) else x + Poly.from_coeffs([c])
 
 
 def _times(c: Rational, x: Value) -> Value:
-    return c * x if isinstance(x, Fraction) else poly_scale(c, x)
+    return c * x if isinstance(x, Fraction) else x.scale(c)
 
 
 def _cmp(alg: "CommutingAlgebra", x: Value, y: Value | Rational, j: int) -> int:
@@ -134,8 +126,8 @@ def _cmp(alg: "CommutingAlgebra", x: Value, y: Value | Rational, j: int) -> int:
     """
     if isinstance(x, Fraction):
         return (x > y) - (x < y)
-    if isinstance(y, tuple):
-        x, y = poly_sub(x, y), 0
+    if isinstance(y, Poly):
+        x, y = x - y, 0
     return alg.value_sign(x, y, j)
 
 
@@ -350,7 +342,7 @@ class CommutingAlgebra:
         for t in range(64):
             sep = RationalMatrix(self.combine([(t + 1) ** k for k in range(s)]), self.basis_den)
             mp, krylov = self._krylov_of([x for row in sep.rows for x in row], sep.den)
-            if len(mp) - 1 == s:
+            if len(mp.nums) - 1 == s:
                 break
         else:  # pragma: no cover - generic weights always separate
             raise ValueError("no separating combination found in the algebra")
@@ -366,10 +358,9 @@ class CommutingAlgebra:
         self._deep: list[tuple[int, int, Fraction, Fraction]] = [
             (0, 0, Fraction(a, d), Fraction(a + w, d)) for a, w, d in roots
         ]
-        # leading coefficient of the primitive integer minimal polynomial:
-        # every rational root has a denominator dividing it
-        den = math.lcm(*(c.denominator for c in self._minpoly))
-        self._lead = den // math.gcd(*(int(c * den) for c in self._minpoly))
+        # leading coefficient of the primitive integer minimal polynomial,
+        # which is monic: every rational root has a denominator dividing it
+        self._lead = self._minpoly.den
 
     def _krylov_of(
         self, g: list[int], den: int
@@ -395,7 +386,7 @@ class CommutingAlgebra:
             v = _reduce(rows, v, 1)[0]
             piv = next((i for i, x in enumerate(v[:s]) if x), None)
             if piv is None:
-                return tuple(Fraction(x, v[s + k]) for x in v[s : s + k + 1]), rows
+                return Poly(v[s : s + k + 1], v[s + k]), rows
             rows.append((_row(v, piv), piv))
             power, pden, k = _matmul(power, g, d), pden * den, k + 1
 
@@ -419,7 +410,7 @@ class CommutingAlgebra:
         s = self.size
         v, cden = _integers(coords)
         v, sn, sd = _reduce(self._krylov, v + [0] * (s + 1), cden)
-        q = poly_normalize([Fraction(-sn * x, sd) for x in v[s : 2 * s]])
+        q = Poly([-sn * x for x in v[s : 2 * s]], sd)
         if len(self._vpoly) >= _VPOLY_CAP:
             del self._vpoly[next(iter(self._vpoly))]
         self._vpoly[m] = q
@@ -522,13 +513,13 @@ class CommutingAlgebra:
             return (v > 0) - (v < 0)
         k = max(self._deep[j][0], self._depth(j, Fraction(1, 4)))
         lo, hi = self._node(j, k)
-        d = poly_sub(q, (c,))
+        d = q + Poly.from_coeffs([-c])
         vlo, vhi = poly_eval_interval(d, lo, hi)
         if vlo <= 0 <= vhi:
-            if not d:
+            if not d.nums:
                 return 0
             g = poly_gcd(self._minpoly, d)
-            if len(g) > 1 and count_roots(g, lo, hi) >= 1:
+            if len(g.nums) > 1 and count_roots(g, lo, hi) >= 1:
                 return 0
             while vlo <= 0 <= vhi:
                 k += 2
@@ -610,8 +601,8 @@ class HermSpace(RieszSpace):
             return HermElement(self, a.matrix + b.matrix, a.err + b.err)
         vals = []
         for (alo, ahi), (blo, bhi) in zip(self._values(a), self._values(b)):
-            lo = _plus(alo, blo)
-            vals.append((lo, lo if alo is ahi and blo is bhi else _plus(ahi, bhi)))
+            lo = alo + blo
+            vals.append((lo, lo if alo is ahi and blo is bhi else ahi + bhi))
         return HermElement(self, None, a.err + b.err, tuple(vals))
 
     def scale(self, c: Rational, a: HermElement) -> HermElement:
@@ -674,7 +665,7 @@ class HermSpace(RieszSpace):
             # depth(x) = min(x - p, q - x) is a tent peaking at m = (p + q)/2:
             # over [blo, bhi] its least value is at the end farther from m,
             # its greatest at the end nearer m, or m itself when inside
-            left = _cmp(alg, _plus(blo, bhi), p + q, j) <= 0
+            left = _cmp(alg, blo + bhi, p + q, j) <= 0
             lo = _shift(blo, -p) if left else _shift(_times(-1, bhi), q)
             if blo is bhi:
                 hi = lo
@@ -683,7 +674,7 @@ class HermSpace(RieszSpace):
             elif not left and _cmp(alg, _times(2, blo), p + q, j) >= 0:
                 hi = _shift(_times(-1, blo), q)
             else:
-                hi = (q - p) / 2 if isinstance(blo, Fraction) else ((q - p) / 2,)
+                hi = (q - p) / 2 if isinstance(blo, Fraction) else Poly.from_coeffs([(q - p) / 2])
             vals.append((lo, hi))
         return HermElement(self, None, a.err, tuple(vals))
 
@@ -873,15 +864,16 @@ class HermSpace(RieszSpace):
                 else:
                     d = max(
                         d,
-                        alg.value_interval(poly_sub(p, lo), j, w)[1],
-                        alg.value_interval(poly_sub(hi, p), j, w)[1],
+                        alg.value_interval(p - lo, j, w)[1],
+                        alg.value_interval(hi - p, j, w)[1],
                     )
             if d <= e.err + tol / 2:
+                # p(G) = (sum_i nums[i] * G**i) / den
                 eye = RationalMatrix.identity(self.dim)
                 m = RationalMatrix.zeros(self.dim)
-                for c in reversed(p):
+                for c in reversed(p.nums):
                     m = m @ alg._sep + eye.scale(c)
-                return HermElement(self, m, max(e.err, d))
+                return HermElement(self, m.scale(Fraction(1, p.den)), max(e.err, d))
             w /= 16
         raise ToleranceError(f"materialize did not reach tol {tol} in 64 rounds")
 

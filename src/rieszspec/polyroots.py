@@ -1,6 +1,12 @@
 """Exact real root isolation and sign determination for rational polynomials.
 
-Polynomials are tuples of ``Fraction`` coefficients in ascending order.
+A ``Poly`` is integer coefficients ``nums``, ascending, over one
+denominator ``den`` in canonical form: den > 0, gcd(den, *nums) = 1 and
+no trailing zero, so the zero polynomial is ((), 1) and equal
+polynomials have equal fields and hashes.  The constructor puts any
+integer form into it, ``from_coeffs`` takes ``Fraction`` values, and
+``coeffs`` gives them back; other modules read ``nums`` and ``den``.
+
 Root counting uses Sturm chains, so every answer is an exact rational
 computation: isolation produces disjoint integer boxes holding exactly
 one root each (a box of width 0 marks an exact rational root), and
@@ -9,35 +15,31 @@ enclosure over the root's isolating box first; only when that enclosure
 straddles zero do a gcd test and interval refinement follow, which
 terminate in every case.
 
-Root isolation and refinement decide signs with one integer kernel: the
-sign of p at a/b, b > 0, is the sign of b**n * p(a/b), which homogeneous
-Horner computes from the primitive integer coefficients of p with no
-division.  Isolation and refinement bisect integer endpoints over one
-doubling denominator, so Sturm variation counts and bisection steps build
-no ``Fraction``, and give the boxes and exact-root hits of ``Fraction``
-evaluation.  Sturm chains themselves come from integer
-pseudo-remainders, each scaled by a positive number and made primitive,
-so they are the primitive forms of the rational chain's members.
+Every evaluation is one integer kernel, homogeneous interval Horner on
+``nums`` over a box [a/d, b/d], a point when a = b, with no division:
+values, enclosures and the signs that isolation and refinement test.
+Those bisect integer endpoints over one doubling denominator, so they
+build no ``Fraction`` and give the boxes and exact-root hits of
+``Fraction`` evaluation.  Remainders are integer pseudo-remainders made
+primitive: negated, they are the primitive forms of the Sturm chain's
+members, and the gcd is the last nonzero member of the primitive
+remainder sequence (Collins 1967).
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd as int_gcd, lcm as int_lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
-Poly = tuple[Fraction, ...]
 Box = tuple[int, int, int]
 
 __all__ = [
     "Poly",
     "Box",
-    "poly_normalize",
     "poly_eval",
     "poly_eval_interval",
-    "poly_add",
-    "poly_sub",
-    "poly_scale",
-    "poly_divmod",
     "poly_gcd",
     "poly_interpolate",
     "count_roots",
@@ -46,93 +48,118 @@ __all__ = [
 ]
 
 
-def poly_normalize(p: Sequence[Fraction]) -> Poly:
-    out = [Fraction(c) for c in p]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+@dataclass(frozen=True)
+class Poly:
+    """Immutable polynomial with exact rational coefficients.
+
+    Coefficient i is nums[i] / den, in the canonical form of the module
+    docstring.
+    """
+
+    nums: tuple[int, ...]
+    den: int = 1
+
+    def __post_init__(self) -> None:
+        nums, den = list(self.nums), self.den
+        while nums and not nums[-1]:
+            nums.pop()
+        if den != 1:
+            if den == 0:
+                raise ZeroDivisionError("polynomial denominator is zero")
+            g = int_gcd(den, *nums)
+            if den < 0:
+                g = -g
+            if g != 1:
+                nums, den = [x // g for x in nums], den // g
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def from_coeffs(cls, coeffs: Iterable[Fraction]) -> "Poly":
+        """The polynomial with these ascending coefficients, of any values
+        ``Fraction`` accepts."""
+        fracs = [Fraction(c) for c in coeffs]
+        den = int_lcm(*(c.denominator for c in fracs))
+        return cls([c.numerator * (den // c.denominator) for c in fracs], den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        da, db = self.den, other.den
+        d = int_lcm(da, db)
+        fa, fb = d // da, d // db
+        pairs = zip_longest(self.nums, other.nums, fillvalue=0)
+        return Poly([x * fa + y * fb for x, y in pairs], d)
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        return self + other.scale(-1)
+
+    def scale(self, c: Fraction) -> "Poly":
+        c = Fraction(c)
+        return Poly([c.numerator * x for x in self.nums], c.denominator * self.den)
+
+
+def _horner(nums: Sequence[int], a: int, b: int, d: int) -> tuple[int, int]:
+    """Integers lo <= hi enclosing d**n * sum_i nums[i] * x**i for x in
+    [a/d, b/d], d > 0, a <= b, n = len(nums) - 1; the value when a = b.
+
+    After nums[n] .. nums[k] the accumulator encloses sum_{i >= k}
+    nums[i] * x**(i-k) * d**(n-i).  Scaling by the positive d**(n-k) keeps
+    the order of the candidate products, so the ends are those of interval
+    Horner in ``Fraction`` arithmetic times d**n.
+    """
+    if not nums:
+        return 0, 0
+    lo = hi = nums[-1]
+    pw = 1
+    for c in reversed(nums[:-1]):
+        pw *= d
+        c *= pw
+        if a == b:
+            lo = hi = lo * a + c
+        else:
+            cands = (lo * a, lo * b, hi * a, hi * b)
+            lo, hi = min(cands) + c, max(cands) + c
+    return lo, hi
 
 
 def poly_eval(p: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+    return poly_eval_interval(p, x, x)[0]
 
 
 def poly_eval_interval(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """Interval Horner evaluation: encloses {p(x) : lo <= x <= hi}.
 
-    Runs on integer numerators: the coefficients over their common
-    denominator L and the endpoints over theirs, D.  After k steps the
-    accumulator is an integer interval over L * D**k, and scaling by that
-    positive number keeps the order of the candidate products, so the
-    endpoints equal those of Horner's rule in ``Fraction`` arithmetic.
+    The endpoints over their common denominator D go through the integer
+    kernel, whose ends are over den * D**n: they equal those of Horner's
+    rule in ``Fraction`` arithmetic, and p(lo) twice when lo = hi.
     """
-    if not p:
-        return Fraction(0), Fraction(0)
-    den = int_lcm(*(c.denominator for c in p))
-    nums = [c.numerator * (den // c.denominator) for c in reversed(p)]
     d = int_lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (d // lo.denominator)
     b = hi.numerator * (d // hi.denominator)
-    alo = ahi = nums[0]
-    pw = 1
-    for c in nums[1:]:
-        pw *= d
-        cands = (alo * a, alo * b, ahi * a, ahi * b)
-        alo, ahi = min(cands) + c * pw, max(cands) + c * pw
-    den *= pw
-    return Fraction(alo, den), Fraction(ahi, den)
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return poly_normalize(
-        [
-            (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-            for i in range(n)
-        ]
-    )
-
-
-def poly_sub(a: Poly, b: Poly) -> Poly:
-    return poly_add(a, poly_scale(Fraction(-1), b))
-
-
-def poly_scale(c: Fraction, p: Poly) -> Poly:
-    c = Fraction(c)
-    return poly_normalize([c * v for v in p])
-
-
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    dl = len(b) - 1
-    lead = b[-1]
-    while len(rem) - 1 >= dl and any(rem):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        shift = len(rem) - 1 - dl
-        f = rem[-1] / lead
-        quo[shift] = f
-        for i, c in enumerate(b):
-            rem[shift + i] -= f * c
-        rem.pop()
-    return poly_normalize(quo), poly_normalize(rem)
+    vlo, vhi = _horner(p.nums, a, b, d)
+    den = p.den * d ** max(len(p.nums) - 1, 0)
+    flo = Fraction(vlo, den)
+    return flo, (flo if vlo == vhi else Fraction(vhi, den))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    a, b = poly_normalize(a), poly_normalize(b)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, tuple(map(Fraction, _int_coeffs(r)))
-    if a:
-        a = poly_scale(1 / a[-1], a)  # monic
-    return a
+    """The greatest common divisor of a and b: primitive, with a positive
+    leading coefficient; zero only when both are.
+
+    The primitive remainder sequence: each pseudo-remainder is a positive
+    multiple of the rational remainder and is made primitive, so the last
+    nonzero member is a rational multiple of the gcd.
+    """
+    x, y = _content_free(list(a.nums)), _content_free(list(b.nums))
+    while y:
+        x, y = y, _content_free(_prem(x, y))
+    if x and x[-1] < 0:
+        x = [-c for c in x]
+    return Poly(x)
 
 
 def poly_interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Poly:
@@ -147,29 +174,17 @@ def poly_interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Poly:
     for k in range(1, n):
         for i in range(n - 1, k - 1, -1):
             c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - k])
-    p: list[Fraction] = []
+    p = Poly(())
     for i in range(n - 1, -1, -1):
         # p <- p * (x - x_i) + c_i
-        q = [Fraction(0)] + p
-        for k, v in enumerate(p):
-            q[k] -= xs[i] * v
-        q[0] += c[i]
-        p = q
-    return poly_normalize(p)
+        p = Poly((0,) + p.nums, p.den) - p.scale(xs[i]) + Poly.from_coeffs([c[i]])
+    return p
 
 
 def _content_free(v: list[int]) -> list[int]:
     """v divided by the gcd of its entries, a positive number."""
     g = int_gcd(*v)
     return [x // g for x in v] if g > 1 else v
-
-
-def _int_coeffs(p: Sequence[Fraction]) -> list[int]:
-    """Primitive integer coefficients: p times a positive rational."""
-    if not p:
-        return []
-    den = int_lcm(*(c.denominator for c in p))
-    return _content_free([c.numerator * (den // c.denominator) for c in p])
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
@@ -203,7 +218,7 @@ def _sturm_ints(p: Poly) -> list[list[int]]:
     positive rational, so every sign, and with it every variation count,
     is that of the rational chain.
     """
-    chain = [_int_coeffs(poly_normalize(p))]
+    chain = [_content_free(list(p.nums))]
     if len(chain[0]) > 1:
         chain.append(_content_free([i * c for i, c in enumerate(chain[0])][1:]))
     while len(chain[-1]) > 1:
@@ -214,21 +229,11 @@ def _sturm_ints(p: Poly) -> list[list[int]]:
     return chain
 
 
-def _sign_at(ints: list[int], a: int, b: int) -> int:
-    """Sign of p(a/b) for b > 0, from p's integer coefficients (ascending).
-
-    Homogeneous Horner: after consuming c_n .. c_k the accumulator is
-    sum_{i >= k} c_i a**(i-k) b**(n-i), so at the end it is
-    b**n * p(a/b), which has the sign of p(a/b).
-    """
-    if not ints:
-        return 0
-    acc = ints[-1]
-    pw = 1
-    for c in reversed(ints[:-1]):
-        pw *= b
-        acc = acc * a + c * pw
-    return (acc > 0) - (acc < 0)
+def _sign_at(ints: Sequence[int], a: int, b: int) -> int:
+    """Sign of p(a/b) for b > 0, from integer coefficients of p (ascending)
+    times any positive number: the sign of the Horner kernel's value."""
+    v = _horner(ints, a, a, b)[0]
+    return (v > 0) - (v < 0)
 
 
 def _variations(chain: list[list[int]], a: int, b: int) -> int:
@@ -258,8 +263,7 @@ def isolate_real_roots(p: Poly) -> list[Box]:
     so the boxes are those of the same bisection in ``Fraction``
     arithmetic.
     """
-    p = poly_normalize(p)
-    if len(p) <= 1:
+    if len(p.nums) <= 1:
         return []
     chain = _sturm_ints(p)
     ip = chain[0]
@@ -314,7 +318,7 @@ def refine_root(
     """
     if lo == hi:
         return lo, hi
-    ints = _int_coeffs(p)
+    ints = p.nums
     width = Fraction(width)
     wn, wd = width.numerator, width.denominator
     d = int_lcm(lo.denominator, hi.denominator)

@@ -7,8 +7,9 @@ grid is a plain stepping loop, and element files load through the
 package's own ``attach``.  The rational elimination psd test, the Sturm
 chain, isolation and bisection in ``Fraction`` arithmetic, and the
 ``Fraction`` elimination that builds a commuting algebra are the
-routines the package ran before its integer kernels, and so are the
-piecewise linear ``in_interval`` and cell bound with ``Fraction``
+routines the package ran before its integer kernels, and so are
+``Fraction`` coefficient polynomials with their long division and
+Euclid's gcd, the piecewise linear ``in_interval`` and cell bound with ``Fraction``
 midpoints and the Qn operations on ``Fraction`` coordinates.  The
 three-join cover route is the one the package ran before it joined each
 cover once, and the point evaluation that queries every grid cell is
@@ -32,12 +33,6 @@ import sympy
 from rieszspec.exact import RatInterval
 from rieszspec.instances.pl import PLElement, _canonical, _line, _reduced
 from rieszspec.lattice import cover_range
-from rieszspec.polyroots import (
-    poly_divmod,
-    poly_eval,
-    poly_normalize,
-    poly_scale,
-)
 from rieszspec.riesz import norm_cut
 from rieszspec.serialize import attach, space_for
 from rieszspec.spectrum import StoneYosidaReport, epsilon_net
@@ -383,6 +378,52 @@ def pl_value(points: Sequence[tuple[Fraction, Fraction]], x: Fraction) -> Fracti
     raise ValueError("argument outside the breakpoints")
 
 
+# ----- polynomials as Fraction coefficient tuples ----------------------
+
+
+def poly_normalize(p: Sequence) -> tuple[Fraction, ...]:
+    """Ascending Fraction coefficients with trailing zeros stripped; the
+    zero polynomial is ()."""
+    out = [Fraction(c) for c in p]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def poly_divmod(a, b) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Quotient and remainder of long division in Fraction arithmetic."""
+    a, b = poly_normalize(a), poly_normalize(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(rem) >= len(b):
+        f = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quo[shift] = f
+        for i, c in enumerate(b):
+            rem[shift + i] -= f * c
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return poly_normalize(quo), tuple(rem)
+
+
+def poly_gcd_fraction(a, b) -> tuple[Fraction, ...]:
+    """Monic gcd by Euclid's algorithm on Fraction remainders."""
+    a, b = poly_normalize(a), poly_normalize(b)
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a) if a else a
+
+
 # ----- Sturm isolation and bisection in Fraction arithmetic -----------
 
 
@@ -405,8 +446,7 @@ def sturm_chain_fraction(p):
     if d:
         chain.append(_primitive_fraction(d))
     while len(chain[-1]) > 1:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        r = poly_scale(Fraction(-1), r)
+        r = tuple(-c for c in poly_divmod(chain[-2], chain[-1])[1])
         if not r:
             break
         chain.append(_primitive_fraction(r))

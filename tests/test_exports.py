@@ -8,6 +8,8 @@ re-export in a package's ``__init__.py`` only publish it.  Defining the
 same name again does not count either: an interface method that only
 instances implement and nothing calls is unused too.  A name that only
 tests use is an export nothing needs, and is removed rather than kept.
+The same scan without ``selftest.py`` flags only the names listed as
+public by design.
 """
 from __future__ import annotations
 
@@ -61,10 +63,12 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
-def unused_definitions(root: Path = SRC) -> list[str]:
+def unused_definitions(root: Path = SRC, skip: str = "") -> list[str]:
+    """The definitions nothing in root names, every file but skip read."""
     trees = {
-        p.relative_to(root).as_posix(): ast.parse(p.read_text(), str(p))
+        rel: ast.parse(p.read_text(), str(p))
         for p in sorted(root.rglob("*.py"))
+        if (rel := p.relative_to(root).as_posix()) != skip
     }
     counts: dict[str, int] = {}
     for path, tree in trees.items():
@@ -81,6 +85,29 @@ def unused_definitions(root: Path = SRC) -> list[str]:
 
 def test_every_definition_is_used_in_src():
     assert unused_definitions() == []
+
+
+# Public by design, though in src/ only selftest calls them.  The first
+# six are the paper's API, each with an acceptance criterion.  The
+# sampling generators and the family's sqrt_of oracle draw the inputs of
+# selftest and of the tests; the benchmark does not use them, as
+# bench/inputs.py has its own generator and imports nothing of the package.
+PUBLIC_FOR_SELFTEST = [
+    "falgebra.py:product_positive",
+    "lattice.py:LatticeElement.is_bottom",
+    "lattice.py:LatticeElement.is_top",
+    "lattice.py:d_of",
+    "riesz.py:decompose",
+    "sampling.py:CommutingFamily.sqrt_of",
+    "sampling.py:rand_diagonal_family",
+    "sampling.py:rand_pl",
+    "sampling.py:rand_qn",
+    "spectrum.py:stone_yosida_check",
+]
+
+
+def test_only_public_names_live_by_selftest_alone():
+    assert sorted(unused_definitions(skip="selftest.py")) == PUBLIC_FOR_SELFTEST
 
 
 def test_a_definition_named_only_by_itself_is_flagged(tmp_path):
@@ -137,19 +164,18 @@ def test_import_scan_sees_local_and_relative_imports():
     assert _imported_modules(tree) == {"exact", "falgebra", "lattice", "spectrum"}
 
 
-def test_only_exact_knows_the_matrix_format():
-    # a RationalMatrix is integer rows over one canonical denominator; other
-    # modules read rows and den and build through the constructor, so the
-    # only private name of exact they take is the shared psd core
+def test_no_module_imports_a_private_name():
+    # each module owns its formats and kernels: a RationalMatrix or a Poly
+    # is read through its fields and built through its constructors, so
+    # _sturm_ints, _sign_at and _prem stay in polyroots; the one private
+    # name shared is exact's psd core
     found = []
     for path in sorted(SRC.rglob("*.py")):
-        if path.name == "exact.py":
-            continue
         for n in ast.walk(ast.parse(path.read_text())):
-            if isinstance(n, ast.ImportFrom) and (n.module or "").rsplit(".", 1)[-1] == "exact":
+            if isinstance(n, ast.ImportFrom):
                 found += [
-                    f"{path.relative_to(SRC).as_posix()}:{a.name}"
+                    f"{path.relative_to(SRC).as_posix()}:{n.module}.{a.name}"
                     for a in n.names
-                    if a.name.startswith("_") and a.name != "_psd_integer"
+                    if a.name.startswith("_") and not a.name.startswith("__")
                 ]
-    assert found == []
+    assert found == ["falgebra.py:exact._psd_integer"]

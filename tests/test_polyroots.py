@@ -1,7 +1,13 @@
-"""Sturm chain real root isolation, cross checked against sympy."""
+"""Sturm chain real root isolation, cross checked against sympy.
+
+Test polynomials are ``Fraction`` coefficient tuples, the oracles' form;
+``P`` builds the package's ``Poly`` from one, and package results are
+read back through ``coeffs``.
+"""
 from fractions import Fraction as F
 import math
 import random
+from itertools import zip_longest
 
 import pytest
 import sympy
@@ -9,27 +15,28 @@ from hypothesis import given, settings, strategies as st
 
 from rieszspec import polyroots
 from rieszspec.polyroots import (
+    Poly,
     count_roots,
     isolate_real_roots,
-    poly_divmod,
     poly_eval,
     poly_eval_interval,
     poly_gcd,
-    poly_normalize,
     refine_root,
 )
 
 import oracles
 
+P = Poly.from_coeffs
+
 
 def _boxes(p):
     """The isolating boxes of p as (lo, hi) pairs of Fractions."""
-    return [(F(a, d), F(a + w, d)) for a, w, d in isolate_real_roots(p)]
+    return [(F(a, d), F(a + w, d)) for a, w, d in isolate_real_roots(P(p))]
 
 
 def _chain(p):
     """The integer Sturm chain of p as Fraction tuples, the oracle's form."""
-    return [tuple(map(F, q)) for q in polyroots._sturm_ints(p)]
+    return [tuple(map(F, q)) for q in polyroots._sturm_ints(P(p))]
 
 
 def _to_sympy(p):
@@ -41,51 +48,29 @@ def _rand_poly(rng, deg, lo=-5, hi=5):
     while True:
         p = [F(rng.randint(lo, hi), rng.choice([1, 2])) for _ in range(deg + 1)]
         if p[-1] != 0:
-            return poly_normalize(p)
+            return oracles.poly_normalize(p)
 
 
 class TestPolyBasics:
     def test_normalize_strips_zeros(self):
-        assert poly_normalize([F(1), F(2), F(0), F(0)]) == (F(1), F(2))
-        assert poly_normalize([F(0)]) == ()  # the zero polynomial is empty
+        assert P([F(1), F(2), F(0), F(0)]).coeffs == (F(1), F(2))
+        assert P([F(0)]) == Poly((), 1)  # the zero polynomial is empty
+        assert P([F(0)]).coeffs == ()
 
     def test_eval(self):
-        p = (F(-2), F(0), F(1))  # x^2 - 2
+        p = P((F(-2), F(0), F(1)))  # x^2 - 2
         assert poly_eval(p, F(2)) == F(2)
         assert poly_eval(p, F(0)) == F(-2)
 
-    def test_divmod_identity(self):
-        rng = random.Random(10)
-        for _ in range(80):
-            a = _rand_poly(rng, rng.randint(0, 5))
-            b = _rand_poly(rng, rng.randint(0, 3))
-            if all(c == 0 for c in b):
-                continue
-            q, r = poly_divmod(a, b)
-            lhs = poly_normalize(a)
-            # a == q*b + r, deg r < deg b
-            prod = [F(0)] * (len(q) + len(b))
-            for i, qc in enumerate(q):
-                for j, bc in enumerate(b):
-                    prod[i + j] += qc * bc
-            recon = [F(0)] * max(len(prod), len(r))
-            for i, c in enumerate(prod):
-                recon[i] += c
-            for i, c in enumerate(r):
-                recon[i] += c
-            assert poly_normalize(recon) == lhs
-            if oracles.poly_degree(b) > 0:
-                assert oracles.poly_degree(r) < oracles.poly_degree(b) or r == (F(0),)
-
     def test_gcd_divides_both(self):
         # (x-1)(x+2) and (x-1)(x-3) share exactly (x-1)
-        a = (F(-2), F(1), F(1))
-        b = (F(3), F(-4), F(1))
+        a = P((F(-2), F(1), F(1)))
+        b = P((F(3), F(-4), F(1)))
         g = poly_gcd(a, b)
-        assert oracles.poly_degree(g) == 1
+        assert oracles.poly_degree(g.coeffs) == 1
         assert poly_eval(g, F(1)) == 0
-        # coprime pair gives the monic unit
-        assert poly_gcd((F(-2), F(-1), F(1)), b) == (F(1),)
+        # coprime pair gives the unit
+        assert poly_gcd(P((F(-2), F(-1), F(1))), b).coeffs == (F(1),)
 
     def test_interval_horner_encloses(self):
         rng = random.Random(11)
@@ -93,10 +78,10 @@ class TestPolyBasics:
             p = _rand_poly(rng, rng.randint(0, 5))
             lo = F(rng.randint(-8, 8), 4)
             hi = lo + F(rng.randint(0, 8), 4)
-            alo, ahi = poly_eval_interval(p, lo, hi)
+            alo, ahi = poly_eval_interval(P(p), lo, hi)
             for j in range(5):
                 x = lo + (hi - lo) * F(j, 4)
-                assert alo <= poly_eval(p, x) <= ahi
+                assert alo <= oracles.poly_eval(p, x) <= ahi
 
 
 _fractions = st.fractions(max_denominator=1 << 12).filter(lambda x: abs(x) < 64)
@@ -113,7 +98,7 @@ class TestIntegerHorner:
     )
     def test_same_endpoints_as_fraction_horner(self, p, lo, width):
         hi = lo + width
-        got = poly_eval_interval(tuple(p), lo, hi)
+        got = poly_eval_interval(P(p), lo, hi)
         want = oracles.poly_eval_interval_fraction(p, lo, hi)
         assert got == want
         assert all(isinstance(v, F) for v in got)
@@ -134,7 +119,7 @@ class TestCauchyBound:
 
 class TestSturm:
     def test_count_known(self):
-        p = (F(-2), F(0), F(1))  # roots +-sqrt(2)
+        p = P((F(-2), F(0), F(1)))  # roots +-sqrt(2)
         assert count_roots(p, F(-2), F(2)) == 2
         assert count_roots(p, F(0), F(2)) == 1
         assert count_roots(p, F(3, 2), F(2)) == 0
@@ -171,11 +156,11 @@ class TestSturm:
 
     def test_exact_rational_roots_collapse(self):
         # (x - 1/2)(x + 3) has both roots rational
-        p = poly_normalize([F(-3, 2), F(5, 2), F(1)])
+        p = (F(-3, 2), F(5, 2), F(1))
         boxes = _boxes(p)
         vals = set()
         for lo, hi in boxes:
-            lo, hi = refine_root(p, lo, hi, F(1, 1 << 30))
+            lo, hi = refine_root(P(p), lo, hi, F(1, 1 << 30))
             if lo == hi:
                 vals.add(lo)
         assert vals == {F(1, 2), F(-3)} or len(boxes) == 2
@@ -186,15 +171,15 @@ class TestRefineRoot:
         p = (F(-2), F(0), F(1))
         boxes = _boxes(p)
         for lo, hi in boxes:
-            rlo, rhi = refine_root(p, lo, hi, F(1, 1 << 24))
+            rlo, rhi = refine_root(P(p), lo, hi, F(1, 1 << 24))
             assert rhi - rlo <= F(1, 1 << 24)
             if rlo != rhi:
-                assert poly_eval(p, rlo) * poly_eval(p, rhi) < 0
+                assert oracles.poly_eval(p, rlo) * oracles.poly_eval(p, rhi) < 0
 
     def test_sqrt2_value(self):
         p = (F(-2), F(0), F(1))
         (_, _), (lo, hi) = _boxes(p)
-        lo, hi = refine_root(p, lo, hi, F(1, 1 << 40))
+        lo, hi = refine_root(P(p), lo, hi, F(1, 1 << 40))
         # 2^(1/2) to 40 bits
         assert lo < F(1414213562373095049, 10**18) < hi
 
@@ -236,8 +221,8 @@ class TestIntegerSignKernel:
     @settings(max_examples=200, deadline=None)
     @given(p=st.lists(_fractions, max_size=8), x=_fractions, k=st.integers(1, 5))
     def test_sign_matches_fraction_eval(self, p, x, k):
-        v = poly_eval(tuple(p), x)
-        ints = polyroots._int_coeffs(tuple(p))
+        v = oracles.poly_eval(p, x)
+        ints = P(p).nums
         # unreduced numerator and denominator give the same sign
         got = polyroots._sign_at(ints, k * x.numerator, k * x.denominator)
         assert got == (v > 0) - (v < 0)
@@ -247,9 +232,9 @@ class TestIntegerSignKernel:
     def test_sturm_count_matches_fraction(self, p, a, w):
         chain = oracles.sturm_chain_fraction(p)
         b = a + w + F(1, 3)
-        if poly_eval(p, a) == 0 or poly_eval(p, b) == 0:
+        if oracles.poly_eval(p, a) == 0 or oracles.poly_eval(p, b) == 0:
             return
-        assert count_roots(p, a, b) == oracles.count_roots_fraction(chain, a, b)
+        assert count_roots(P(p), a, b) == oracles.count_roots_fraction(chain, a, b)
 
     @settings(max_examples=100, deadline=None)
     @given(p=_squarefree(), bits=st.integers(0, 60))
@@ -258,7 +243,7 @@ class TestIntegerSignKernel:
         assert boxes == oracles.isolate_real_roots_fraction(p)
         width = F(1, 1 << bits)
         for lo, hi in boxes:
-            assert refine_root(p, lo, hi, width) == oracles.refine_root_fraction(p, lo, hi, width)
+            assert refine_root(P(p), lo, hi, width) == oracles.refine_root_fraction(p, lo, hi, width)
 
 
 @st.composite
@@ -292,7 +277,7 @@ class TestIntegerSturmChain:
     def test_isolation_matches_fraction_bisection(self, p):
         # free, sparse and repeated-root inputs; boxes come reduced
         assert _boxes(p) == oracles.isolate_real_roots_fraction(p)
-        for a, w, d in isolate_real_roots(p):
+        for a, w, d in isolate_real_roots(P(p)):
             assert d > 0 and w >= 0 and math.gcd(a, w, d) == 1
 
     def test_exact_root_boxes_that_must_shrink(self):
@@ -322,12 +307,64 @@ class TestInterpolate:
     )
     def test_passes_through_the_points(self, xs, ys):
         p = polyroots.poly_interpolate(xs, ys[: len(xs)])
-        assert len(p) <= len(xs)
-        assert all(poly_eval(p, x) == y for x, y in zip(xs, ys))
-        assert p == poly_normalize(p)
+        assert len(p.coeffs) <= len(xs)
+        assert all(oracles.poly_eval(p.coeffs, x) == y for x, y in zip(xs, ys))
+        assert p.coeffs == oracles.poly_normalize(p.coeffs)
 
     def test_matches_sympy(self):
         xs, ys = [F(-1), F(1, 2), F(3)], [F(2), F(-1, 3), F(5)]
         x = sympy.Symbol("x")
         want = sympy.Poly(sympy.interpolate(list(zip(xs, ys)), x), x).all_coeffs()[::-1]
-        assert polyroots.poly_interpolate(xs, ys) == tuple(F(str(c)) for c in want)
+        assert polyroots.poly_interpolate(xs, ys).coeffs == tuple(F(str(c)) for c in want)
+
+
+@st.composite
+def _gcd_pair(draw):
+    """Two polynomials with a drawn common factor, so gcds of every degree
+    occur; either may be zero."""
+    common = draw(_any_poly())
+    return _poly_mul(common, draw(_any_poly())), _poly_mul(common, draw(_any_poly()))
+
+
+class TestPolyForm:
+    """Poly operators and kernels against Fraction coefficient tuples."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pair=_gcd_pair(),
+        c=_fractions,
+        x=_fractions,
+        width=_fractions.map(abs),
+        k=st.integers(-6, 6).filter(bool),
+    )
+    def test_operators_against_fraction_coefficients(self, pair, c, x, width, k):
+        a, b = pair
+        pa, pb = P(a), P(b)
+
+        def same(p, coeffs):
+            # the canonical form, the reference's coefficients, and the
+            # same value and hash as the polynomial built from them
+            assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+            assert not p.nums or p.nums[-1]
+            assert p.coeffs == oracles.poly_normalize(coeffs)
+            ref = P(coeffs)
+            assert p == ref and hash(p) == hash(ref)
+
+        same(pa, a)
+        same(pb, b)
+        same(pa + pb, [u + v for u, v in zip_longest(a, b, fillvalue=F(0))])
+        same(pa - pb, [u - v for u, v in zip_longest(a, b, fillvalue=F(0))])
+        same(pa.scale(c), [c * u for u in a])
+        # the constructor takes any integer form, a negative den included
+        same(Poly([k * v for v in pa.nums] + [0] * 2, k * pa.den), a)
+        same(pa - pa, ())
+        assert poly_eval(pa, x) == oracles.poly_eval(a, x)
+        assert poly_eval_interval(pa, x, x + width) == oracles.poly_eval_interval_fraction(
+            a, x, x + width
+        )
+        # the primitive gcd with a positive lead is the monic Euclid gcd
+        # times a positive integer: the same degree and the same roots
+        g = poly_gcd(pa, pb)
+        want = oracles.poly_gcd_fraction(a, b)
+        assert g.den == 1 and (not g.nums or (g.nums[-1] > 0 and math.gcd(*g.nums) == 1))
+        assert tuple(v / g.coeffs[-1] for v in g.coeffs) == want
