@@ -126,8 +126,12 @@ def _run_point(ns, res: dict) -> int:
         res["error"] = "element is not certifiably positive"
         res["bound"] = format_rational(out.bound)
         return 2
+    # sup a > witness and a <= hi - 1, so the constraint's meet has a
+    # supremum above min(witness/2, 1): a floor of a quarter of that lets
+    # point_new read a delta under it
     hi = Fraction(space.unit_bound(a) + 1)
-    pt = point_new(space, [(a, out.witness / 2, hi)])
+    floor = min(out.witness / 2, Fraction(1)) / 4
+    pt = point_new(space, [(a, out.witness / 2, hi)], floor=floor)
     res["margin"] = format_rational(pt.margin)
     res["eval"] = {"input": format_rational(pt.eval(a, eps))}
     res["constraints"] = [

@@ -36,6 +36,7 @@ __all__ = [
     "RenderError",
     "RatInterval",
     "interval_grid_window",
+    "cell_bounds",
     "RationalMatrix",
     "psd_check",
     "invert",
@@ -145,6 +146,35 @@ def interval_grid_window(
             out.append((k, P + k * H, Q if k == count - 1 else P + (k + 2) * H))
         done = max(done, stop)
     return den, out
+
+
+def cell_bounds(
+    ranges: Sequence[tuple[Fraction, Fraction]],
+    den: int,
+    cells: Sequence[tuple[int, int, int]],
+) -> tuple[int, list[int]]:
+    """(S, [B_k]): the tent height of each cell over the ranges, as integers
+    over one denominator S.
+
+    Cell (k, lo, hi) is (lo/den, hi/den), as ``interval_grid_window``
+    returns it.  Its interval element takes the value h - |t - m| where b
+    takes the value t, h the half width and m the midpoint, so wherever b's
+    value lies in one of the closed ranges that element is at most
+    B_k / S = h - (the distance from m to the nearest range).  When the
+    ranges are b's exact image, B_k / S is the element's supremum, and
+    B_k <= 0 says the element is <= 0.  Over S = 2*den*E, E the lcm of the
+    range denominators, m is (lo + hi)*E and h is (hi - lo)*E, so every
+    bound is integer arithmetic.
+    """
+    e = lcm(*(v.denominator for rng in ranges for v in rng))
+    s = 2 * den * e
+    ends = [(u.numerator * (s // u.denominator), v.numerator * (s // v.denominator))
+            for u, v in ranges]
+    bounds = []
+    for _, lo, hi in cells:
+        mid = (lo + hi) * e
+        bounds.append((hi - lo) * e - min(max(u - mid, mid - v, 0) for u, v in ends))
+    return s, bounds
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,7 @@ def _reduce(
     rows: list[tuple[list[int], int]],
     v: list[int],
     den: int,
-    coeffs: list[Fraction] | None = None,
+    coeffs: list[int] | None = None,
 ) -> tuple[list[int], int, int]:
     """Eliminate the vector v / den against echelon rows.
 
@@ -173,24 +173,27 @@ def _reduce(
     piv.  With a = v[piv], the step v <- (p*v - a*r) / g, g the content
     of the new v, clears v at piv in integers and keeps v primitive, so
     its bit size stays bounded.  The vector v / den is tracked as
-    (sn / sd) * v.  Returns (v, sn, sd), and appends to coeffs, if given,
-    the multiple of each row taken away, a Fraction.
+    (sn / sd) * v, and the step takes away a*sn / sd times the row.
+    Returns (v, sn, sd), and appends to coeffs, if given, the multiple of
+    each row taken away, as an integer over the returned sd: sd only gains
+    factors, so the multiple a*sn / sd_i of step i is a*sn * (sd / sd_i).
     """
     sn, sd = 1, den
+    steps: list[tuple[int, int]] = []  # (a*sn, sd) at each step
     for r, piv in rows:
         a = v[piv]
-        if not a:
-            if coeffs is not None:
-                coeffs.append(Fraction(0))
-            continue
         if coeffs is not None:
-            coeffs.append(Fraction(a * sn, sd))
+            steps.append((a * sn, sd))
+        if not a:
+            continue
         p = r[piv]
         v = [p * x - a * y for x, y in zip(v, r)]
         g = math.gcd(*v)
         if g > 1:
             v = [x // g for x in v]
         sn, sd = sn * g, sd * p
+    if coeffs is not None:
+        coeffs.extend(c * (sd // d) for c, d in steps)
     return v, sn, sd
 
 
@@ -265,7 +268,7 @@ class CommutingAlgebra:
 
         # Multiplication table in basis coordinates, over one denominator:
         # basis_i * basis_j = sum_k _table[(i, j)][k] / table_den * basis_k
-        products: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+        products: dict[tuple[int, int], tuple[list[int], int]] = {}
         for i, (ri, pi) in enumerate(self._rows):
             for j in range(i, self.size):
                 rj, pj = self._rows[j]
@@ -273,10 +276,10 @@ class CommutingAlgebra:
                 if coords is None:
                     raise ValueError("algebra closure failed to capture a product")
                 products[(i, j)] = coords
-        self.table_den = math.lcm(*(c.denominator for t in products.values() for c in t))
+        self.table_den = math.lcm(*(d for _, d in products.values()))
         self._table: dict[tuple[int, int], tuple[int, ...]] = {
-            key: tuple(c.numerator * (self.table_den // c.denominator) for c in t)
-            for key, t in products.items()
+            key: tuple(x * (self.table_den // d) for x in nums)
+            for key, (nums, d) in products.items()
         }
 
         # value polynomial per matrix, the oldest dropped past _VPOLY_CAP
@@ -296,16 +299,25 @@ class CommutingAlgebra:
         self._rows.append((_row(v, piv), piv))
         return True
 
-    def _coords(self, v: list[int], den: int) -> tuple[Fraction, ...] | None:
-        """Coordinates of the matrix v / den, flattened, or None if outside the span."""
-        coords: list[Fraction] = []
-        if any(_reduce(self._rows, v, den, coords)[0]):
+    def _coords(self, v: list[int], den: int) -> tuple[list[int], int] | None:
+        """Coordinates of the flattened matrix v / den as integers over one
+        denominator, in lowest terms (gcd 1 with the denominator, which is
+        then the lcm of the coordinates' denominators), or None if v / den
+        lies outside the span."""
+        nums: list[int] = []
+        rest, _, sd = _reduce(self._rows, v, den, nums)
+        if any(rest):
             return None
-        return tuple(coords)
+        g = math.gcd(sd, *nums)
+        return [x // g for x in nums], sd // g
 
     def coords_of(self, m: RationalMatrix) -> tuple[Fraction, ...] | None:
         """Coordinates of m in the reduced basis, or None if outside the span."""
-        return self._coords([x for row in m.rows for x in row], m.den)
+        coords = self._coords([x for row in m.rows for x in row], m.den)
+        if coords is None:
+            return None
+        nums, den = coords
+        return tuple(Fraction(x, den) for x in nums)
 
     def mat_of(self, coords: Sequence[Rational]) -> RationalMatrix:
         v, den = _integers([Fraction(c) for c in coords])
@@ -381,7 +393,7 @@ class CommutingAlgebra:
             coords = self._coords(power, pden)
             if coords is None:
                 raise CertificateError("a power of the separating member left the algebra")
-            v, cden = _integers(coords)
+            v, cden = coords
             v += [cden if i == k else 0 for i in range(s + 1)]
             v = _reduce(rows, v, 1)[0]
             piv = next((i for i, x in enumerate(v[:s]) if x), None)
@@ -404,11 +416,11 @@ class CommutingAlgebra:
         q = self._vpoly.get(m)
         if q is not None:
             return q
-        coords = self.coords_of(m)
+        coords = self._coords([x for row in m.rows for x in row], m.den)
         if coords is None:
             raise SpaceMismatchError("matrix lies outside the generated algebra")
         s = self.size
-        v, cden = _integers(coords)
+        v, cden = coords
         v, sn, sd = _reduce(self._krylov, v + [0] * (s + 1), cden)
         q = Poly([-sn * x for x in v[s : 2 * s]], sd)
         if len(self._vpoly) >= _VPOLY_CAP:

@@ -28,6 +28,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
+from ..exact import cell_bounds
 from ..riesz import LocatedCut, RieszElement, RieszSpace
 
 __all__ = ["PLSpace", "PLElement"]
@@ -337,6 +338,13 @@ class PLSpace(RieszSpace):
         else:
             regions = self.positive_regions(context)
         return [self.range_on(b, u, v) for u, v in regions]
+
+    def cell_sups(
+        self, a: PLElement, den: int, cells: Sequence[tuple[int, int, int]], eps: Fraction
+    ) -> list[Fraction]:
+        """Exact: each cell's tent height over a's image, value_ranges(a)."""
+        s, bounds = cell_bounds(self.value_ranges(a), den, cells)
+        return [Fraction(b, s) for b in bounds]
 
     def dominance_ceiling(self, x: PLElement, y: PLElement) -> Optional[int]:
         """Exact for positive piecewise linear functions.

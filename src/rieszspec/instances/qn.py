@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
+from ..exact import cell_bounds
 from ..riesz import LocatedCut, RieszElement, RieszSpace
 
 __all__ = ["QnSpace", "QnElement"]
@@ -137,6 +138,13 @@ class QnSpace(RieszSpace):
             nums = [x for x, m in zip(nums, context.nums) if m > 0]
         den = b.den
         return [(v, v) for v in (Fraction(x, den) for x in set(nums))]
+
+    def cell_sups(
+        self, a: QnElement, den: int, cells: Sequence[tuple[int, int, int]], eps: Fraction
+    ) -> list[Fraction]:
+        """Exact: each cell's tent height over a's image, value_ranges(a)."""
+        s, bounds = cell_bounds(self.value_ranges(a), den, cells)
+        return [Fraction(b, s) for b in bounds]
 
     def dominance_ceiling(self, x: QnElement, y: QnElement) -> Optional[int]:
         """Exact: x <= N*y for some N iff support(x+) included in support(y)."""

@@ -20,6 +20,12 @@ J - r >= 1/(2n), that is 1 <= 2n * pos(J - r).  a's value ranges only
 choose n, as the power of two at or above 1/min phi over them; a range
 that misses a value of a makes an order test fail closed.
 
+Nets hand the cells over as integer grid cells (k, lo, hi) over one
+denominator, as ``exact.interval_grid_window`` returns them:
+shrink_cells proves r on them as they are, and prune_cover decides each
+one on the space's cell_sups, so neither builds a cell element on Qn or
+PL.
+
 :meth:`CoverCertificate.verify` is the independent re-check: it joins
 the positive parts of its own parts, which by distributivity is pos(J),
 or pos(J - r) for the lowered cells, and replays one order test.  The
@@ -52,6 +58,7 @@ __all__ = [
     "cover_range",
     "grid_cells",
     "cover_interval",
+    "shrink_cells",
     "shrink_cover",
     "prune_cover",
 ]
@@ -300,15 +307,16 @@ def _profile_min(
     return min(map(phi, candidates()), default=0)
 
 
-def shrink_cover(
+def shrink_cells(
     space: RieszSpace,
     a: RieszElement,
-    grid: Sequence[RatInterval],
-    cells: Sequence[RieszElement],
+    den: int,
+    cells: Sequence[tuple[int, int, int]],
     ranges: Sequence[tuple[Fraction, Fraction]],
-) -> ShrinkResult:
-    """Lower the cells in_interval(a, lo_k, hi_k) of the grid by r > 0 with
-    the unit class still covered, with no join.
+) -> tuple[Fraction, int]:
+    """(r, multiplier): the cells in_interval(a, lo/den, hi/den) of the
+    integer grid cells (k, lo, hi) lowered by r > 0 still cover the unit
+    class, proved with no cell built and no join.
 
     m is the minimum of phi over a's value ranges (module docstring), in
     integers over one denominator; n is the least power of two >= 1/m, so
@@ -318,15 +326,14 @@ def shrink_cover(
     ranges that miss a value of a fail one of them.  CertificateError when
     m <= 0 or a test fails, and ToleranceError for an element with an
     error radius, whose lowered cover the join in verify cannot re-check.
-    No cell is lowered until the result's parts are read.
     """
     if not cells:
         raise CertificateError("an empty cover admits no shrink")
     space.require_exact(a)
-    ends = [v for iv in grid for v in (iv.lo, iv.hi)] + [v for rng in ranges for v in rng]
-    s = 2 * lcm(*(v.denominator for v in ends))
-    los = [iv.lo.numerator * (s // iv.lo.denominator) for iv in grid]
-    his = [iv.hi.numerator * (s // iv.hi.denominator) for iv in grid]
+    s = 2 * lcm(den, *(v.denominator for rng in ranges for v in rng))
+    f = s // den
+    los = [lo * f for _, lo, _ in cells]
+    his = [hi * f for _, _, hi in cells]
     m = _profile_min(
         los, his,
         [(u.numerator * (s // u.denominator), v.numerator * (s // v.denominator))
@@ -359,26 +366,61 @@ def shrink_cover(
     )
     if not covered:
         raise CertificateError("shrunken cover failed to verify")
-    return ShrinkResult(Fraction(1, 2 * n), 2 * n, space, tuple(cells))
+    return Fraction(1, 2 * n), 2 * n
+
+
+def shrink_cover(
+    space: RieszSpace,
+    a: RieszElement,
+    grid: Sequence[RatInterval],
+    cells: Sequence[RieszElement],
+    ranges: Sequence[tuple[Fraction, Fraction]],
+) -> ShrinkResult:
+    """Lower the cells in_interval(a, lo_k, hi_k) of the grid by r > 0 with
+    the unit class still covered, with no join.
+
+    The grid is put over one integer denominator and shrink_cells proves
+    r and the multiplier.  No cell is lowered until the result's parts are
+    read.
+    """
+    den = lcm(*(v.denominator for iv in grid for v in (iv.lo, iv.hi)))
+    ints = [
+        (k, iv.lo.numerator * (den // iv.lo.denominator),
+         iv.hi.numerator * (den // iv.hi.denominator))
+        for k, iv in enumerate(grid)
+    ]
+    r, multiplier = shrink_cells(space, a, den, ints, ranges)
+    return ShrinkResult(r, multiplier, space, tuple(cells))
 
 
 def prune_cover(
     space: RieszSpace,
-    cells: Sequence[RieszElement],
+    cells: Sequence,
     r: Rational,
+    a: RieszElement | None = None,
+    den: int = 1,
 ) -> list[tuple[int, Pos]]:
     """(index, answer) of the cells whose positivity at level r is certified.
 
-    Cells answering Below are at most r and can be dropped from a cover
-    shrunk by r without losing any covered point.  The Pos answer of each
-    kept cell is returned with it, so a caller asking the same question
-    again can reuse it.
+    Each cell is decided by pos_or_below's rule on its supremum read at
+    r/4.  cells are elements, each asked one cut query; or, when a is
+    given, a's integer grid cells (k, lo, hi) over den, the elements
+    in_interval(a, lo/den, hi/den), whose readings space.cell_sups gives
+    without building them where it can.  Cells answering Below are at
+    most r and can be dropped from a cover shrunk by r without losing any
+    covered point.  The Pos answer of each kept cell is returned with it,
+    so a caller asking the same question again can reuse it.
     """
-    from .spectrum import Pos, pos_or_below
+    from .spectrum import Pos, pos_or_below_at
 
+    r = Fraction(r)
+    if a is None:
+        sups = [space.sup_cut(c).approx(r / 4) for c in cells]
+    else:
+        sups = space.cell_sups(a, den, cells, r / 4)
     kept = []
-    for k, cell in enumerate(cells):
-        t = pos_or_below(space, cell, r)
+    for k, s in enumerate(sups):
+        t = pos_or_below_at(s, r)
         if isinstance(t, Pos):
             kept.append((k, t))
     return kept

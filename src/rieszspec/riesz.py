@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .exact import Rational
 
@@ -183,6 +183,29 @@ class RieszSpace(ABC):
         """
         lo = -self.unit_bound(self.negate(b))
         return [(Fraction(lo), Fraction(self.unit_bound(b)))]
+
+    def cell_sups(
+        self,
+        a: RieszElement,
+        den: int,
+        cells: Sequence[tuple[int, int, int]],
+        eps: Fraction,
+    ) -> list[Fraction]:
+        """The suprema of a's grid cells, read at eps.
+
+        Each cell (k, lo, hi) is the interval (lo/den, hi/den), as
+        ``exact.interval_grid_window`` returns it.  Its entry is exactly the
+        s that sup_cut(in_interval(a, lo/den, hi/den)).approx(eps) returns,
+        so a caller decides on it as on that cut query's answer.  The
+        default is that route, one cell element and one cut query per cell.
+        Instances whose value_ranges(a) is a's exact image return the exact
+        supremum instead, the cell's tent height over the image
+        (``exact.cell_bounds``), which is what their exact cut returns.
+        """
+        return [
+            self.sup_cut(self.in_interval(a, Fraction(lo, den), Fraction(hi, den))).approx(eps)
+            for _, lo, hi in cells
+        ]
 
     def require_exact(self, *elems: RieszElement) -> None:
         """ToleranceError unless every element is exact, free of an error

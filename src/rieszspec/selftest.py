@@ -17,7 +17,7 @@ from .exact import RatInterval, RationalMatrix, interval_grid_window, psd_check
 from .falgebra import gelfand_check, product_positive, sqrt_psd, sum_of_squares
 from .instances import HermSpace, PLSpace, QnSpace
 from .lattice import cover_interval, cover_range, d_of, precedes, shrink_cover
-from .riesz import decompose, norm_cut
+from .riesz import RieszSpace, decompose, norm_cut
 from .sampling import rand_diagonal_family, rand_pl, rand_qn, rand_rational
 from .spectrum import Below, Pos, epsilon_net, pos_or_below, stone_yosida_check, sup_approx
 
@@ -37,6 +37,20 @@ def _check_exact_kernel() -> str | None:
         return "psd accept"
     if psd_check(RationalMatrix.from_rows([[1, 2], [2, 1]])):
         return "psd reject"
+    return None
+
+
+def _check_cell_sups() -> str | None:
+    # every cell of the full grid, so some miss the image and some sit at
+    # its ends; the instance's exact sups against the default route
+    rng = random.Random(10)
+    qn, pl = QnSpace(3), PLSpace()
+    for space, a in ((qn, rand_qn(qn, rng)), (pl, rand_pl(pl, rng, 6))):
+        p, q, _ = cover_range(space, a)
+        den, cells = interval_grid_window(F(p), F(q), F(1, 8), [(F(p), F(q))])
+        got = space.cell_sups(a, den, cells, F(1, 32))
+        if got != RieszSpace.cell_sups(space, a, den, cells, F(1, 32)):
+            return f"{space!r} cell sups differ from the cut route"
     return None
 
 
@@ -368,6 +382,7 @@ CheckFn = Callable[[], "str | None"]
 
 CHECKS_QUICK: list[tuple[str, CheckFn]] = [
     ("exact-kernel", _check_exact_kernel),
+    ("cell-sups", _check_cell_sups),
     ("lattice-relations-qn", _check_lattice_qn),
     ("lattice-relations-pl", _check_lattice_pl),
     ("cover-certificates", _check_covers),

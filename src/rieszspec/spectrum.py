@@ -21,14 +21,19 @@ Nets: for a finite family and a resolution, each element's certified
 range is covered by the overlapping grid cells that meet one of its
 value ranges (the rest are <= 0 everywhere), the cover is shrunk by a
 positive r and pruned, and joint cells that keep a positive meet become
-points.  The range and the shrink are proved by order tests on the
-element itself, with r read off the one-variable profile of its cells
-(lattice module docstring): the net path joins no cell.  The net hands
-each point the meet it certified and the witness of that test, which is
-the point's margin, so no point rebuilds its meet; a first cell alone is
-tested once, by the pruning, whenever the pruning ran at the joint r.
-Each point keeps the certified range of every family member, so
-evaluating a member proves no range again.  Every representation of the
+points.  The cells stay integer ends over one denominator.  The range
+and the shrink are proved by order tests on the element itself, with r
+read off the one-variable profile of its cells (lattice module
+docstring): the net path joins no cell.  The pruning decides each cell
+on the space's cell_sups, which Qn and PL compute from the element's
+exact image without building the cell.  A first cell alone is decided
+once, by the pruning, whenever the pruning ran at the joint r; its
+witness is then the point's margin.  So a one-element net builds no cell
+element: each point builds its one cell, as its meet, when the meet is
+first read.  A family of several elements builds each kept cell once,
+when a meet first needs it, and the net hands each point the meet it
+certified.  Each point keeps the certified range of every family member,
+so evaluating a member proves no range again.  Every representation of the
 space then agrees with some net point to within the resolution on every
 family member.  The norm audit reads each point's window for the element
 before it evaluates anything: the window bounds the point's value, so the
@@ -39,11 +44,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Mapping, Sequence
 
-from .exact import RatInterval, interval_grid_window
-from .lattice import cover_range, grid_cells, prune_cover, shrink_cover
+from .exact import RatInterval, cell_bounds, interval_grid_window
+from .lattice import cover_range, prune_cover, shrink_cells
 from .riesz import (
     MarginCollapseError,
     Rational,
@@ -56,6 +60,7 @@ __all__ = [
     "Pos",
     "Below",
     "pos_or_below",
+    "pos_or_below_at",
     "sup_approx",
     "PointState",
     "point_new",
@@ -85,7 +90,15 @@ def pos_or_below(space: RieszSpace, a: RieszElement, r: Rational) -> Pos | Below
     r = Fraction(r)
     if r <= 0:
         raise ValueError("r must be positive")
-    s = space.sup_cut(a).approx(r / 4)
+    return pos_or_below_at(space.sup_cut(a).approx(r / 4), r)
+
+
+def pos_or_below_at(s: Fraction, r: Fraction) -> Pos | Below:
+    """pos_or_below's answer from s, its cut query's reading at r/4.
+
+    s - r/4 < sup(a) <= s, so s > r/2 certifies sup(a) > s - r/4 > r/4,
+    and otherwise a <= s <= r/2.
+    """
     if s > r / 2:
         return Pos(s - r / 4)
     return Below(s)
@@ -138,39 +151,14 @@ def _constraint_meet(
     return m
 
 
-def _cell_bounds(
-    ranges: Sequence[tuple[Fraction, Fraction]],
-    den: int,
-    cells: Sequence[tuple[int, int, int]],
-) -> tuple[int, list[int]]:
-    """(S, [B_k]) with B_k / S >= sup(meet /\\ (b in cell k)) for every cell.
-
-    ranges hold b's value wherever the meet is positive, and cell (k, lo,
-    hi) is (lo/den, hi/den).  Where the meet is positive the interval
-    element is at most the half width minus the distance from the cell
-    midpoint to the nearest range; elsewhere the meet is <= 0.  So
-    B_k <= 0 certifies a supremum <= 0.  Over S = 2*den*E, E the lcm of
-    the range denominators, a cell's midpoint is (lo + hi)*E and its half
-    width (hi - lo)*E, so every bound is integer arithmetic.
-    """
-    e = lcm(*(v.denominator for rng in ranges for v in rng))
-    s = 2 * den * e
-    ends = [(u.numerator * (s // u.denominator), v.numerator * (s // v.denominator))
-            for u, v in ranges]
-    bounds = []
-    for _, lo, hi in cells:
-        mid = (lo + hi) * e
-        bounds.append((hi - lo) * e - min(max(u - mid, mid - v, 0) for u, v in ends))
-    return s, bounds
-
-
 class PointState:
     """A spectrum point under refinement; not safe for concurrent use.
 
     meet is the meet of the constraints' interval elements, the element
-    whose supremum certified the margin: both constructors, point_new and
-    epsilon_net, hold it already, and eval replaces it with the meet that
-    certified the new margin.
+    whose supremum certified the margin.  point_new and a net of several
+    elements hand it over; a point of a one-element net builds it from its
+    one constraint when it is first read.  eval replaces it with the meet
+    that certified the new margin.
     """
 
     def __init__(
@@ -178,7 +166,7 @@ class PointState:
         space: RieszSpace,
         constraints: Sequence[tuple[RieszElement, Fraction, Fraction]],
         margin: Fraction,
-        meet: RieszElement,
+        meet: RieszElement | None = None,
         ident: int = 0,
         ranges: Mapping[RieszElement, tuple[int, int]] | None = None,
     ) -> None:
@@ -188,10 +176,16 @@ class PointState:
         self.constraints = list(constraints)
         self.margin = Fraction(margin)
         self.ident = ident
-        self.meet = meet
+        self._meet = meet
         self._evals: dict[tuple[RieszElement, int], Fraction] = {}
         # certified integer bounds (p, q) of evaluated elements, per point
         self._ranges: dict[RieszElement, tuple[int, int]] = dict(ranges or {})
+
+    @property
+    def meet(self) -> RieszElement:
+        if self._meet is None:
+            self._meet = _constraint_meet(self.space, self.constraints)
+        return self._meet
 
     def _window(self, b: RieszElement) -> tuple[int, int, Fraction, Fraction]:
         """(p, q, lo, hi): b's certified integer range (p, q), proved once
@@ -220,7 +214,7 @@ class PointState:
         The winning cell is the candidate with the largest supremum of
         (current meet) /\\ (b in cell) at precision min(margin, w/2)/8,
         ties resolved toward the lowest cell index.  Candidates whose
-        bound from b's value ranges on the meet (``_cell_bounds``) is at
+        bound from b's value ranges on the meet (``exact.cell_bounds``) is at
         or under the incumbent's answer are skipped without a cut query,
         and only the queried cells are built.
         """
@@ -243,7 +237,7 @@ class PointState:
         if wlo < whi:
             ranges = space.value_ranges(b, meet_cur, w / 4)
             den, cells = interval_grid_window(p, q, w, ranges, (wlo, whi))
-        s, bounds = _cell_bounds(ranges, den, cells)
+        s, bounds = cell_bounds(ranges, den, cells)
         delta = min(self.margin, w / 2) / 8
         best_k: int | None = None
         best_iv: RatInterval | None = None
@@ -267,7 +261,7 @@ class PointState:
             )
         iv = best_iv
         self.constraints.append((b, iv.lo, iv.hi))
-        self.meet = best_meet
+        self._meet = best_meet
         self.margin = best_mu - delta
         val = iv.midpoint
         self._evals[key] = val
@@ -278,16 +272,30 @@ def point_new(
     space: RieszSpace,
     constraints: Sequence[tuple[RieszElement, Rational, Rational]],
     ident: int = 0,
+    floor: Rational | None = None,
 ) -> PointState:
-    """Start a point from interval constraints, certifying its margin."""
+    """Start a point from interval constraints, certifying its margin.
+
+    The margin is the supremum of the constraints' meet read at delta,
+    less delta.  delta starts at an eighth of the narrowest constraint and,
+    on a miss, is halved while it stays at or above floor (no halving when
+    floor is None), one cut query each; MarginCollapseError when no delta
+    leaves a positive margin.  A delta under the meet's supremum always
+    does, and the last delta tried is under twice the floor, so a floor
+    at most half that supremum always certifies the point.
+    """
     cs = [(e, Fraction(lo), Fraction(hi)) for e, lo, hi in constraints]
     m = _constraint_meet(space, cs)
+    cut = space.sup_cut(m)
     delta = min(hi - lo for _, lo, hi in cs) / 8
-    s = space.sup_cut(m).approx(delta)
-    margin = s - delta
-    if margin <= 0:
-        raise MarginCollapseError("constraints do not certify a point")
-    return PointState(space, cs, margin, m, ident)
+    stop = delta if floor is None else min(delta, Fraction(floor))
+    while True:
+        margin = cut.approx(delta) - delta
+        if margin > 0:
+            return PointState(space, cs, margin, m, ident)
+        delta /= 2
+        if delta < stop:
+            raise MarginCollapseError("constraints do not certify a point")
 
 
 @dataclass(frozen=True)
@@ -310,11 +318,15 @@ def epsilon_net(
     """Cover, shrink, prune, and combine per element cells into points.
 
     Per element the certified range is covered by half overlapping cells
-    of dyadic width at most eps, the cover is lowered by a positive r
-    while still covering the unit class, and cells certified at most r
-    are discarded.  Joint points then come from a depth first product of
-    the surviving cells, keeping a tuple only while the meet of its
-    cells stays certifiably positive.  Every representation ends up
+    of dyadic width at most eps, kept as integer ends over one
+    denominator; the cover is lowered by a positive r while still
+    covering the unit class (shrink_cells), and cells certified at most r
+    are discarded (prune_cover on the space's cell_sups).  Joint points
+    then come from a depth first product of the surviving cells, keeping
+    a tuple only while the meet of its cells stays certifiably positive.
+    A kept cell is built as an element only when such a meet needs it,
+    once; a one-element net builds none, and each point builds its cell
+    as its meet when that is first read.  Every representation ends up
     within the resolution of some point on every family member.
     """
     eps = Fraction(eps)
@@ -324,42 +336,61 @@ def epsilon_net(
         raise ValueError("net needs at least one element")
     w = Fraction(1, 1 << _dyadic_level(eps))
 
-    per_elem: list[list[tuple[RatInterval, RieszElement, Pos]]] = []
+    # per element, its kept cells as (lo, hi, Pos answer at its own r)
+    per_elem: list[list[tuple[Fraction, Fraction, Pos]]] = []
     shrink_info: list[tuple[Fraction, int]] = []
     ranges: dict[RieszElement, tuple[int, int]] = {}
     for e in elements:
         p, q, _ = cover_range(space, e)
         ranges[e] = (p, q)
         values = space.value_ranges(e, None, w / 4)
-        grid, cells = grid_cells(space, e, p, q, w, values)
-        shrunk = shrink_cover(space, e, grid, cells, values)
-        kept = prune_cover(space, cells, shrunk.r)
-        per_elem.append([(grid[k], cells[k], t) for k, t in kept])
-        shrink_info.append((shrunk.r, shrunk.multiplier))
+        den, cells = interval_grid_window(Fraction(p), Fraction(q), w, values)
+        r, multiplier = shrink_cells(space, e, den, cells, values)
+        kept = prune_cover(space, cells, r, e, den)
+        per_elem.append(
+            [(Fraction(cells[i][1], den), Fraction(cells[i][2], den), t) for i, t in kept]
+        )
+        shrink_info.append((r, multiplier))
     r_joint = min(r for r, _ in shrink_info)
-    # a first cell alone is the meet prune_cover already tested at the
+    # a first cell alone is the meet prune_cover already decided at the
     # first element's r; when that r is r_joint, its answer is reused
     reuse = shrink_info[0][0] == r_joint
+    # kept cells, each built once, when a meet first needs it
+    built: list[list[RieszElement | None]] = [[None] * len(cs) for cs in per_elem]
+
+    def cell(i: int, j: int) -> RieszElement:
+        c = built[i][j]
+        if c is None:
+            lo, hi, _ = per_elem[i][j]
+            c = built[i][j] = space.in_interval(elements[i], lo, hi)
+        return c
 
     points: list[PointState] = []
 
-    def extend(i: int, meet: RieszElement, t: Pos | Below, chosen: list[RatInterval]) -> None:
+    def extend(
+        i: int, meet: RieszElement | None, t: Pos | Below, chosen: list[int]
+    ) -> None:
         if isinstance(t, Below):
             return
         if i == len(elements):
-            cs = [(elements[j], chosen[j].lo, chosen[j].hi) for j in range(len(elements))]
+            cs = [(elements[k], *per_elem[k][j][:2]) for k, j in enumerate(chosen)]
             points.append(
                 PointState(space, cs, t.witness, meet, ident=len(points), ranges=ranges)
             )
             return
-        for iv, cell, _ in per_elem[i]:
-            nxt = space.meet(meet, cell)
-            chosen.append(iv)
+        for j in range(len(per_elem[i])):
+            nxt = space.meet(meet, cell(i, j))
+            chosen.append(j)
             extend(i + 1, nxt, pos_or_below(space, nxt, r_joint), chosen)
             chosen.pop()
 
-    for iv, cell, t in per_elem[0]:
-        extend(1, cell, t if reuse else pos_or_below(space, cell, r_joint), [iv])
+    for j, (_, _, t) in enumerate(per_elem[0]):
+        if len(elements) == 1:
+            # the point builds its one cell as its meet if it is evaluated
+            extend(1, None, t, [j])
+        else:
+            first = cell(0, j)
+            extend(1, first, t if reuse else pos_or_below(space, first, r_joint), [j])
     return SpectrumNet(
         space=space,
         elements=tuple(elements),

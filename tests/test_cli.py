@@ -1,10 +1,16 @@
 """End to end runs of the command line front end, all in process."""
+from contextlib import redirect_stdout
 from fractions import Fraction as F
+import io
 import json
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from rieszspec.cli import main
+from rieszspec.exact import RationalMatrix
+from rieszspec.instances import HermSpace, PLSpace, QnSpace
+from rieszspec.serialize import element_to_json
 
 
 def run(capsys, *argv):
@@ -103,6 +109,73 @@ class TestPoint:
         code, rep = run_json(capsys, "point", "--input", path, "--eps", "1/2")
         assert code == 2
         assert "error" in rep["result"]
+
+
+_fracs = st.fractions(min_value=-2, max_value=2, max_denominator=8)
+_point_eps = st.sampled_from([F(1), F(1, 2), F(1, 4), F(1, 8), F(1, 16)])
+# rational spectra {3, -1}; the golden ratio; an irreducible cubic
+_POINT_GENS = ([[1, 2], [2, 1]], [[1, 1], [1, 0]], [[2, 1, 0], [1, -1, 1], [0, 1, 1]])
+
+
+@st.composite
+def _qn_json(draw):
+    n = draw(st.integers(1, 3))
+    return element_to_json(QnSpace(n).element(draw(st.lists(_fracs, min_size=n, max_size=n))))
+
+
+@st.composite
+def _pl_json(draw):
+    inner = sorted(draw(st.sets(st.integers(1, 7), max_size=3)))
+    xs = [F(0)] + [F(k, 8) for k in inner] + [F(1)]
+    ys = draw(st.lists(_fracs, min_size=len(xs), max_size=len(xs)))
+    return element_to_json(PLSpace().element(list(zip(xs, ys))))
+
+
+@st.composite
+def _herm_json(draw):
+    g = RationalMatrix.from_rows(draw(st.sampled_from(_POINT_GENS)))
+    hs = HermSpace([g])
+    c0, c1 = draw(_fracs), draw(_fracs.filter(bool))
+    return element_to_json(hs.add(hs.scale(c0, hs.unit()), hs.scale(c1, hs.element(g))))
+
+
+def _cli(tmp, obj, *argv):
+    path = tmp / "e.json"
+    path.write_text(json.dumps(obj))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main([*argv, "--input", str(path)])
+    return code, json.loads(out.getvalue())["result"]
+
+
+class TestPointFromEveryPos:
+    """The paper's points are filters a positive supremum makes inhabited:
+    whenever pos answers pos, point certifies a point, and its eval lies
+    in its first constraint's interval."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(obj=st.one_of(_qn_json(), _pl_json(), _herm_json()), eps=_point_eps)
+    def test_pos_gives_a_point(self, tmp_path_factory, obj, eps):
+        tmp = tmp_path_factory.mktemp("pos")
+        code, pos = _cli(tmp, obj, "pos", "--eps", str(eps))
+        assert code == 0
+        if pos["outcome"] != "pos":
+            return
+        code, pt = _cli(tmp, obj, "point", "--eps", str(eps))
+        assert code == 0, pt
+        first = pt["constraints"][0]
+        assert F(first["lo"]) == F(pos["witness"]) / 2
+        assert F(first["lo"]) < F(pt["eval"]["input"]) < F(first["hi"])
+
+    def test_shallow_qn_element(self, capsys, tmp_path):
+        # sup (1/4, 0) = 1/4 gives witness 3/16 at eps 1/4; the first delta,
+        # (2 - 3/32)/8, is deeper than the element inside its constraint
+        path = write(tmp_path, "s.json", {"space": "qn", "coords": ["1/4", "0"]})
+        code, pos = run_json(capsys, "pos", "--input", path, "--eps", "1/4")
+        assert code == 0 and pos["result"]["witness"] == "3/16"
+        code, rep = run_json(capsys, "point", "--input", path, "--eps", "1/4")
+        assert code == 0
+        assert F(rep["result"]["margin"]) > 0
 
 
 class TestNet:
@@ -300,6 +373,8 @@ class TestSelftest:
         assert rep["result"]["ok"] is True
         assert rep["config"]["level"] == "quick"
         assert all(c["ok"] for c in rep["result"]["checks"])
+        names = [c["name"] for c in rep["result"]["checks"]]
+        assert names.index("cell-sups") == names.index("exact-kernel") + 1
 
     def test_full_has_irrational_herm_check(self):
         from rieszspec import selftest

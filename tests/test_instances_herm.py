@@ -319,16 +319,19 @@ class TestElementConstruction:
             hs.element(_mat([[0, 1], [1, 0]]))  # outside the diagonal span
 
     def test_one_elimination_per_matrix(self, monkeypatch):
+        # the integer elimination runs once per matrix, on its integer rows
         m = _mat(CUBIC)
         hs = HermSpace([m])
         calls = []
-        real = CommutingAlgebra.coords_of
+        real = CommutingAlgebra._coords
         monkeypatch.setattr(
-            CommutingAlgebra, "coords_of", lambda alg, x: calls.append(x) or real(alg, x)
+            CommutingAlgebra, "_coords",
+            lambda alg, v, den: calls.append((tuple(v), den)) or real(alg, v, den),
         )
         a = hs.element(m @ m)
         assert hs.leq(hs.join(a, hs.zero()), hs.scale(10, hs.unit())) is True
-        assert calls.count(m @ m) == 1
+        mm = m @ m
+        assert calls.count((tuple(x for row in mm.rows for x in row), mm.den)) == 1
 
     def test_dim_enforced(self):
         hs = HermSpace([RationalMatrix.diagonal([F(1), F(2)])])

@@ -6,11 +6,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rieszspec.exact import RatInterval
+from rieszspec.exact import RatInterval, cell_bounds
 from rieszspec.instances import PLSpace
 from rieszspec.riesz import RieszSpace, in_interval, norm_cut
 from rieszspec.sampling import rand_pl
-from rieszspec.spectrum import _cell_bounds
 
 import oracles
 from oracles import pl_max, pl_min, pl_value
@@ -169,7 +168,7 @@ class TestHooks:
         for _ in range(60):
             a = rand_pl(PLS, rng, rng.randint(2, 6))
             lo = rng.randint(-24, 20)  # the cell (lo/4, lo/4 + 1/2)
-            s, (cheap,) = _cell_bounds(PLS.value_ranges(a), 4, [(0, lo, lo + 2)])
+            s, (cheap,) = cell_bounds(PLS.value_ranges(a), 4, [(0, lo, lo + 2)])
             cell = in_interval(a, F(lo, 4), F(lo + 2, 4))
             true_sup = pl_max(cell.points)
             assert true_sup <= max(0, F(cheap, s))
@@ -359,7 +358,7 @@ class TestIntegerCellHooks:
         a, iv = case
         den = math.lcm(iv.lo.denominator, iv.hi.denominator)
         cell = (0, int(iv.lo * den), int(iv.hi * den))
-        s, (cheap,) = _cell_bounds(PLS.value_ranges(a), den, [cell])
+        s, (cheap,) = cell_bounds(PLS.value_ranges(a), den, [cell])
         want = oracles.pl_interval_sup_upper_fraction(a, iv)
         assert (None if cheap <= 0 else F(cheap, s)) == want
 

@@ -6,9 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rieszspec.exact import cell_bounds
 from rieszspec.instances import QnSpace
 from rieszspec.riesz import RieszSpace, SpaceMismatchError, in_interval, norm_cut
-from rieszspec.spectrum import _cell_bounds
 
 import oracles
 from oracles import qn_sup
@@ -100,7 +100,7 @@ class TestHooks:
         for _ in range(60):
             a = _rand(q3, rng, 3)
             lo = rng.randint(-8, 8)  # the cell (lo/4, lo/4 + 1/2)
-            s, (cheap,) = _cell_bounds(q3.value_ranges(a), 4, [(0, lo, lo + 2)])
+            s, (cheap,) = cell_bounds(q3.value_ranges(a), 4, [(0, lo, lo + 2)])
             cell = in_interval(a, F(lo, 4), F(lo + 2, 4))
             true_sup = qn_sup(cell.coords)
             assert true_sup <= max(0, F(cheap, s))

@@ -13,7 +13,6 @@ from rieszspec.lattice import (
     cover_interval,
     cover_range,
     d_of,
-    grid_cells,
     join_all,
     precedes,
     prune_cover,
@@ -363,31 +362,30 @@ class TestOneJoinPerCover:
             assert (cert.multiplier, res.r, res.multiplier) == want
             assert cert.verify() and res.cert.verify()
 
-    def test_net_joins_no_cell(self, monkeypatch):
+    def test_net_joins_no_cell(self):
+        # a two-element net builds each kept cell it meets once, and joins
+        # nothing: neither a cell nor any other element
         class CountingPL(PLSpace):
             def __init__(self):
                 super().__init__()
-                self.operands = []
+                self.operands, self.built = [], []
 
             def join(self, a, b):
                 self.operands += [a, b]
                 return super().join(a, b)
 
-        covers = []
+            def in_interval(self, a, p, q):
+                self.built.append((a, p, q))
+                return super().in_interval(a, p, q)
 
-        def recording(*args):
-            grid, cells = grid_cells(*args)
-            covers.append(cells)
-            return grid, cells
-
-        monkeypatch.setattr("rieszspec.spectrum.grid_cells", recording)
         pls = CountingPL()
         rng = random.Random(66)
         elems = [rand_pl(pls, rng, 6) for _ in range(2)]
-        epsilon_net(pls, elems, F(1, 4))
-        assert len(covers) == 2 and all(len(cells) >= 2 for cells in covers)
-        for cells in covers:
-            assert [sum(x is c for x in pls.operands) for c in cells] == [0] * len(cells)
+        pls.built.clear()
+        net = epsilon_net(pls, elems, F(1, 4))
+        assert len(net.points) >= 2 and pls.operands == []
+        cells = [(a, lo, hi) for pt in net.points for a, lo, hi in pt.constraints]
+        assert all(pls.built.count(c) == 1 for c in cells)
 
 
 _widths = st.sampled_from([F(1, 2), F(1, 4), F(1, 8), F(1, 16)])
@@ -497,6 +495,28 @@ class TestPruneCover:
         q2 = QnSpace(2)
         cells = [q2.unit(), q2.element([F(2), F(3)])]
         assert _kept(q2, cells, F(1, 4)) == [0, 1]
+
+    @pytest.mark.parametrize("kind", ["qn", "pl", "herm"])
+    def test_integer_cells_decide_as_built_cells(self, kind):
+        # the cells given as a's integer grid cells keep the same indices,
+        # with the same answers, as the same cells built and asked one by one
+        rng = random.Random(68)
+        if kind == "qn":
+            space = QnSpace(3)
+            elems = [rand_qn(space, rng) for _ in range(6)]
+        elif kind == "pl":
+            space = PLSpace()
+            elems = [rand_pl(space, rng, 6) for _ in range(6)]
+        else:
+            g = RationalMatrix.from_rows([[1, 1], [1, 0]])
+            space = HermSpace([g])
+            elems = [space.add(space.unit(), space.scale(F(k, 3), space.element(g)))
+                     for k in (-2, 1, 4)]
+        for a, r in zip(elems, [F(1, 2), F(1, 4), F(1, 8)] * 2):
+            p, q, _ = cover_range(space, a)
+            den, cells = interval_grid_window(F(p), F(q), F(1, 4), [(F(p), F(q))])
+            built = [space.in_interval(a, F(lo, den), F(hi, den)) for _, lo, hi in cells]
+            assert prune_cover(space, cells, r, a, den) == prune_cover(space, built, r)
 
     def test_prune_preserves_cover(self):
         # after shrinking by r, dropping Below cells keeps the unit covered

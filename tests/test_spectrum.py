@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rieszspec import lattice, spectrum
 from rieszspec.instances import HermSpace, PLSpace, QnSpace
-from rieszspec.exact import RatInterval, RationalMatrix, interval_grid_window
+from rieszspec.exact import RatInterval, RationalMatrix, cell_bounds, interval_grid_window
 from rieszspec.lattice import (
     cover_interval,
     cover_range,
@@ -17,7 +17,7 @@ from rieszspec.lattice import (
     precedes,
     prune_cover,
 )
-from rieszspec.riesz import MarginCollapseError
+from rieszspec.riesz import MarginCollapseError, RieszSpace
 from rieszspec.sampling import rand_pl, rand_qn
 from rieszspec.spectrum import (
     Below,
@@ -534,33 +534,45 @@ class TestNetOnCandidateCells:
         net.points[0].eval(pls.negate(a), F(1, 32))
         assert len(calls) == 2
 
-    def test_one_element_net_asks_each_cell_once(self):
-        # prune_cover asks every cell of the cover once; a kept cell alone
-        # is a point's meet at the same r, so that answer is reused
-        class CountingPL(PLSpace):
-            def __init__(self):
-                super().__init__()
-                self.cut_args = []
+    @pytest.mark.parametrize("kind", ["qn", "pl"])
+    def test_one_element_net_builds_no_cell(self, kind):
+        # prune_cover reads every cell's supremum from cell_sups, and each
+        # point builds its one cell as its meet only when that is read
+        class Counting(QnSpace if kind == "qn" else PLSpace):
+            def in_interval(self, a, p, q):
+                self.built.append((p, q))
+                return super().in_interval(a, p, q)
 
             def sup_cut(self, a):
-                self.cut_args.append(a)
+                self.cuts += 1
                 return super().sup_cut(a)
 
-        pls = CountingPL()
-        a = pls.element([(0, F(-1, 2)), (F(1, 4), F(3, 2)), (1, 1)])
-        p, q, _ = cover_range(pls, a)
-        _, cells = grid_cells(pls, a, p, q, F(1, 8))
-        pls.cut_args.clear()
-        net = epsilon_net(pls, [a], F(1, 8))
+        if kind == "qn":
+            space = Counting(3)
+            a = space.element([F(-1, 2), F(3, 2), F(1, 3)])
+        else:
+            space = Counting()
+            a = space.element([(0, F(-1, 2)), (F(1, 4), F(3, 2)), (1, 1)])
+        space.built, space.cuts = [], 0
+        p, q, _ = cover_range(space, a)
+        den, found = interval_grid_window(F(p), F(q), F(1, 8), space.value_ranges(a))
+        grid = {(F(lo, den), F(hi, den)) for _, lo, hi in found}
+        space.built, space.cuts = [], 0
+        net = epsilon_net(space, [a], F(1, 8))
         assert len(net.points) > 1
-        assert [sum(x == c for x in pls.cut_args) for c in cells] == [1] * len(cells)
-        assert len(pls.cut_args) == len(cells)
-        assert all(pt.meet in cells for pt in net.points)
+        # only the shrink's gap tests build interval elements, none a cell
+        assert space.cuts == 0 and not grid & set(space.built)
+        _, cells = grid_cells(space, a, p, q, F(1, 8))
+        r = net.shrink_info[0][0]
+        for pt in net.points:
+            (_, lo, hi), = pt.constraints
+            cell = space.in_interval(a, lo, hi)
+            assert pt.meet == cell and pt.margin == pos_or_below(space, cell, r).witness
 
-    def test_first_eval_builds_only_candidate_cells(self):
-        # a point holds the meet its constructor certified, so evaluating
-        # builds interval elements only for cells of the evaluation grid
-        # that meet the point's window
+    def test_point_builds_its_cell_once_on_first_eval(self):
+        # a one-element net point builds its own cell as its meet on first
+        # eval, once; the other interval elements eval builds are cells of
+        # the evaluation grid that meet the point's window
         class CountingPL(PLSpace):
             def __init__(self):
                 super().__init__()
@@ -576,12 +588,18 @@ class TestNetOnCandidateCells:
         net = epsilon_net(pls, [a], F(1, 8))
         for pt in net.points:
             (_, lo, hi), = pt.constraints
+            own = (a, RatInterval(lo, hi))
             den, found = interval_grid_window(p, q, F(1, 32), [(lo, hi)])
             window = [RatInterval(F(c, den), F(d, den)) for _, c, d in found]
             pls.built.clear()
             pt.eval(a, F(1, 32))
-            assert pls.built
-            assert all(b is a and iv in window for b, iv in pls.built)
+            assert pls.built.count(own) == 1
+            rest = [x for x in pls.built if x != own]
+            assert rest and all(b is a and iv in window for b, iv in rest)
+            pls.built.clear()
+            pt.eval(a, F(1, 128))
+            pt.eval(pls.negate(a), F(1, 32))
+            assert own not in pls.built
         # a started point proves a's range once, and never rebuilds its cell
         started = point_new(pls, [(a, F(1, 4), F(3, 4))])
         pls.built.clear()
@@ -675,7 +693,7 @@ def _bounded_cells(pt, b, eps):
     p, q, _ = cover_range(space, b)
     ranges = space.value_ranges(b, pt.meet, w / 4)
     den, cells = interval_grid_window(p, q, w, ranges)
-    s, bounds = spectrum._cell_bounds(ranges, den, cells)
+    s, bounds = cell_bounds(ranges, den, cells)
     return [
         (RatInterval(F(lo, den), F(hi, den)), F(bound, s))
         for (_, lo, hi), bound in zip(cells, bounds)
@@ -733,6 +751,67 @@ class TestCellBoundSound:
                 for iv, bound in _bounded_cells(pt, b, eps / 4):
                     met = hs.meet(pt.meet, hs.in_interval(b, iv.lo, iv.hi))
                     assert hs.leq(met, hs.scale(max(bound, 0), hs.unit())) is True
+
+
+_big = st.builds(F, st.integers(-(1 << 40), 1 << 40), st.integers(1, 1 << 40))
+_any_value = st.one_of(_small, _big)
+
+
+def _cells_near(space, a, width):
+    """Cells of a's grid within two widths of a value a takes or of an end
+    of its image: some hold a value, some sit at the ends, some miss."""
+    p, q, _ = cover_range(space, a)
+    near = [v for rng in space.value_ranges(a) for v in rng]
+    den, cells = interval_grid_window(
+        F(p), F(q), width, [(v - 2 * width, v + 2 * width) for v in near]
+    )
+    return den, cells
+
+
+class TestCellSupsExact:
+    """Qn and PL cell_sups equal the default route, one cell element and one
+    cut query per cell, exactly."""
+
+    @staticmethod
+    def _same(space, a, width, eps):
+        den, cells = _cells_near(space, a, width)
+        got = space.cell_sups(a, den, cells, eps)
+        assert got == RieszSpace.cell_sups(space, a, den, cells, eps)
+        # a value sits deep in some cell; under width 1 the grid reaches a
+        # unit past the image, so some cell near it misses the image
+        assert any(s > 0 for s in got)
+        assert width >= 1 or any(s < 0 for s in got)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 4),
+        width=st.sampled_from([F(2), F(1, 2), F(1, 8), F(1, 1 << 20)]),
+        eps=st.sampled_from([F(1, 4), F(1, 1 << 30)]),
+    )
+    def test_qn(self, data, n, width, eps):
+        q = QnSpace(n)
+        coords = data.draw(st.one_of(
+            st.lists(_any_value, min_size=n, max_size=n),
+            _any_value.map(lambda v: [v] * n),  # a constant element
+        ))
+        self._same(q, q.element(coords), width, eps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        width=st.sampled_from([F(2), F(1, 2), F(1, 8), F(1, 1 << 20)]),
+        eps=st.sampled_from([F(1, 4), F(1, 1 << 30)]),
+    )
+    def test_pl(self, data, width, eps):
+        pls = PLSpace()
+        inner = sorted(data.draw(st.sets(_big.filter(lambda x: 0 < x < 1), max_size=4)))
+        xs = [F(0), *inner, F(1)]
+        ys = data.draw(st.one_of(
+            st.lists(_any_value, min_size=len(xs), max_size=len(xs)),
+            _any_value.map(lambda v: [v] * len(xs)),  # a constant element
+        ))
+        self._same(pls, pls.element(list(zip(xs, ys))), width, eps)
 
 
 def _match_no_skip(pts, elements, eps):
