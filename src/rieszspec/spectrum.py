@@ -28,14 +28,14 @@ docstring): the net path joins no cell.  The pruning decides each cell
 on the space's cell_sups, which Qn and PL compute from the element's
 exact image without building the cell.  A first cell alone is decided
 once, by the pruning, whenever the pruning ran at the joint r; its
-witness is then the point's margin.  So a one-element net builds no cell
-element: each point builds its one cell, as its meet, when the meet is
-first read.  A family of several elements builds each kept cell once,
-when a meet first needs it, and the net hands each point the meet it
-certified.  Each point keeps the certified range of every family member,
-so evaluating a member proves no range again.  Every representation of the
-space then agrees with some net point to within the resolution on every
-family member.  The norm audit reads each point's window for the element
+witness is then the point's margin.  So a one-element net on Qn or PL
+builds no cell element: each point builds its one cell, as its meet,
+when the meet is first read.  A family of several elements builds each
+kept cell once, when a meet first needs it, and the net hands each point
+the meet it certified.  Each point keeps the certified range of every
+family member, so evaluating a member proves no range again.  Every
+representation of the space then agrees with some net point to within
+the resolution on every family member.  The norm audit reads each point's window for the element
 before it evaluates anything: the window bounds the point's value, so the
 audit evaluates points by descending bound and stops once no bound can
 beat the maximum found.
@@ -325,8 +325,8 @@ def epsilon_net(
     then come from a depth first product of the surviving cells, keeping
     a tuple only while the meet of its cells stays certifiably positive.
     A kept cell is built as an element only when such a meet needs it,
-    once; a one-element net builds none, and each point builds its cell
-    as its meet when that is first read.  Every representation ends up
+    once; a one-element net builds none of its own, and each point builds
+    its cell as its meet when that is first read.  Every representation ends up
     within the resolution of some point on every family member.
     """
     eps = Fraction(eps)

@@ -534,11 +534,10 @@ class TestNetOnCandidateCells:
         net.points[0].eval(pls.negate(a), F(1, 32))
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("kind", ["qn", "pl"])
-    def test_one_element_net_builds_no_cell(self, kind):
+    def test_one_element_net_builds_no_cell(self):
         # prune_cover reads every cell's supremum from cell_sups, and each
         # point builds its one cell as its meet only when that is read
-        class Counting(QnSpace if kind == "qn" else PLSpace):
+        class Counting:
             def in_interval(self, a, p, q):
                 self.built.append((p, q))
                 return super().in_interval(a, p, q)
@@ -547,27 +546,31 @@ class TestNetOnCandidateCells:
                 self.cuts += 1
                 return super().sup_cut(a)
 
-        if kind == "qn":
-            space = Counting(3)
-            a = space.element([F(-1, 2), F(3, 2), F(1, 3)])
-        else:
-            space = Counting()
-            a = space.element([(0, F(-1, 2)), (F(1, 4), F(3, 2)), (1, 1)])
-        space.built, space.cuts = [], 0
-        p, q, _ = cover_range(space, a)
-        den, found = interval_grid_window(F(p), F(q), F(1, 8), space.value_ranges(a))
-        grid = {(F(lo, den), F(hi, den)) for _, lo, hi in found}
-        space.built, space.cuts = [], 0
-        net = epsilon_net(space, [a], F(1, 8))
-        assert len(net.points) > 1
-        # only the shrink's gap tests build interval elements, none a cell
-        assert space.cuts == 0 and not grid & set(space.built)
-        _, cells = grid_cells(space, a, p, q, F(1, 8))
-        r = net.shrink_info[0][0]
-        for pt in net.points:
-            (_, lo, hi), = pt.constraints
-            cell = space.in_interval(a, lo, hi)
-            assert pt.meet == cell and pt.margin == pos_or_below(space, cell, r).witness
+        class CountingQn(Counting, QnSpace):
+            pass
+
+        class CountingPL(Counting, PLSpace):
+            pass
+
+        qn, pls = CountingQn(3), CountingPL()
+        for space, a in (
+            (qn, qn.element([F(-1, 2), F(3, 2), F(1, 3)])),
+            (pls, pls.element([(0, F(-1, 2)), (F(1, 4), F(3, 2)), (1, 1)])),
+        ):
+            space.built, space.cuts = [], 0
+            p, q, _ = cover_range(space, a)
+            den, found = interval_grid_window(F(p), F(q), F(1, 8), space.value_ranges(a))
+            grid = {(F(lo, den), F(hi, den)) for _, lo, hi in found}
+            space.built, space.cuts = [], 0
+            net = epsilon_net(space, [a], F(1, 8))
+            assert len(net.points) > 1
+            # only the shrink's gap tests build interval elements, none a cell
+            assert space.cuts == 0 and not grid & set(space.built)
+            r = net.shrink_info[0][0]
+            for pt in net.points:
+                (_, lo, hi), = pt.constraints
+                cell = space.in_interval(a, lo, hi)
+                assert pt.meet == cell and pt.margin == pos_or_below(space, cell, r).witness
 
     def test_point_builds_its_cell_once_on_first_eval(self):
         # a one-element net point builds its own cell as its meet on first
