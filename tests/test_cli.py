@@ -150,8 +150,9 @@ def _cli(tmp, obj, *argv):
 
 class TestPointFromEveryPos:
     """The paper's points are filters a positive supremum makes inhabited:
-    whenever pos answers pos, point certifies a point, and its eval lies
-    in its first constraint's interval."""
+    whenever pos answers pos, point certifies a point, and its eval is the
+    midpoint of a cell at most eps wide that meets the constraint interval,
+    so it lies within eps/2 of that interval."""
 
     @settings(max_examples=60, deadline=None)
     @given(obj=st.one_of(_qn_json(), _pl_json(), _herm_json()), eps=_point_eps)
@@ -163,9 +164,10 @@ class TestPointFromEveryPos:
             return
         code, pt = _cli(tmp, obj, "point", "--eps", str(eps))
         assert code == 0, pt
-        first = pt["constraints"][0]
-        assert F(first["lo"]) == F(pos["witness"]) / 2
-        assert F(first["lo"]) < F(pt["eval"]["input"]) < F(first["hi"])
+        (lo, hi), (clo, chi) = [(F(c["lo"]), F(c["hi"])) for c in pt["constraints"]]
+        assert lo == F(pos["witness"]) / 2
+        assert F(pt["eval"]["input"]) == (clo + chi) / 2 and chi - clo <= eps
+        assert clo < hi and lo < chi
 
     def test_shallow_qn_element(self, capsys, tmp_path):
         # sup (1/4, 0) = 1/4 gives witness 3/16 at eps 1/4; the first delta,
